@@ -16,7 +16,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from dataclasses import asdict
 from typing import Any, Sequence
 
 import numpy as np
@@ -32,8 +34,16 @@ from .simulator import SimConfig, SimResult, run_simulation, sifting_fraction
 _TERM_KEYS = ("holevo_worst", "h_ab", "ec_term", "pa_term", "smooth_term", "smooth_coefficient")
 
 
+def parse_dim(text: str) -> int:
+    """One qudit dimension, at least 2."""
+    d = int(text)
+    if d < 2:
+        raise argparse.ArgumentTypeError(f"dimension must be >= 2, got {d}")
+    return d
+
+
 def parse_dims(text: str) -> list[int]:
-    """Comma-separated dimensions; 'a..b' expands to the inclusive range."""
+    """Comma-separated dimensions (each >= 2); 'a..b' expands to the inclusive range."""
     dims: list[int] = []
     for token in text.split(","):
         token = token.strip()
@@ -47,17 +57,29 @@ def parse_dims(text: str) -> list[int]:
             dims.extend(range(lo, hi + 1))
         else:
             dims.append(int(token))
-    if not dims:
-        raise argparse.ArgumentTypeError(f"no dimensions in {text!r}")
+    if not dims or min(dims) < 2:
+        raise argparse.ArgumentTypeError(f"need one or more dimensions >= 2, got {text!r}")
     return dims
 
 
 def parse_q(text: str) -> float:
-    """Noise as a fraction ('0.05') or percentage ('5%')."""
+    """Finite noise as a fraction ('0.05') or percentage ('5%')."""
     text = text.strip()
-    if text.endswith("%"):
-        return float(text[:-1]) / 100.0
-    return float(text)
+    q = float(text[:-1]) / 100.0 if text.endswith("%") else float(text)
+    if not math.isfinite(q):
+        raise argparse.ArgumentTypeError(f"noise must be finite, got {text!r}")
+    return q
+
+
+def parse_count(text: str) -> int:
+    """An integer, also as '1e3' or '1E12'; `_n_grid` refuses counts below 1."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():  # also rejects nan and inf
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(value)
 
 
 def parse_probs(text: str) -> tuple[float, ...]:
@@ -149,17 +171,7 @@ def cmd_asymptotic(args: argparse.Namespace) -> int:
     rows = []
     for q in _q_sweep(args, args.dim):
         rep = r_infinity(spec, q)
-        rows.append(
-            {
-                "d": args.dim,
-                "family": spec.family.value,
-                "q": rep.q,
-                "i_e": rep.i_e,
-                "h_ab": rep.h_ab,
-                "r_inf": rep.r_inf,
-                "r_inf_raw": rep.r_inf_raw,
-            }
-        )
+        rows.append({"d": args.dim, "family": spec.family.value, **asdict(rep)})
     _emit_table(
         "asymptotic",
         {"dim": args.dim, "family": spec.family.value},
@@ -192,14 +204,8 @@ def cmd_finite_key(args: argparse.Namespace) -> int:
     for n_signals in _n_grid(args.n_min, args.n_max, args.n_points):
         rep = optimize_r_finite(spec, args.q, n_signals, args.eps, args.eps_ec, mode=mode)
         row: dict[str, Any] = {
-            "d": args.dim,
-            "family": spec.family.value,
-            "n": n_signals,
-            "r_n": rep.r_n,
-            "p01": rep.params.p01,
-            "eps_pa": rep.params.eps_pa,
-            "eps_pe": rep.params.eps_pe,
-            "eps_bar": rep.params.eps_bar,
+            "d": args.dim, "family": spec.family.value, "n": n_signals, "r_n": rep.r_n,
+            **asdict(rep.params),
         }
         for key in _TERM_KEYS:
             row[key] = float(rep.terms.get(key, 0.0))
@@ -255,16 +261,9 @@ def _sim_config_from(args: argparse.Namespace) -> tuple[SimConfig, dict[str, Any
         if unknown:
             raise QkdError(f"unknown config keys: {sorted(unknown)}")
     # flags override file values
-    if args.dim is not None:
-        values["dim"] = str(args.dim)
-    if args.family is not None:
-        values["family"] = args.family
-    if args.q is not None:
-        values["q"] = repr(args.q)
-    if args.rounds is not None:
-        values["rounds"] = str(args.rounds)
-    if args.seed is not None:
-        values["seed"] = str(args.seed)
+    for key in ("dim", "family", "q", "rounds", "seed"):
+        if getattr(args, key) is not None:
+            values[key] = str(getattr(args, key))
     if args.fast != "auto":
         values["fast"] = args.fast
     if args.basis_probs is not None:
@@ -278,8 +277,10 @@ def _sim_config_from(args: argparse.Namespace) -> tuple[SimConfig, dict[str, Any
         q = parse_q(values["q"])
         rounds = int(values["rounds"])
         seed = int(values["seed"])
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise QkdError(f"bad config value: {exc}") from exc
+    if dim < 2 or not 0 <= seed < 2**128:
+        raise QkdError(f"need dim >= 2 and seed in [0, 2**128), got dim={dim} seed={seed}")
     family = Family(values.get("family", Family.TWO_BASIS.value))
     fast_text = values.get("fast", "auto").lower()
     if fast_text not in ("auto", "on", "off"):
@@ -376,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_critical_q)
 
     p = sub.add_parser("asymptotic", help="asymptotic rate at one noise value or over a sweep")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=parse_dim, required=True)
     p.add_argument("--family", choices=[f.value for f in Family], default=Family.TWO_BASIS.value)
     p.add_argument("--q", type=parse_q, default=None, help="single noise value (fraction or N%%)")
     p.add_argument("--q-min", type=parse_q, default=0.0)
@@ -386,13 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_asymptotic)
 
     p = sub.add_parser("finite-key", help="optimized finite-size rate over a log-spaced N grid")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=parse_dim, required=True)
     p.add_argument("--family", choices=[f.value for f in Family], default=Family.TWO_BASIS.value)
     p.add_argument("--q", type=parse_q, default=0.05)
     p.add_argument("--eps", type=float, default=1e-5, help="total security failure budget")
     p.add_argument("--eps-ec", type=float, default=1e-10, help="error-correction failure share")
-    p.add_argument("--n-min", type=int, default=10**3)
-    p.add_argument("--n-max", type=int, default=10**8)
+    p.add_argument("--n-min", type=parse_count, default=10**3, help="e.g. 1000 or 1e3")
+    p.add_argument("--n-max", type=parse_count, default=10**8)
     p.add_argument("--n-points", type=int, default=11)
     p.add_argument("--flux-mode", choices=[m.value for m in FluxMode], default=FluxMode.EQUAL.value)
     _add_output_flags(p)
@@ -400,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo run against the analytic statistics")
     p.add_argument("--config", default=None, help="flat key=value file; flags override")
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", type=parse_dim, default=None)
     p.add_argument("--family", choices=[f.value for f in Family], default=None)
     p.add_argument("--q", type=parse_q, default=None, help="depolarizing noise (fraction or N%%)")
     p.add_argument("--rounds", type=int, default=None)

@@ -1,6 +1,9 @@
 """Entropy primitives and the depolarizing error vector.
 
-All logarithms are base 2; entropies are in bits.
+All logarithms are base 2; entropies are in bits. Inputs are checked once,
+at the public boundary (`as_prob_vector`); internal callers pass arrays
+already on the simplex to `entropy_unchecked` and `bell_holevo`, the one
+kernel for the Holevo information of a Bell-diagonal spectrum.
 """
 
 from __future__ import annotations
@@ -32,11 +35,24 @@ def as_prob_vector(values) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def shannon_entropy(p) -> float:
-    """H(p) = -sum_i p_i log2 p_i with the 0 log 0 = 0 convention."""
-    v = as_prob_vector(p)
-    nz = v[v > 0.0]
+def entropy_unchecked(p: np.ndarray) -> float:
+    """H(p) = -sum_i p_i log2 p_i (0 log 0 = 0) of an array already on the simplex."""
+    nz = p[p > 0.0]
     return float(-(nz * np.log2(nz)).sum()) + 0.0  # avoid -0.0
+
+
+def shannon_entropy(p) -> float:
+    """H(p) of a probability vector, validated with `as_prob_vector` first."""
+    return entropy_unchecked(as_prob_vector(p))
+
+
+def bell_holevo(lam: np.ndarray) -> float:
+    """chi = H(lam) - H(q_01) of a (d, d) Bell spectrum on the simplex.
+
+    q_01 = lam.sum(axis=1) is the key-basis error vector, so chi is a
+    conditional entropy; tiny float undershoot is clamped to 0.
+    """
+    return max(entropy_unchecked(lam.reshape(-1)) - entropy_unchecked(lam.sum(axis=1)), 0.0)
 
 
 def depolarizing_vector(dim: Dim, q: float) -> np.ndarray:

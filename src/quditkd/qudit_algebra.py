@@ -119,10 +119,6 @@ class Basis:
     def d(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def outcome_labels(self) -> tuple[int, ...]:
-        return tuple(range(self.d))
-
 
 def _shift_family_phase(d: int, k: int) -> complex:
     """Global phase g with spectrum(U_{1k}) = g * {omega^a}.

@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channels import BellSpectrum, depolarizing_spectrum
+from .channels import BellSpectrum
 from .errors import NoRoot, OutOfRange
-from .info_theory import depolarizing_vector, shannon_entropy
+from .info_theory import bell_holevo, depolarizing_vector, shannon_entropy
 from .protocol import Family, ProtocolSpec
 
 BISECTION_TOL = 1e-9  # interval width; spec'd accuracy is 1e-6
@@ -38,17 +38,10 @@ class RateReport:
 
 
 def holevo_general(spec: ProtocolSpec, spectrum: BellSpectrum) -> float:
-    """chi = H(lam) - H(q_01) for an arbitrary Bell-diagonal state.
-
-    The key-basis error vector is the row marginal of the spectrum, so the
-    difference is a conditional entropy and never negative; tiny float
-    undershoot is clamped.
-    """
+    """chi = H(lam) - H(q_01) for an arbitrary Bell-diagonal state."""
     if spectrum.d != spec.dim.d:
         raise OutOfRange(f"spectrum is {spectrum.d}-dimensional, protocol wants {spec.dim.d}")
-    h_lam = shannon_entropy(spectrum.lam.reshape(-1))
-    h_q01 = shannon_entropy(spectrum.lam.sum(axis=1))
-    return max(h_lam - h_q01, 0.0)
+    return bell_holevo(spectrum.lam)
 
 
 def ie_two_basis(q01, q10) -> float:

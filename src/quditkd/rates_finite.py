@@ -23,6 +23,11 @@ more conservative of the two extremes) spreads xi/2 evenly, "single" puts
 xi/2 on one coordinate, and "brute" puts xi/2 on every coordinate at once,
 which overshoots the total-variation budget and is known to be overly
 pessimistic.
+
+The adversary bound runs on plain arrays checked once at the boundary. In
+the (d+1)-basis family all d check bases share the sample size m_1k and the
+depolarizing nominal vector, the only inputs of the shift, so one shifted
+check vector stands in for all of them.
 """
 
 from __future__ import annotations
@@ -34,16 +39,10 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import ErrorVector, lambda_entries_from_q
-from .errors import (
-    DegenerateSample,
-    InfeasibleParams,
-    OutOfRange,
-    SaturatedStatistics,
-)
-from .info_theory import depolarizing_vector, shannon_entropy
+from .channels import lambda_entries_from_q
+from .errors import DegenerateSample, InfeasibleParams, OutOfRange, SaturatedStatistics
+from .info_theory import as_prob_vector, bell_holevo, depolarizing_vector, entropy_unchecked
 from .protocol import Family, ProtocolSpec
-from .qudit_algebra import WeylIndex
 
 CLAMP_MASS_TOL = 1e-6  # reconstructed spectra may leave the simplex at large xi
 SATURATION_TOL = 1e-12
@@ -65,17 +64,18 @@ def xi(m: int, spec_dim_d: int, eps_pe: float) -> float:
 
 
 def worst_case_vector(
-    q: ErrorVector,
+    q: np.ndarray,
     xi_val: float,
     mode: FluxMode = FluxMode.EQUAL,
     coordinate: int = 1,
-) -> ErrorVector:
+) -> np.ndarray:
     """Shift an error vector to the adversarial corner of its xi-ball.
 
     Error coordinates are raised (equal split: xi/(2(d-1)) each; single:
     xi/2 on `coordinate`; brute: xi/2 on all) and the no-error coordinate
     rebalances the total. If it would go negative the statistics are
-    saturated and no key can be certified.
+    saturated and no key can be certified. `q` is validated here; the
+    result is a fresh array.
 
     The shift stops at the point where the no-error probability meets the
     largest error probability: that is where the entropy along the shift
@@ -84,7 +84,8 @@ def worst_case_vector(
     """
     if xi_val < 0.0:
         raise OutOfRange(f"xi must be nonnegative, got {xi_val!r}")
-    d = q.d
+    q = as_prob_vector(q)
+    d = q.size
     if not 1 <= coordinate < d:
         raise OutOfRange(f"coordinate {coordinate} is not an error class for d={d}")
     deltas = np.zeros(d)
@@ -97,9 +98,9 @@ def worst_case_vector(
     added = deltas.sum()
     # saturation is judged on the raw corner: once the requested shift
     # exceeds all of q[0], the noise estimate certifies nothing
-    if q.q[0] - added < -SATURATION_TOL:
+    if q[0] - added < -SATURATION_TOL:
         raise SaturatedStatistics(
-            f"worst case drives q[0] to {q.q[0] - added!r}; noise estimate unusable"
+            f"worst case drives q[0] to {q[0] - added!r}; noise estimate unusable"
         )
     # scale the shift back so q[0] never drops below the largest error
     # coordinate; for each candidate t the crossing is at
@@ -107,11 +108,11 @@ def worst_case_vector(
     scale = 1.0
     if added > 0.0:
         grow = deltas > 0.0
-        crossings = (q.q[0] - q.q[grow]) / (added + deltas[grow])
+        crossings = (q[0] - q[grow]) / (added + deltas[grow])
         scale = min(1.0, max(crossings.min(), 0.0))
-    bumped = q.q + scale * deltas
+    bumped = q + scale * deltas
     bumped[0] = max(1.0 - bumped[1:].sum(), 0.0)
-    return ErrorVector(q.basis, bumped)
+    return bumped
 
 
 @dataclass(frozen=True)
@@ -202,15 +203,11 @@ def _worst_case_holevo(
     spectrum, for the (d+1)-basis family) leaves the physical region.
     """
     d = spec.dim.d
+    check = worst_case_vector(nominal, xi(ms[1], d, eps_pe), mode)
     if spec.family is Family.TWO_BASIS:
-        q10 = ErrorVector(WeylIndex(1, 0), nominal)
-        worst = worst_case_vector(q10, xi(ms[1], d, eps_pe), mode)
-        return shannon_entropy(worst.q)
-    shifted = [
-        worst_case_vector(ErrorVector(idx, nominal), xi(ms[i], d, eps_pe), mode)
-        for i, idx in enumerate(spec.basis_indices)
-    ]
-    lam = lambda_entries_from_q(shifted[0].q, np.stack([ev.q for ev in shifted[1:]]))
+        return entropy_unchecked(check)
+    key = worst_case_vector(nominal, xi(ms[0], d, eps_pe), mode)
+    lam = lambda_entries_from_q(key, np.broadcast_to(check, (d, d)))
     negative_mass = float(-lam[lam < 0.0].sum())
     if negative_mass > CLAMP_MASS_TOL:
         raise SaturatedStatistics(
@@ -218,7 +215,7 @@ def _worst_case_holevo(
         )
     lam = np.clip(lam, 0.0, None)
     lam /= lam.sum()
-    return max(shannon_entropy(lam.reshape(-1)) - shannon_entropy(lam.sum(axis=1)), 0.0)
+    return bell_holevo(lam)
 
 
 def r_finite(
@@ -250,7 +247,7 @@ def r_finite(
         i_e_worst = _worst_case_holevo(spec, nominal, ms, params.eps_pe, mode)
     except SaturatedStatistics:
         return _zero_report(params, n, ms, saturated=True)
-    h_ab = shannon_entropy(nominal)
+    h_ab = entropy_unchecked(nominal)
     ec_term = math.log2(2.0 / budget.eps_ec) / n
     pa_term = 2.0 * math.log2(1.0 / params.eps_pa) / n
     smooth_coefficient = 2.0 * math.log2(d) + 3.0
@@ -306,11 +303,7 @@ def _params_from_shares(
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Golden-section maximization; returns (best_x, best_f) over all probes."""
-    best_x, best_f = lo, f(lo)
-    for x in (hi,):
-        y = f(x)
-        if y > best_f:
-            best_x, best_f = x, y
+    best_x, best_f = max((lo, f(lo)), (hi, f(hi)), key=lambda probe: probe[1])
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d_pt = a + _INVPHI * (b - a)

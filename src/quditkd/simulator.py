@@ -152,6 +152,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     matched_mask = sender == receiver
 
     analytic = q_from_lambda(spec, cfg.spectrum)
+    bases = None if fast else protocol_bases(spec)
     stats: list[BasisStats] = []
     sifted = 0
     for i, idx in enumerate(spec.basis_indices):
@@ -164,7 +165,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
                 a = rng.integers(0, d, size=m)
                 b = (a - t) % d
             else:
-                table = joint_outcome_distribution(spec.dim, cfg.spectrum, basis_for_index(spec, i))
+                table = joint_outcome_distribution(spec.dim, cfg.spectrum, bases[i])
                 flat = table.reshape(-1)
                 flat = flat / flat.sum()
                 cells = rng.choice(d * d, size=m, p=flat)
@@ -183,10 +184,6 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         all_passed=all(s.passed for s in stats),
         fast=fast,
     )
-
-
-def basis_for_index(spec: ProtocolSpec, i: int) -> Basis:
-    return protocol_bases(spec)[i]
 
 
 def sifting_fraction(cfg: SimConfig) -> float:

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import quditkd.verification
-from quditkd.cli import main, parse_dims, parse_q
+from quditkd.cli import main, parse_count, parse_dims, parse_q
 from quditkd.verification import CheckResult
 
 
@@ -30,12 +30,29 @@ def test_parse_dims():
         parse_dims("5..2")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_dims(",")
+    for text in ("1", "0..3", "-2"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_dims(text)
 
 
 def test_parse_q():
     assert parse_q("0.05") == 0.05
     assert parse_q("5%") == 0.05
     assert parse_q(" 12.5% ") == 0.125
+    for text in ("nan", "inf", "-inf%"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_q(text)
+
+
+def test_parse_count_accepts_integer_scientific_notation():
+    assert parse_count("1000") == 1000
+    assert parse_count("1e3") == 1000
+    assert parse_count("1E12") == 10**12
+    for text in ("1.5", "1e-3", "nan", "inf"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_count(text)
+    with pytest.raises(ValueError):
+        parse_count("many")
 
 
 def test_critical_q_csv(capsys):
@@ -190,6 +207,49 @@ def test_domain_errors_exit_2(capsys):
         assert code == 2, argv
         assert err.startswith("error:")
         assert out == ""
+
+
+def test_finite_key_n_bounds_accept_scientific_notation(capsys):
+    tail = ["--n-points", "1"]
+    code, sci, _ = _run(capsys, ["finite-key", "--dim", "2", "--n-min", "1e3", "--n-max", "1e3"] + tail)
+    assert code == 0
+    _, plain, _ = _run(capsys, ["finite-key", "--dim", "2", "--n-min", "1000", "--n-max", "1000"] + tail)
+    assert sci == plain
+
+
+def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
+    sim = ["simulate", "--q", "0.1", "--rounds", "1000"]
+    low_dim = tmp_path / "low_dim.cfg"
+    low_dim.write_text("dim=1\nq=0.1\nrounds=100\nseed=1\n", encoding="utf-8")
+    big_seed = tmp_path / "big_seed.cfg"
+    big_seed.write_text(f"dim=2\nq=0.1\nrounds=100\nseed={2**128}\n", encoding="utf-8")
+    nan_q = tmp_path / "nan_q.cfg"
+    nan_q.write_text("dim=2\nq=nan\nrounds=100\nseed=1\n", encoding="utf-8")
+    cases = [
+        ["critical-q", "--dims", "1"],
+        ["verify", "--dims", "0"],
+        ["asymptotic", "--dim", "1"],
+        ["asymptotic", "--dim", "3", "--q", "nan"],
+        ["finite-key", "--dim", "1"],
+        ["finite-key", "--dim", "2", "--n-min", "999.5"],
+        ["finite-key", "--dim", "2", "--n-max", "inf"],
+        ["finite-key", "--dim", "2", "--n-min", "0e0"],
+        sim + ["--dim", "1", "--seed", "1"],
+        sim + ["--dim", "2", "--seed", "-1"],
+        ["simulate", "--config", str(low_dim)],
+        ["simulate", "--config", str(big_seed)],
+        ["simulate", "--config", str(nan_q)],
+    ]
+    for argv in cases:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert "Traceback" not in captured.err, argv
+        assert "depolarizing limit" not in captured.err, argv
+        assert captured.out == "", argv
 
 
 def test_bad_config_files_exit_2(capsys, tmp_path):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from quditkd.channels import ErrorVector
 from quditkd.errors import (
     DegenerateSample,
     InfeasibleParams,
@@ -12,7 +11,6 @@ from quditkd.errors import (
 )
 from quditkd.info_theory import shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
-from quditkd.qudit_algebra import WeylIndex
 from quditkd.rates_asymptotic import r_infinity
 from quditkd.rates_finite import (
     FiniteKeyBudget,
@@ -25,8 +23,8 @@ from quditkd.rates_finite import (
 )
 
 
-def _q(values) -> ErrorVector:
-    return ErrorVector(WeylIndex(1, 0), values)
+def _q(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64)
 
 
 def test_xi_frozen_value():
@@ -58,14 +56,14 @@ def test_xi_scales_like_sqrt_d():
 
 
 def test_worst_case_vector_examples():
-    assert np.allclose(worst_case_vector(_q([0.95, 0.05]), 0.0).q, [0.95, 0.05])
-    assert np.allclose(worst_case_vector(_q([0.95, 0.05]), 0.02).q, [0.94, 0.06])
+    assert np.allclose(worst_case_vector(_q([0.95, 0.05]), 0.0), [0.95, 0.05])
+    assert np.allclose(worst_case_vector(_q([0.95, 0.05]), 0.02), [0.94, 0.06])
     got = worst_case_vector(_q([0.94, 0.03, 0.03]), 0.04)
-    assert np.allclose(got.q, [0.92, 0.04, 0.04])
+    assert np.allclose(got, [0.92, 0.04, 0.04])
     single = worst_case_vector(_q([0.94, 0.03, 0.03]), 0.04, FluxMode.SINGLE, coordinate=2)
-    assert np.allclose(single.q, [0.92, 0.03, 0.05])
+    assert np.allclose(single, [0.92, 0.03, 0.05])
     brute = worst_case_vector(_q([0.94, 0.03, 0.03]), 0.04, FluxMode.BRUTE)
-    assert np.allclose(brute.q, [0.90, 0.05, 0.05])
+    assert np.allclose(brute, [0.90, 0.05, 0.05])
 
 
 def test_worst_case_vector_saturates():
@@ -79,11 +77,11 @@ def test_worst_case_vector_stops_at_entropy_peak():
     # a large but not saturating shift must stop where both outcomes equalize,
     # not sail past it into a *less* random-looking vector
     got = worst_case_vector(_q([0.95, 0.05]), 1.2)
-    assert np.allclose(got.q, [0.5, 0.5])
+    assert np.allclose(got, [0.5, 0.5])
     # entropy of the worst case is nondecreasing in xi all the way up
     previous = 0.0
     for xi_val in np.linspace(0.0, 1.8, 50):
-        h = shannon_entropy(worst_case_vector(_q([0.95, 0.05]), float(xi_val)).q)
+        h = shannon_entropy(worst_case_vector(_q([0.95, 0.05]), float(xi_val)))
         assert h >= previous - 1e-12
         previous = h
 
