@@ -6,12 +6,12 @@ error statistics against a Monte Carlo measurement model, and ships a CLI
 (`quditkd`) for tables, sweeps and self-checks.
 """
 
-from .channels import BellSpectrum, ErrorVector, depolarizing_spectrum, lambda_from_q, q_from_lambda
+from .channels import BellSpectrum, depolarizing_spectrum, lambda_from_q, q_from_lambda
 from .errors import QkdError
 from .info_theory import depolarizing_vector, shannon_entropy
 from .protocol import Family, ProtocolSpec
 from .qudit_algebra import Basis, Dim, WeylIndex, basis_for, bell_state, weyl_operator
-from .rates_asymptotic import RateReport, critical_q, holevo_general, ie_depolarizing, ie_two_basis, r_infinity
+from .rates_asymptotic import RateReport, critical_q, ie_depolarizing, r_infinity
 from .rates_finite import (
     FiniteKeyBudget,
     FiniteRateReport,
@@ -32,7 +32,6 @@ __all__ = [
     "BellSpectrum",
     "CheckResult",
     "Dim",
-    "ErrorVector",
     "Family",
     "FiniteKeyBudget",
     "FiniteRateReport",
@@ -49,9 +48,7 @@ __all__ = [
     "critical_q",
     "depolarizing_spectrum",
     "depolarizing_vector",
-    "holevo_general",
     "ie_depolarizing",
-    "ie_two_basis",
     "joint_outcome_distribution",
     "lambda_from_q",
     "optimize_r_finite",

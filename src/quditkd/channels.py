@@ -1,9 +1,11 @@
-"""Maps between Bell-diagonal spectra and per-basis error vectors.
+"""Maps between Bell-diagonal spectra and per-basis error statistics.
 
 A Bell-diagonal state is described by weights lam[j, k] on the generalized
 Bell basis. Measuring both halves in a protocol basis gives a distribution
 over the outcome difference t = (a - b) mod d; the vector q^(t) of those
-probabilities is the error vector of that basis. For the protocol bases the
+probabilities is the error vector of that basis. A protocol's error
+statistics are one (n_bases, d) array whose rows follow
+`ProtocolSpec.basis_indices` (key basis first). For the protocol bases the
 map is linear:
 
     q_01^(t)  = sum_k lam[t, k]
@@ -33,22 +35,7 @@ from .errors import (
 )
 from .info_theory import ENTRY_SLACK, SUM_SLACK, as_prob_vector
 from .protocol import ProtocolSpec
-from .qudit_algebra import Dim, WeylIndex
-
-
-@dataclass(frozen=True)
-class ErrorVector:
-    """Outcome-difference distribution observed in one protocol basis."""
-
-    basis: WeylIndex
-    q: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", as_prob_vector(self.q))
-
-    @property
-    def d(self) -> int:
-        return self.q.size
+from .qudit_algebra import Dim
 
 
 @dataclass(frozen=True)
@@ -74,30 +61,27 @@ class BellSpectrum:
         return self.lam.shape[0]
 
 
-def _q_for_basis(lam: np.ndarray, idx: WeylIndex) -> np.ndarray:
-    d = lam.shape[0]
-    j, k = idx
-    if (j, k) == (0, 1):
-        return lam.sum(axis=1)
-    if j == 1:
-        rows = np.arange(d)
-        return np.array([lam[rows, (k * rows - t) % d].sum() for t in range(d)])
-    raise ValueError(f"U_{{{j}{k}}} is not a protocol basis")
-
-
-def q_from_lambda(spec: ProtocolSpec, spectrum: BellSpectrum) -> list[ErrorVector]:
-    """Error vectors for every basis of `spec`, in protocol order."""
-    d = spec.dim.d
-    if spectrum.d != d:
-        raise InvalidDistribution(f"spectrum is {spectrum.d}-dimensional, protocol wants {d}")
-    return [ErrorVector(idx, _q_for_basis(spectrum.lam, idx)) for idx in spec.basis_indices]
-
-
 @lru_cache(maxsize=None)
 def _reconstruction_index(d: int) -> np.ndarray:
     """idx[s, j, k] = (s*j - k) mod d, cached per dimension."""
     s = np.arange(d)
     return (s[:, None, None] * s[None, :, None] - s[None, None, :]) % d
+
+
+def q_from_lambda(spec: ProtocolSpec, spectrum: BellSpectrum) -> np.ndarray:
+    """Error statistics of `spec`: one row per basis, in protocol order.
+
+    Row 0 is q_01 (row sums of lam); row 1 + s is q_1s, gathered with the
+    reconstruction table read as idx[s, t, j] = (s*j - t) mod d. The table
+    is made contiguous so each row is summed in the same (pairwise) order
+    as a sum over one 1-d slice.
+    """
+    d = spec.dim.d
+    if spectrum.d != d:
+        raise InvalidDistribution(f"spectrum is {spectrum.d}-dimensional, protocol wants {d}")
+    lam = spectrum.lam
+    cols = np.ascontiguousarray(_reconstruction_index(d)[: spec.n_bases - 1].swapaxes(1, 2))
+    return np.vstack((lam.sum(axis=1), lam[np.arange(d), cols].sum(axis=-1)))
 
 
 def lambda_entries_from_q(q01: np.ndarray, q1: np.ndarray) -> np.ndarray:
@@ -116,32 +100,21 @@ def lambda_entries_from_q(q01: np.ndarray, q1: np.ndarray) -> np.ndarray:
 NEGATIVE_TOL = 1e-9
 
 
-def lambda_from_q(dim: Dim, qs: list[ErrorVector]) -> BellSpectrum:
-    """Reconstruct the Bell spectrum from all d+1 basis error vectors.
+def lambda_from_q(dim: Dim, stats) -> BellSpectrum:
+    """Reconstruct the Bell spectrum from the (d+1, d) error statistics.
 
-    Requires prime d and exactly the bases (0,1) and (1,s) for s = 0..d-1.
-    Entries more negative than -1e-9 mean the vectors are mutually
+    Requires prime d and one row per basis of the (d+1)-basis protocol, in
+    its order. Entries more negative than -1e-9 mean the rows are mutually
     inconsistent and raise NegativeSpectrum; tiny negatives are clamped.
     """
     d = dim.d
     if not dim.prime:
         raise NonPrimeDimension(f"spectrum reconstruction needs prime d, got {d}")
-    by_basis: dict[WeylIndex, np.ndarray] = {}
-    for ev in qs:
-        if ev.d != d:
-            raise IncompleteStatistics(f"error vector for {ev.basis} has length {ev.d}, want {d}")
-        if ev.basis in by_basis:
-            raise IncompleteStatistics(f"duplicate error vector for basis {ev.basis}")
-        by_basis[WeylIndex(*ev.basis)] = ev.q
-    wanted = [WeylIndex(0, 1)] + [WeylIndex(1, s) for s in range(d)]
-    missing = [idx for idx in wanted if idx not in by_basis]
-    if missing or len(by_basis) != len(wanted):
-        raise IncompleteStatistics(
-            f"need exactly bases {wanted}, missing {missing}, got {sorted(by_basis)}"
-        )
-    q01 = by_basis[WeylIndex(0, 1)]
-    q1 = np.stack([by_basis[WeylIndex(1, s)] for s in range(d)])
-    lam = lambda_entries_from_q(q01, q1)
+    stats = np.asarray(stats, dtype=np.float64)
+    if stats.shape != (d + 1, d):
+        raise IncompleteStatistics(f"need {d + 1} error vectors of length {d}, got shape {stats.shape}")
+    stats = np.stack([as_prob_vector(row) for row in stats])
+    lam = lambda_entries_from_q(stats[0], stats[1:])
     if np.any(lam < -NEGATIVE_TOL):
         raise NegativeSpectrum(
             f"inconsistent statistics: reconstructed weight {lam.min()!r} below -{NEGATIVE_TOL}"

@@ -7,7 +7,8 @@ digits so files round-trip exactly. All commands are deterministic for fixed
 inputs and seed.
 
 Exit codes: 0 success, 2 usage or domain error, 3 verification or
-statistical failure.
+statistical failure. Inputs that would make a command run or allocate
+without bound are refused against the MAX_* caps below, before any work.
 """
 
 from __future__ import annotations
@@ -33,17 +34,22 @@ from .simulator import SimConfig, SimResult, run_simulation, sifting_fraction
 
 _TERM_KEYS = ("holevo_worst", "h_ab", "ec_term", "pa_term", "smooth_term", "smooth_coefficient")
 
+MAX_DIM = 32  # verify builds a d^2 x d^2 complex Gram matrix (16 MB at the cap)
+MAX_SWEEP = 10_000  # Q values in one asymptotic sweep
+MAX_N_POINTS = 50  # finite-key N values; each is one optimizer run of seconds
+MAX_ROUNDS = 10**7  # simulate rounds; sampling arrays grow with rounds
+
 
 def parse_dim(text: str) -> int:
-    """One qudit dimension, at least 2."""
+    """One qudit dimension in [2, MAX_DIM]."""
     d = int(text)
-    if d < 2:
-        raise argparse.ArgumentTypeError(f"dimension must be >= 2, got {d}")
+    if not 2 <= d <= MAX_DIM:
+        raise argparse.ArgumentTypeError(f"dimension must be in [2, {MAX_DIM}], got {d}")
     return d
 
 
 def parse_dims(text: str) -> list[int]:
-    """Comma-separated dimensions (each >= 2); 'a..b' expands to the inclusive range."""
+    """Comma-separated dimensions in [2, MAX_DIM]; 'a..b' expands to the inclusive range."""
     dims: list[int] = []
     for token in text.split(","):
         token = token.strip()
@@ -54,11 +60,13 @@ def parse_dims(text: str) -> list[int]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise argparse.ArgumentTypeError(f"empty range {token!r}")
+            if lo < 2 or hi > MAX_DIM:
+                raise argparse.ArgumentTypeError(f"range {token!r} leaves [2, {MAX_DIM}]")
             dims.extend(range(lo, hi + 1))
         else:
             dims.append(int(token))
-    if not dims or min(dims) < 2:
-        raise argparse.ArgumentTypeError(f"need one or more dimensions >= 2, got {text!r}")
+    if not dims or not 2 <= min(dims) <= max(dims) <= MAX_DIM:
+        raise argparse.ArgumentTypeError(f"need one or more dimensions in [2, {MAX_DIM}], got {text!r}")
     return dims
 
 
@@ -155,7 +163,10 @@ def _q_sweep(args: argparse.Namespace, d: int) -> list[float]:
     else:
         if args.q_step <= 0:
             raise QkdError(f"--q-step must be positive, got {args.q_step}")
-        count = int(round((args.q_max - args.q_min) / args.q_step)) + 1
+        steps = (args.q_max - args.q_min) / args.q_step
+        if steps >= MAX_SWEEP:
+            raise QkdError(f"sweep of {steps + 1:.3g} Q values exceeds the cap of {MAX_SWEEP}")
+        count = int(round(steps)) + 1
         values = [args.q_min + i * args.q_step for i in range(max(count, 0))]
     limit = (d - 1) / d
     kept = [q for q in values if q <= limit + 1e-12]
@@ -184,8 +195,8 @@ def cmd_asymptotic(args: argparse.Namespace) -> int:
 
 
 def _n_grid(n_min: int, n_max: int, n_points: int) -> list[int]:
-    if n_min < 1 or n_max < n_min or n_points < 1:
-        raise QkdError(f"bad N grid: min={n_min} max={n_max} points={n_points}")
+    if n_min < 1 or n_max < n_min or not 1 <= n_points <= MAX_N_POINTS:
+        raise QkdError(f"bad N grid: min={n_min} max={n_max} points={n_points} (at most {MAX_N_POINTS})")
     if n_points == 1:
         return [n_min]
     grid = np.logspace(np.log10(n_min), np.log10(n_max), n_points)
@@ -279,8 +290,10 @@ def _sim_config_from(args: argparse.Namespace) -> tuple[SimConfig, dict[str, Any
         seed = int(values["seed"])
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise QkdError(f"bad config value: {exc}") from exc
-    if dim < 2 or not 0 <= seed < 2**128:
-        raise QkdError(f"need dim >= 2 and seed in [0, 2**128), got dim={dim} seed={seed}")
+    if not 2 <= dim <= MAX_DIM or not 0 <= seed < 2**128:
+        raise QkdError(f"need dim in [2, {MAX_DIM}] and seed in [0, 2**128), got dim={dim} seed={seed}")
+    if rounds > MAX_ROUNDS:
+        raise QkdError(f"rounds={rounds} exceeds the cap of {MAX_ROUNDS}")
     family = Family(values.get("family", Family.TWO_BASIS.value))
     fast_text = values.get("fast", "auto").lower()
     if fast_text not in ("auto", "on", "off"):

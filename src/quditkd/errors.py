@@ -23,8 +23,8 @@ class OutOfRange(QkdError):
 
 
 class IncompleteStatistics(QkdError):
-    """Spectrum reconstruction was given error vectors that do not cover
-    every required basis exactly once."""
+    """Spectrum reconstruction was given error statistics without exactly
+    one row per required basis."""
 
 
 class NegativeSpectrum(QkdError):

@@ -50,11 +50,6 @@ class ProtocolSpec:
     def n_bases(self) -> int:
         return len(self.basis_indices)
 
-    @property
-    def n_pe(self) -> int:
-        """Number of independently estimated parameter sets (one per basis)."""
-        return self.n_bases
-
 
 def protocol_bases(spec: ProtocolSpec) -> list[Basis]:
     """Sender-side measurement bases, key basis first."""

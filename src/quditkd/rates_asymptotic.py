@@ -11,7 +11,9 @@ statistics fix the whole Bell spectrum, so I_E is the Holevo quantity
 H(lam) - H(q_01); for the two-basis family the spectrum is only partially
 constrained and maximizing over the compatible set gives I_E = H(q_10)
 (rows proportional to q_10 are feasible and Jensen's inequality makes them
-optimal, see the grid oracle in the tests).
+optimal, see the grid oracle in the tests). `adversary_information` is the
+one kernel for both, on error statistics shaped like `q_from_lambda`'s
+output; `ie_depolarizing` is its closed form on the depolarizing channel.
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channels import BellSpectrum
-from .errors import NoRoot, OutOfRange
-from .info_theory import bell_holevo, depolarizing_vector, shannon_entropy
+import numpy as np
+
+from .channels import lambda_entries_from_q
+from .errors import NoRoot, OutOfRange, SaturatedStatistics
+from .info_theory import bell_holevo, depolarizing_vector, entropy_unchecked, shannon_entropy
 from .protocol import Family, ProtocolSpec
 
+CLAMP_MASS_TOL = 1e-6  # reconstructed spectra may leave the simplex at large xi
 BISECTION_TOL = 1e-9  # interval width; spec'd accuracy is 1e-6
 BISECTION_MAX_ITER = 200
 
@@ -37,21 +42,24 @@ class RateReport:
     r_inf_raw: float
 
 
-def holevo_general(spec: ProtocolSpec, spectrum: BellSpectrum) -> float:
-    """chi = H(lam) - H(q_01) for an arbitrary Bell-diagonal state."""
-    if spectrum.d != spec.dim.d:
-        raise OutOfRange(f"spectrum is {spectrum.d}-dimensional, protocol wants {spec.dim.d}")
-    return bell_holevo(spectrum.lam)
+def adversary_information(spec: ProtocolSpec, stats: np.ndarray) -> float:
+    """Eavesdropper information I_E for (n_bases, d) error statistics.
 
-
-def ie_two_basis(q01, q10) -> float:
-    """Maximum eavesdropper information compatible with two-basis statistics.
-
-    Equals the Shannon entropy of the check-basis error vector; q01 only
-    enters through feasibility and is validated but not used numerically.
+    Unchecked kernel: rows must already lie on the simplex. Two-basis:
+    H(stats[1]). (d+1)-basis: the Holevo quantity of the reconstructed
+    spectrum; negative weights are clipped and the rest renormalized, unless
+    they carry more than CLAMP_MASS_TOL of mass, which raises
+    SaturatedStatistics.
     """
-    shannon_entropy(getattr(q01, "q", q01))
-    return shannon_entropy(getattr(q10, "q", q10))
+    if spec.family is Family.TWO_BASIS:
+        return entropy_unchecked(stats[1])
+    lam = lambda_entries_from_q(stats[0], stats[1:])
+    negative_mass = float(-lam[lam < 0.0].sum())
+    if negative_mass > CLAMP_MASS_TOL:
+        raise SaturatedStatistics(f"reconstructed spectrum clamps {negative_mass!r} of probability mass")
+    lam = np.clip(lam, 0.0, None)
+    lam /= lam.sum()
+    return bell_holevo(lam)
 
 
 def ie_depolarizing(spec: ProtocolSpec, q: float) -> float:

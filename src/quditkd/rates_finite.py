@@ -27,7 +27,9 @@ pessimistic.
 The adversary bound runs on plain arrays checked once at the boundary. In
 the (d+1)-basis family all d check bases share the sample size m_1k and the
 depolarizing nominal vector, the only inputs of the shift, so one shifted
-check vector stands in for all of them.
+check vector stands in for all of them. The shifted rows form the same
+(n_bases, d) statistics array that `channels.q_from_lambda` returns and go
+to the one adversary kernel, `rates_asymptotic.adversary_information`.
 """
 
 from __future__ import annotations
@@ -39,12 +41,11 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import lambda_entries_from_q
 from .errors import DegenerateSample, InfeasibleParams, OutOfRange, SaturatedStatistics
-from .info_theory import as_prob_vector, bell_holevo, depolarizing_vector, entropy_unchecked
+from .info_theory import as_prob_vector, depolarizing_vector, entropy_unchecked
 from .protocol import Family, ProtocolSpec
+from .rates_asymptotic import adversary_information
 
-CLAMP_MASS_TOL = 1e-6  # reconstructed spectra may leave the simplex at large xi
 SATURATION_TOL = 1e-12
 
 
@@ -88,13 +89,19 @@ def worst_case_vector(
     d = q.size
     if not 1 <= coordinate < d:
         raise OutOfRange(f"coordinate {coordinate} is not an error class for d={d}")
+    if xi_val > 4.0:
+        # every mode shifts by at least xi/2 > 2 > q[0]; deciding here keeps
+        # the sum below from overflowing near the float maximum
+        raise SaturatedStatistics(f"xi={xi_val!r} exceeds the whole probability mass")
     deltas = np.zeros(d)
-    if mode is FluxMode.EQUAL:
-        deltas[1:] = xi_val / (2.0 * (d - 1))
-    elif mode is FluxMode.SINGLE:
-        deltas[coordinate] = xi_val / 2.0
+    if mode is FluxMode.SINGLE:
+        delta = xi_val / 2.0
+        deltas[coordinate] = delta
+        largest = q[coordinate]
     else:
-        deltas[1:] = xi_val / 2.0
+        delta = xi_val / (2.0 * (d - 1)) if mode is FluxMode.EQUAL else xi_val / 2.0
+        deltas[1:] = delta
+        largest = q[1:].max()
     added = deltas.sum()
     # saturation is judged on the raw corner: once the requested shift
     # exceeds all of q[0], the noise estimate certifies nothing
@@ -103,13 +110,16 @@ def worst_case_vector(
             f"worst case drives q[0] to {q[0] - added!r}; noise estimate unusable"
         )
     # scale the shift back so q[0] never drops below the largest error
-    # coordinate; for each candidate t the crossing is at
-    # (q[0] - q[t]) / (added + delta[t]) and the first crossing binds
+    # coordinate; every raised coordinate gains the same delta, so the
+    # first crossing is the largest raised one's, at
+    # (q[0] - largest) / (added + delta). Dividing only when that ratio is
+    # in [0, 1) keeps a subnormal shift from overflowing it.
     scale = 1.0
     if added > 0.0:
-        grow = deltas > 0.0
-        crossings = (q[0] - q[grow]) / (added + deltas[grow])
-        scale = min(1.0, max(crossings.min(), 0.0))
+        gap = q[0] - largest
+        reach = added + delta
+        if gap < reach:
+            scale = max(gap, 0.0) / reach
     bumped = q + scale * deltas
     bumped[0] = max(1.0 - bumped[1:].sum(), 0.0)
     return bumped
@@ -138,7 +148,7 @@ class FiniteKeyBudget:
     def for_protocol(
         cls, spec: ProtocolSpec, n_signals: int, eps: float, eps_ec: float
     ) -> "FiniteKeyBudget":
-        return cls(n_signals=n_signals, eps=eps, eps_ec=eps_ec, n_pe=spec.n_pe)
+        return cls(n_signals=n_signals, eps=eps, eps_ec=eps_ec, n_pe=spec.n_bases)
 
 
 @dataclass(frozen=True)
@@ -205,17 +215,12 @@ def _worst_case_holevo(
     d = spec.dim.d
     check = worst_case_vector(nominal, xi(ms[1], d, eps_pe), mode)
     if spec.family is Family.TWO_BASIS:
-        return entropy_unchecked(check)
-    key = worst_case_vector(nominal, xi(ms[0], d, eps_pe), mode)
-    lam = lambda_entries_from_q(key, np.broadcast_to(check, (d, d)))
-    negative_mass = float(-lam[lam < 0.0].sum())
-    if negative_mass > CLAMP_MASS_TOL:
-        raise SaturatedStatistics(
-            f"worst-case spectrum clamps {negative_mass!r} of probability mass"
-        )
-    lam = np.clip(lam, 0.0, None)
-    lam /= lam.sum()
-    return bell_holevo(lam)
+        # the two-basis bound reads only the check row
+        return adversary_information(spec, np.array((nominal, check)))
+    stats = np.empty((d + 1, d))
+    stats[0] = worst_case_vector(nominal, xi(ms[0], d, eps_pe), mode)
+    stats[1:] = check
+    return adversary_information(spec, stats)
 
 
 def r_finite(

@@ -161,7 +161,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         counts = np.zeros((d, d), dtype=np.int64)
         if m > 0:
             if fast:
-                t = rng.choice(d, size=m, p=analytic[i].q)
+                t = rng.choice(d, size=m, p=analytic[i])
                 a = rng.integers(0, d, size=m)
                 b = (a - t) % d
             else:
@@ -173,9 +173,9 @@ def run_simulation(cfg: SimConfig) -> SimResult:
             np.add.at(counts, (a, b), 1)
         counts_t = difference_marginal(counts.astype(np.float64)).astype(np.int64)
         emp = counts_t / m if m > 0 else np.zeros(d)
-        stat, dof, threshold, passed = _chi_square_check(counts_t, m, analytic[i].q)
+        stat, dof, threshold, passed = _chi_square_check(counts_t, m, analytic[i])
         stats.append(
-            BasisStats(idx, m, counts, emp, analytic[i].q, stat, dof, threshold, passed)
+            BasisStats(idx, m, counts, emp, analytic[i], stat, dof, threshold, passed)
         )
     return SimResult(
         config=cfg,

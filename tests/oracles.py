@@ -3,6 +3,7 @@
 import numpy as np
 
 from quditkd.info_theory import shannon_entropy
+from quditkd.protocol import ProtocolSpec
 
 
 def _grid_simplex(d: int, step: float) -> np.ndarray:
@@ -59,3 +60,19 @@ def two_basis_adversary_grid_max(q: np.ndarray, step: float = 0.05) -> tuple[flo
     best = float(entropy_rows(lam).max() - h_r)
     violation = float(np.abs(lam.sum(axis=(1, 2)) - 1.0).max())
     return best, violation
+
+
+def q_from_lambda_per_basis(spec: ProtocolSpec, lam: np.ndarray) -> np.ndarray:
+    """Error statistics of `spec` computed basis by basis from the formulas
+
+        q_01^(t) = sum_k lam[t, k],   q_1k^(t) = sum_j lam[j, (k*j - t) mod d].
+    """
+    d = lam.shape[0]
+    rows = np.arange(d)
+    out = []
+    for j, k in spec.basis_indices:
+        if (j, k) == (0, 1):
+            out.append(lam.sum(axis=1))
+        else:
+            out.append(np.array([lam[rows, (k * rows - t) % d].sum() for t in range(d)]))
+    return np.stack(out)

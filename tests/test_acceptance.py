@@ -18,7 +18,7 @@ from quditkd.cli import main
 from quditkd.errors import NonPrimeDimension
 from quditkd.info_theory import depolarizing_vector, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
-from quditkd.rates_asymptotic import critical_q, holevo_general, ie_depolarizing, ie_two_basis, r_infinity
+from quditkd.rates_asymptotic import adversary_information, critical_q, ie_depolarizing, r_infinity
 from quditkd.rates_finite import FluxMode, optimize_r_finite
 from quditkd.simulator import SimConfig, difference_marginal, run_simulation
 from quditkd.verification import run_suite
@@ -64,7 +64,7 @@ def test_criterion_02_holevo_consistency(capsys):
         q_max = critical_q(spec)
         for q in np.arange(0.01, q_max, 0.01):
             closed = ie_depolarizing(spec, float(q))
-            general = holevo_general(spec, depolarizing_spectrum(spec.dim, float(q)))
+            general = adversary_information(spec, q_from_lambda(spec, depolarizing_spectrum(spec.dim, float(q))))
             worst = max(worst, abs(closed - general))
     ok = worst <= 1e-10
     _verdict(capsys, 2, ok,
@@ -77,11 +77,11 @@ def test_criterion_03_two_basis_adversary_bound(capsys):
         spec = ProtocolSpec(Family.TWO_BASIS, d)
         for q in (0.01, 0.05, 0.1):
             vec = depolarizing_vector(spec.dim, q)
-            exact_ok &= ie_two_basis(vec, vec) == shannon_entropy(vec)
+            exact_ok &= adversary_information(spec, np.stack([vec, vec])) == shannon_entropy(vec)
             exact_ok &= ie_depolarizing(spec, q) == shannon_entropy(vec)
     worst_gap, worst_overshoot = 0.0, 0.0
     for q in (np.array([0.9, 0.1]), np.array([0.9, 0.05, 0.05])):
-        closed = ie_two_basis(q, q)
+        closed = adversary_information(ProtocolSpec(Family.TWO_BASIS, q.size), np.stack([q, q]))
         grid_max, violation = two_basis_adversary_grid_max(q, step=0.05)
         assert violation <= 1e-9
         worst_overshoot = max(worst_overshoot, grid_max - closed)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import q_from_lambda_per_basis
 
 from quditkd.channels import (
     BellSpectrum,
-    ErrorVector,
     depolarizing_spectrum,
     lambda_from_q,
     q_from_lambda,
@@ -17,7 +20,7 @@ from quditkd.errors import (
 )
 from quditkd.info_theory import depolarizing_vector
 from quditkd.protocol import Family, ProtocolSpec
-from quditkd.qudit_algebra import Dim, WeylIndex
+from quditkd.qudit_algebra import Dim
 
 
 def _unit_spectrum(d: int) -> BellSpectrum:
@@ -27,10 +30,10 @@ def _unit_spectrum(d: int) -> BellSpectrum:
 
 
 def test_error_vector_validates():
-    ev = ErrorVector(WeylIndex(1, 0), [0.9, 0.1])
-    assert ev.d == 2
+    stats = q_from_lambda(ProtocolSpec(Family.TWO_BASIS, 2), _unit_spectrum(2))
+    assert stats.shape == (2, 2)
     with pytest.raises(InvalidDistribution):
-        ErrorVector(WeylIndex(1, 0), [0.9, 0.2])
+        lambda_from_q(Dim(2), [[0.9, 0.1], [0.9, 0.2], [0.9, 0.1]])
 
 
 def test_bell_spectrum_clamps_and_validates():
@@ -45,53 +48,47 @@ def test_bell_spectrum_clamps_and_validates():
 def test_q_from_lambda_hand_example_d2():
     spec = ProtocolSpec(Family.DPLUS1, 2)
     lam = BellSpectrum(np.array([[0.85, 0.05], [0.05, 0.05]]))
-    qs = {ev.basis: ev.q for ev in q_from_lambda(spec, lam)}
-    assert np.allclose(qs[WeylIndex(0, 1)], [0.90, 0.10])
-    assert np.allclose(qs[WeylIndex(1, 0)], [0.90, 0.10])
+    q01, q10, _ = q_from_lambda(spec, lam)
+    assert np.allclose(q01, [0.90, 0.10])
+    assert np.allclose(q10, [0.90, 0.10])
 
 
 def test_q_from_lambda_pure_and_uniform():
     spec3 = ProtocolSpec(Family.DPLUS1, 3)
-    for ev in q_from_lambda(spec3, _unit_spectrum(3)):
-        assert np.allclose(ev.q, [1.0, 0.0, 0.0])
+    for q in q_from_lambda(spec3, _unit_spectrum(3)):
+        assert np.allclose(q, [1.0, 0.0, 0.0])
     uniform = BellSpectrum(np.full((3, 3), 1.0 / 9.0))
-    for ev in q_from_lambda(spec3, uniform):
-        assert np.allclose(ev.q, [1 / 3, 1 / 3, 1 / 3])
+    for q in q_from_lambda(spec3, uniform):
+        assert np.allclose(q, [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_lambda_from_q_noiseless_and_depolarizing():
     spec = ProtocolSpec(Family.DPLUS1, 2)
-    perfect = [ErrorVector(idx, [1.0, 0.0]) for idx in spec.basis_indices]
+    perfect = np.tile([1.0, 0.0], (spec.n_bases, 1))
     assert np.allclose(lambda_from_q(Dim(2), perfect).lam, [[1.0, 0.0], [0.0, 0.0]])
 
-    noisy = [ErrorVector(idx, [0.9, 0.1]) for idx in spec.basis_indices]
+    noisy = np.tile([0.9, 0.1], (spec.n_bases, 1))
     assert np.allclose(lambda_from_q(Dim(2), noisy).lam, [[0.85, 0.05], [0.05, 0.05]])
 
 
 def test_lambda_from_q_requires_all_bases():
     spec = ProtocolSpec(Family.DPLUS1, 3)
-    qs = [ErrorVector(idx, [0.9, 0.05, 0.05]) for idx in spec.basis_indices]
+    qs = np.tile([0.9, 0.05, 0.05], (spec.n_bases, 1))
     with pytest.raises(IncompleteStatistics):
         lambda_from_q(Dim(3), qs[:-1])
-    with pytest.raises(IncompleteStatistics):
-        lambda_from_q(Dim(3), qs[:-1] + [qs[0]])  # duplicate instead of missing
 
 
 def test_lambda_from_q_prime_only():
     spec = ProtocolSpec(Family.TWO_BASIS, 4)
-    qs = [ErrorVector(idx, [0.97, 0.01, 0.01, 0.01]) for idx in spec.basis_indices]
+    qs = np.tile([0.97, 0.01, 0.01, 0.01], (spec.n_bases, 1))
     with pytest.raises(NonPrimeDimension):
         lambda_from_q(Dim(4), qs)
 
 
 def test_lambda_from_q_flags_inconsistent_statistics():
     # no Bell-diagonal state is error-free in two bases yet unbiased in the third
-    i01, i10, i11 = ProtocolSpec(Family.DPLUS1, 2).basis_indices
-    qs = [
-        ErrorVector(i01, [1.0, 0.0]),
-        ErrorVector(i10, [0.5, 0.5]),
-        ErrorVector(i11, [1.0, 0.0]),
-    ]
+    # rows follow basis_indices: U_01, U_10, U_11
+    qs = [[1.0, 0.0], [0.5, 0.5], [1.0, 0.0]]
     with pytest.raises(NegativeSpectrum):
         lambda_from_q(Dim(2), qs)
 
@@ -132,5 +129,35 @@ def test_depolarizing_spectrum_gives_depolarizing_vector_everywhere(d, family):
     for q in (0.0, 0.03, 0.1, (d - 1) / d * 0.9):
         lam = depolarizing_spectrum(spec.dim, q)
         expect = depolarizing_vector(spec.dim, q)
-        for ev in q_from_lambda(spec, lam):
-            assert np.abs(ev.q - expect).max() <= 1e-12
+        for row in q_from_lambda(spec, lam):
+            assert np.abs(row - expect).max() <= 1e-12
+
+
+@pytest.mark.parametrize("family, dims", [(Family.TWO_BASIS, range(2, 24)),
+                                           (Family.DPLUS1, (2, 3, 5, 7, 11, 13, 17, 19, 23))])
+def test_q_from_lambda_equals_per_basis_reference(family, dims):
+    # the one gather must reproduce the per-basis sums bit for bit
+    rng = np.random.default_rng(31)
+    for d in dims:
+        spec = ProtocolSpec(family, d)
+        for _ in range(10):
+            lam = BellSpectrum(rng.dirichlet(np.ones(d * d)).reshape(d, d))
+            got = q_from_lambda(spec, lam)
+            assert got.shape == (spec.n_bases, d)
+            assert np.array_equal(got, q_from_lambda_per_basis(spec, lam.lam))
+
+
+@st.composite
+def _prime_spectra(draw):
+    d = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d * d, max_size=d * d)))
+    assume(weights.sum() > 0.0)
+    return BellSpectrum((weights / weights.sum()).reshape(d, d))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(lam=_prime_spectra())
+def test_roundtrip_property(lam):
+    spec = ProtocolSpec(Family.DPLUS1, lam.d)
+    back = lambda_from_q(spec.dim, q_from_lambda(spec, lam))
+    assert np.abs(back.lam - lam.lam).max() <= 1e-12

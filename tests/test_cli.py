@@ -6,7 +6,7 @@ import json
 import pytest
 
 import quditkd.verification
-from quditkd.cli import main, parse_count, parse_dims, parse_q
+from quditkd.cli import MAX_DIM, MAX_N_POINTS, MAX_ROUNDS, main, parse_count, parse_dims, parse_q
 from quditkd.verification import CheckResult
 
 
@@ -225,6 +225,8 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
     big_seed.write_text(f"dim=2\nq=0.1\nrounds=100\nseed={2**128}\n", encoding="utf-8")
     nan_q = tmp_path / "nan_q.cfg"
     nan_q.write_text("dim=2\nq=nan\nrounds=100\nseed=1\n", encoding="utf-8")
+    many_rounds = tmp_path / "many_rounds.cfg"
+    many_rounds.write_text(f"dim=2\nq=0.1\nrounds={MAX_ROUNDS + 1}\nseed=1\n", encoding="utf-8")
     cases = [
         ["critical-q", "--dims", "1"],
         ["verify", "--dims", "0"],
@@ -239,6 +241,14 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
         ["simulate", "--config", str(low_dim)],
         ["simulate", "--config", str(big_seed)],
         ["simulate", "--config", str(nan_q)],
+        # resource caps, refused before any work
+        ["asymptotic", "--dim", "3", "--q-step", "1e-12"],
+        ["finite-key", "--dim", "2", "--n-points", str(MAX_N_POINTS + 1)],
+        sim + ["--dim", "2", "--seed", "1", "--rounds", str(MAX_ROUNDS + 1)],
+        ["simulate", "--config", str(many_rounds)],
+        ["asymptotic", "--dim", str(MAX_DIM + 1)],
+        ["verify", "--dims", f"2,{MAX_DIM + 1}"],
+        ["critical-q", "--dims", "2..1000000000"],
     ]
     for argv in cases:
         try:

@@ -4,31 +4,39 @@ import numpy as np
 import pytest
 from oracles import two_basis_adversary_grid_max
 
-from quditkd.channels import BellSpectrum, depolarizing_spectrum
+from quditkd.channels import BellSpectrum, depolarizing_spectrum, q_from_lambda
 from quditkd.errors import NonPrimeDimension, OutOfRange
 from quditkd.info_theory import depolarizing_vector, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
 from quditkd.qudit_algebra import Dim
 from quditkd.rates_asymptotic import (
+    adversary_information,
     critical_q,
-    holevo_general,
     ie_depolarizing,
-    ie_two_basis,
     r_infinity,
 )
+
+
+def holevo_of(spec, spectrum):
+    return adversary_information(spec, q_from_lambda(spec, spectrum))
+
+
+def two_basis_information(q01, q10):
+    spec = ProtocolSpec(Family.TWO_BASIS, len(q10))
+    return adversary_information(spec, np.array([q01, q10], dtype=float))
 
 
 def test_holevo_trivial_cases():
     spec = ProtocolSpec(Family.DPLUS1, 2)
     lam = np.zeros((2, 2))
     lam[0, 0] = 1.0
-    assert holevo_general(spec, BellSpectrum(lam)) == 0.0
-    assert holevo_general(spec, BellSpectrum(np.full((2, 2), 0.25))) == pytest.approx(1.0, abs=1e-12)
+    assert holevo_of(spec, BellSpectrum(lam)) == 0.0
+    assert holevo_of(spec, BellSpectrum(np.full((2, 2), 0.25))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_holevo_depolarizing_d2():
     spec = ProtocolSpec(Family.DPLUS1, 2)
-    got = holevo_general(spec, depolarizing_spectrum(spec.dim, 0.1))
+    got = holevo_of(spec, depolarizing_spectrum(spec.dim, 0.1))
     expect = shannon_entropy([0.85, 0.05, 0.05, 0.05]) - shannon_entropy([0.9, 0.1])
     assert got == pytest.approx(expect, abs=1e-12)
 
@@ -36,24 +44,24 @@ def test_holevo_depolarizing_d2():
 def test_ie_two_basis_is_exactly_check_basis_entropy():
     q01 = np.array([0.92, 0.05, 0.03])
     q10 = np.array([0.89, 0.06, 0.05])
-    assert ie_two_basis(q01, q10) == shannon_entropy(q10)
-    assert ie_two_basis([1.0, 0.0], [1.0, 0.0]) == 0.0
+    assert two_basis_information(q01, q10) == shannon_entropy(q10)
+    assert two_basis_information([1.0, 0.0], [1.0, 0.0]) == 0.0
 
 
 def test_ie_two_basis_threshold_values():
     # Q = 11% is the d=2 threshold: 1 - 2 H(0.89, 0.11) crosses 0 there
-    h = ie_two_basis([0.89, 0.11], [0.89, 0.11])
+    h = two_basis_information([0.89, 0.11], [0.89, 0.11])
     assert h == pytest.approx(0.499915958164528, abs=1e-14)
     assert abs(1.0 - 2.0 * h) < 5e-4
     q5 = depolarizing_vector(Dim(5), 0.2099)
-    v = ie_two_basis(q5, q5)
+    v = two_basis_information(q5, q5)
     assert abs(math.log2(5) - 2.0 * v) < 1e-3
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_ie_two_basis_matches_brute_force_grid(d):
     q = np.array([0.9, 0.1]) if d == 2 else np.array([0.9, 0.05, 0.05])
-    closed_form = ie_two_basis(q, q)
+    closed_form = two_basis_information(q, q)
     grid_max, violation = two_basis_adversary_grid_max(q, step=0.05)
     assert violation <= 1e-9
     assert grid_max <= closed_form + 1e-12
@@ -64,7 +72,9 @@ def test_ie_depolarizing_two_basis_closed_form():
     for d in (2, 3, 5, 11):
         spec = ProtocolSpec(Family.TWO_BASIS, d)
         for q in (0.0, 0.02, 0.11):
-            assert ie_depolarizing(spec, q) == shannon_entropy(depolarizing_vector(spec.dim, q))
+            vec = depolarizing_vector(spec.dim, q)
+            assert ie_depolarizing(spec, q) == shannon_entropy(vec)
+            assert ie_depolarizing(spec, q) == two_basis_information(vec, vec)
 
 
 def test_ie_depolarizing_matches_holevo_spot_checks():
@@ -73,7 +83,7 @@ def test_ie_depolarizing_matches_holevo_spot_checks():
         for q in (0.01, 0.07, 0.15, 0.21):
             lam = depolarizing_spectrum(spec.dim, q)
             assert ie_depolarizing(spec, q) == pytest.approx(
-                holevo_general(spec, lam), abs=1e-10
+                holevo_of(spec, lam), abs=1e-10
             )
 
 

@@ -176,7 +176,7 @@ def test_optimizer_pins_and_determinism():
 def test_optimizer_budget_nearly_exhausted():
     spec = ProtocolSpec(Family.DPLUS1, 3)
     rep = optimize_r_finite(spec, 0.05, 10**6, 1e-5, 1e-10)
-    used = 1e-10 + rep.params.eps_pa + spec.n_pe * rep.params.eps_pe + rep.params.eps_bar
+    used = 1e-10 + rep.params.eps_pa + spec.n_bases * rep.params.eps_pe + rep.params.eps_bar
     assert used <= 1e-5 * (1 + 1e-12)
     assert 1e-5 - used < 0.01 * 1e-5
 

@@ -1,9 +1,11 @@
 """Array path of the finite-key adversary bound.
 
 The pins below were recorded before the worst-case statistics moved from
-ErrorVector wrappers to plain arrays; the array path must reproduce them
-exactly, so the comparisons are `==`, not approximate.
+per-basis labelled wrappers to plain arrays; the array path must reproduce
+them exactly, so the comparisons are `==`, not approximate.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import quditkd.rates_finite as rates_finite
 from quditkd.errors import SaturatedStatistics
+from quditkd.info_theory import depolarizing_vector
 from quditkd.protocol import Family, ProtocolSpec
 from quditkd.rates_finite import FiniteKeyBudget, FluxMode, FreeParams, r_finite, worst_case_vector
 
@@ -131,3 +134,51 @@ def test_r_finite_shifts_at_most_two_vectors(monkeypatch, family, d, n_signals, 
     spec = ProtocolSpec(family, d)
     r_finite(spec, 0.05, FiniteKeyBudget.for_protocol(spec, n_signals, 1e-5, 1e-10), PARAMS)
     assert len(seen) == calls
+
+
+# worst_case_vector outputs at extreme xi, recorded before the overflow
+# guards; None marks SaturatedStatistics. Subnormal shifts either vanish or
+# survive only as subnormal error entries, and q[0] is rebalanced.
+EXTREME_XI_PINS = (
+    ([0.9, 0.1], 5e-324, {m: [0.9, 0.1] for m in FluxMode}),
+    ([0.9, 0.1], 1e-310, {m: [0.9, 0.1] for m in FluxMode}),
+    ([0.1, 0.6, 0.3], 5e-324, {m: [0.10000000000000009, 0.6, 0.3] for m in FluxMode}),
+    ([0.1, 0.6, 0.3], 1e-310, {m: [0.10000000000000009, 0.6, 0.3] for m in FluxMode}),
+    ([1.0, 0.0, 0.0, 0.0], 5e-324, {m: [1.0, 0.0, 0.0, 0.0] for m in FluxMode}),
+    ([1.0, 0.0, 0.0, 0.0], 1e-310, {
+        EQUAL: [1.0, 1.6666666666666e-311, 1.6666666666666e-311, 1.6666666666666e-311],
+        SINGLE: [1.0, 5e-311, 0.0, 0.0],
+        BRUTE: [1.0, 5e-311, 5e-311, 5e-311],
+    }),
+) + tuple((q, 1.7e308, {m: None for m in FluxMode}) for q in ([0.9, 0.1], [0.1, 0.6, 0.3], [1.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("q, xi_val, expected", EXTREME_XI_PINS)
+@pytest.mark.parametrize("mode", list(FluxMode))
+def test_worst_case_vector_extreme_xi_is_silent_and_unchanged(q, xi_val, expected, mode):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = worst_case_vector(np.array(q), xi_val, mode).tolist()
+        except SaturatedStatistics:
+            got = None
+    assert got == expected[mode]
+
+
+@pytest.mark.parametrize("q", [0.01, 0.05, 0.1, 0.15])
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+@pytest.mark.parametrize("family", [TWO_BASIS, DPLUS1])
+def test_worst_case_information_rises_toward_saturation(family, d, q):
+    # fewer samples widen the fluctuation ball, so the adversary bound can
+    # only grow until the statistics saturate; 1e-12 absorbs rounding once
+    # the shifted vector reaches the uniform plateau at log2(d)
+    spec = ProtocolSpec(family, d)
+    nominal = depolarizing_vector(spec.dim, q)
+    previous = 0.0
+    for m in np.logspace(8, 1, 60).astype(int):
+        try:
+            i_e = rates_finite._worst_case_holevo(spec, nominal, (int(m),) * spec.n_bases, 1e-7, EQUAL)
+        except SaturatedStatistics:
+            break
+        assert i_e >= previous - 1e-12
+        previous = i_e
