@@ -85,16 +85,19 @@ def q_from_lambda(spec: ProtocolSpec, spectrum: BellSpectrum) -> np.ndarray:
 
 
 def lambda_entries_from_q(q01: np.ndarray, q1: np.ndarray) -> np.ndarray:
-    """Raw inverse map; q1 stacks the U_1s vectors as rows, s = 0..d-1.
+    """Raw inverse map on a stack: q01 is (K, d), q1 is (K, d, d) with the
+    U_1s vectors as rows, s = 0..d-1.
 
-    Returns the unvalidated lam matrix; callers decide how to treat
-    negative entries.
+    Returns the unvalidated (K, d, d) lam stack; callers decide how to treat
+    negative entries. The gather adds one s at a time, in the order a sum
+    over s would, so the temporaries stay K d^2 floats.
     """
-    d = q01.size
+    d = q01.shape[-1]
     idx = _reconstruction_index(d)
-    s_grid = np.arange(d)[:, None, None]
-    gathered = q1[np.broadcast_to(s_grid, idx.shape), idx].sum(axis=0)
-    return (gathered + q01[:, None] - 1.0) / d
+    gathered = q1[:, 0][:, idx[0]]
+    for s in range(1, d):
+        gathered += q1[:, s][:, idx[s]]
+    return (gathered + q01[:, :, None] - 1.0) / d
 
 
 NEGATIVE_TOL = 1e-9
@@ -114,7 +117,7 @@ def lambda_from_q(dim: Dim, stats) -> BellSpectrum:
     if stats.shape != (d + 1, d):
         raise IncompleteStatistics(f"need {d + 1} error vectors of length {d}, got shape {stats.shape}")
     stats = np.stack([as_prob_vector(row) for row in stats])
-    lam = lambda_entries_from_q(stats[0], stats[1:])
+    lam = lambda_entries_from_q(stats[None, 0], stats[None, 1:])[0]
     if np.any(lam < -NEGATIVE_TOL):
         raise NegativeSpectrum(
             f"inconsistent statistics: reconstructed weight {lam.min()!r} below -{NEGATIVE_TOL}"

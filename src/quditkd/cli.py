@@ -6,9 +6,10 @@ Table output is CSV (default) or JSON; numbers are emitted at 10 significant
 digits so files round-trip exactly. All commands are deterministic for fixed
 inputs and seed.
 
-Exit codes: 0 success, 2 usage or domain error, 3 verification or
-statistical failure. Inputs that would make a command run or allocate
-without bound are refused against the MAX_* caps below, before any work.
+Exit codes: 0 success, 2 usage or domain error (one `error:` line on
+stderr), 3 verification or statistical failure. Inputs that would make a
+command run or allocate without bound are refused against the MAX_* caps
+below, before any work.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
@@ -36,7 +37,7 @@ _TERM_KEYS = ("holevo_worst", "h_ab", "ec_term", "pa_term", "smooth_term", "smoo
 
 MAX_DIM = 32  # verify builds a d^2 x d^2 complex Gram matrix (16 MB at the cap)
 MAX_SWEEP = 10_000  # Q values in one asymptotic sweep
-MAX_N_POINTS = 50  # finite-key N values; each is one optimizer run of seconds
+MAX_N_POINTS = 50  # finite-key N values; each is one optimizer run (about 1 s at d = 31)
 MAX_ROUNDS = 10**7  # simulate rounds; sampling arrays grow with rounds
 
 
@@ -170,10 +171,10 @@ def _q_sweep(args: argparse.Namespace, d: int) -> list[float]:
         values = [args.q_min + i * args.q_step for i in range(max(count, 0))]
     limit = (d - 1) / d
     kept = [q for q in values if q <= limit + 1e-12]
+    if not kept:
+        raise QkdError(f"no Q values left inside [0, (d-1)/d = {limit:.6g}]")
     if len(kept) < len(values):
         print(f"warning: dropping Q values above the depolarizing limit (d-1)/d = {limit:.6g}", file=sys.stderr)
-    if not kept:
-        raise QkdError("no Q values left inside [0, (d-1)/d]")
     return kept
 
 
@@ -375,8 +376,16 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line with exit code 2, like
+    every other bad input; subparsers inherit it through `parser_class`."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {self.prog}: {' '.join(message.split())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quditkd",
         description="Qudit QKD key-rate calculator: critical noise, asymptotic and "
         "finite-key sweeps, Monte Carlo validation, algebraic self-checks.",

@@ -2,8 +2,10 @@
 
 All logarithms are base 2; entropies are in bits. Inputs are checked once,
 at the public boundary (`as_prob_vector`); internal callers pass arrays
-already on the simplex to `entropy_unchecked` and `bell_holevo`, the one
-kernel for the Holevo information of a Bell-diagonal spectrum.
+already on the simplex to `entropy_rows` and `bell_holevo`, the one kernel
+for the Holevo information of a stack of Bell-diagonal spectra. The row
+kernels sum each row exactly as a 1-d sum over that row's selected entries
+would, so a row's value never depends on the batch it is evaluated in.
 """
 
 from __future__ import annotations
@@ -35,10 +37,34 @@ def as_prob_vector(values) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
+def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Sum of each row of a (K, n) array over the entries where `mask` holds.
+
+    Row i equals values[i][mask[i]].sum(): rows are grouped by how many
+    entries they keep, and each group is one (G, c) sum along its rows, which
+    numpy adds in the same order as a 1-d sum of length c.
+    """
+    if mask.all():
+        return values.sum(axis=1)
+    counts = mask.sum(axis=1)
+    sums = np.zeros(values.shape[0])
+    for c in set(counts.tolist()) - {0}:
+        rows = counts == c
+        sums[rows] = values[rows][mask[rows]].reshape(-1, c).sum(axis=1)
+    return sums
+
+
+def entropy_rows(p: np.ndarray) -> np.ndarray:
+    """H of each row of a (K, n) array already on the simplex (0 log 0 = 0)."""
+    positive = p > 0.0
+    terms = np.zeros_like(p)
+    np.log2(p, out=terms, where=positive)
+    return -masked_row_sums(p * terms, positive) + 0.0  # avoid -0.0
+
+
 def entropy_unchecked(p: np.ndarray) -> float:
-    """H(p) = -sum_i p_i log2 p_i (0 log 0 = 0) of an array already on the simplex."""
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum()) + 0.0  # avoid -0.0
+    """H(p) = -sum_i p_i log2 p_i of a 1-d array already on the simplex."""
+    return float(entropy_rows(p[None])[0])
 
 
 def shannon_entropy(p) -> float:
@@ -46,13 +72,14 @@ def shannon_entropy(p) -> float:
     return entropy_unchecked(as_prob_vector(p))
 
 
-def bell_holevo(lam: np.ndarray) -> float:
-    """chi = H(lam) - H(q_01) of a (d, d) Bell spectrum on the simplex.
+def bell_holevo(lam: np.ndarray) -> np.ndarray:
+    """chi = H(lam) - H(q_01) of each spectrum in a (K, d, d) stack on the simplex.
 
-    q_01 = lam.sum(axis=1) is the key-basis error vector, so chi is a
+    q_01 = lam.sum(axis=-1) is the key-basis error vector, so chi is a
     conditional entropy; tiny float undershoot is clamped to 0.
     """
-    return max(entropy_unchecked(lam.reshape(-1)) - entropy_unchecked(lam.sum(axis=1)), 0.0)
+    k, d, _ = lam.shape
+    return np.maximum(entropy_rows(lam.reshape(k, d * d)) - entropy_rows(lam.sum(axis=-1)), 0.0)
 
 
 def depolarizing_vector(dim: Dim, q: float) -> np.ndarray:

@@ -11,9 +11,10 @@ statistics fix the whole Bell spectrum, so I_E is the Holevo quantity
 H(lam) - H(q_01); for the two-basis family the spectrum is only partially
 constrained and maximizing over the compatible set gives I_E = H(q_10)
 (rows proportional to q_10 are feasible and Jensen's inequality makes them
-optimal, see the grid oracle in the tests). `adversary_information` is the
-one kernel for both, on error statistics shaped like `q_from_lambda`'s
-output; `ie_depolarizing` is its closed form on the depolarizing channel.
+optimal, see the grid oracle in the tests). `adversary_information_rows` is
+the one kernel for both, on stacks of error statistics shaped like
+`q_from_lambda`'s output; `adversary_information` runs it on one array, and
+`ie_depolarizing` is its closed form on the depolarizing channel.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .channels import lambda_entries_from_q
 from .errors import NoRoot, OutOfRange, SaturatedStatistics
-from .info_theory import bell_holevo, depolarizing_vector, entropy_unchecked, shannon_entropy
+from .info_theory import bell_holevo, depolarizing_vector, entropy_rows, masked_row_sums, shannon_entropy
 from .protocol import Family, ProtocolSpec
 
 CLAMP_MASS_TOL = 1e-6  # reconstructed spectra may leave the simplex at large xi
@@ -42,24 +43,36 @@ class RateReport:
     r_inf_raw: float
 
 
-def adversary_information(spec: ProtocolSpec, stats: np.ndarray) -> float:
-    """Eavesdropper information I_E for (n_bases, d) error statistics.
+def adversary_information_rows(spec: ProtocolSpec, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eavesdropper information of each (n_bases, d) statistics array in a
+    (K, n_bases, d) stack, with a mask of the saturated ones.
 
     Unchecked kernel: rows must already lie on the simplex. Two-basis:
     H(stats[1]). (d+1)-basis: the Holevo quantity of the reconstructed
     spectrum; negative weights are clipped and the rest renormalized, unless
-    they carry more than CLAMP_MASS_TOL of mass, which raises
-    SaturatedStatistics.
+    they carry more than CLAMP_MASS_TOL of mass, which marks the entry
+    saturated (its information reads 0).
     """
+    k, _, d = stats.shape
     if spec.family is Family.TWO_BASIS:
-        return entropy_unchecked(stats[1])
-    lam = lambda_entries_from_q(stats[0], stats[1:])
-    negative_mass = float(-lam[lam < 0.0].sum())
-    if negative_mass > CLAMP_MASS_TOL:
-        raise SaturatedStatistics(f"reconstructed spectrum clamps {negative_mass!r} of probability mass")
-    lam = np.clip(lam, 0.0, None)
-    lam /= lam.sum()
-    return bell_holevo(lam)
+        return entropy_rows(stats[:, 1]), np.zeros(k, dtype=bool)
+    lam = lambda_entries_from_q(stats[:, 0], stats[:, 1:])
+    flat = lam.reshape(k, d * d)
+    saturated = -masked_row_sums(flat, flat < 0.0) > CLAMP_MASS_TOL
+    lam = np.clip(lam[~saturated], 0.0, None)
+    lam /= lam.reshape(-1, d * d).sum(axis=1)[:, None, None]
+    info = np.zeros(k)
+    info[~saturated] = bell_holevo(lam)
+    return info, saturated
+
+
+def adversary_information(spec: ProtocolSpec, stats: np.ndarray) -> float:
+    """I_E of one (n_bases, d) statistics array; SaturatedStatistics when the
+    reconstructed spectrum clamps more than CLAMP_MASS_TOL of mass."""
+    info, saturated = adversary_information_rows(spec, stats[None])
+    if saturated[0]:
+        raise SaturatedStatistics(f"reconstructed spectrum clamps more than {CLAMP_MASS_TOL} of probability mass")
+    return float(info[0])
 
 
 def ie_depolarizing(spec: ProtocolSpec, q: float) -> float:

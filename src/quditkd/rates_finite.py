@@ -29,7 +29,13 @@ the (d+1)-basis family all d check bases share the sample size m_1k and the
 depolarizing nominal vector, the only inputs of the shift, so one shifted
 check vector stands in for all of them. The shifted rows form the same
 (n_bases, d) statistics array that `channels.q_from_lambda` returns and go
-to the one adversary kernel, `rates_asymptotic.adversary_information`.
+to the one adversary kernel, `rates_asymptotic.adversary_information_rows`.
+
+The shift and the kernel work on stacks of K rows and report saturation as
+a mask; `worst_case_vector` and `r_finite` call them with K = 1 and turn the
+mask into SaturatedStatistics. The optimizer's coarse pass (61 budget shares
+x 99 values of p01) calls them once for the whole grid, in chunks of
+_CHUNK_ROWS rows, and reproduces every cell's scalar r_N exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 from .errors import DegenerateSample, InfeasibleParams, OutOfRange, SaturatedStatistics
 from .info_theory import as_prob_vector, depolarizing_vector, entropy_unchecked
 from .protocol import Family, ProtocolSpec
-from .rates_asymptotic import adversary_information
+from .rates_asymptotic import adversary_information, adversary_information_rows
 
 SATURATION_TOL = 1e-12
 
@@ -62,6 +68,46 @@ def xi(m: int, spec_dim_d: int, eps_pe: float) -> float:
     if not (0.0 < eps_pe < 1.0):
         raise OutOfRange(f"eps_PE={eps_pe!r} outside (0, 1)")
     return math.sqrt((2.0 * math.log(1.0 / eps_pe) + 2.0 * spec_dim_d * math.log(m + 1.0)) / m)
+
+
+def _shift_rows(
+    q: np.ndarray, xi_vals: np.ndarray, mode: FluxMode, coordinate: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Corner shift of each row of q (K, d) by its own radius xi_vals[i].
+
+    Unchecked kernel behind `worst_case_vector`: returns the shifted rows and
+    a mask of the saturated ones, whose rows are not meaningful.
+    """
+    k, d = q.shape
+    # every mode shifts by at least xi/2 > 2 > q[0]; deciding here keeps the
+    # sums below from overflowing near the float maximum
+    saturated = xi_vals > 4.0
+    xi_vals = np.where(saturated, 0.0, xi_vals)
+    deltas = np.zeros((k, d))
+    if mode is FluxMode.SINGLE:
+        delta = xi_vals / 2.0
+        deltas[:, coordinate] = delta
+        largest = q[:, coordinate]
+    else:
+        delta = xi_vals / (2.0 * (d - 1)) if mode is FluxMode.EQUAL else xi_vals / 2.0
+        deltas[:, 1:] = delta[:, None]
+        largest = q[:, 1:].max(axis=1)
+    added = deltas.sum(axis=1)
+    # saturation is judged on the raw corner: once the requested shift
+    # exceeds all of q[0], the noise estimate certifies nothing
+    saturated |= q[:, 0] - added < -SATURATION_TOL
+    # scale the shift back so q[0] never drops below the largest error
+    # coordinate; every raised coordinate gains the same delta, so the
+    # first crossing is the largest raised one's, at
+    # (q[0] - largest) / (added + delta). Dividing only when that ratio is
+    # in [0, 1) keeps a subnormal shift from overflowing it.
+    gap = q[:, 0] - largest
+    reach = added + delta
+    scale = np.ones(k)
+    np.divide(np.maximum(gap, 0.0), reach, out=scale, where=(added > 0.0) & (gap < reach))
+    bumped = q + scale[:, None] * deltas
+    bumped[:, 0] = np.maximum(1.0 - bumped[:, 1:].sum(axis=1), 0.0)
+    return bumped, saturated
 
 
 def worst_case_vector(
@@ -89,40 +135,10 @@ def worst_case_vector(
     d = q.size
     if not 1 <= coordinate < d:
         raise OutOfRange(f"coordinate {coordinate} is not an error class for d={d}")
-    if xi_val > 4.0:
-        # every mode shifts by at least xi/2 > 2 > q[0]; deciding here keeps
-        # the sum below from overflowing near the float maximum
-        raise SaturatedStatistics(f"xi={xi_val!r} exceeds the whole probability mass")
-    deltas = np.zeros(d)
-    if mode is FluxMode.SINGLE:
-        delta = xi_val / 2.0
-        deltas[coordinate] = delta
-        largest = q[coordinate]
-    else:
-        delta = xi_val / (2.0 * (d - 1)) if mode is FluxMode.EQUAL else xi_val / 2.0
-        deltas[1:] = delta
-        largest = q[1:].max()
-    added = deltas.sum()
-    # saturation is judged on the raw corner: once the requested shift
-    # exceeds all of q[0], the noise estimate certifies nothing
-    if q[0] - added < -SATURATION_TOL:
-        raise SaturatedStatistics(
-            f"worst case drives q[0] to {q[0] - added!r}; noise estimate unusable"
-        )
-    # scale the shift back so q[0] never drops below the largest error
-    # coordinate; every raised coordinate gains the same delta, so the
-    # first crossing is the largest raised one's, at
-    # (q[0] - largest) / (added + delta). Dividing only when that ratio is
-    # in [0, 1) keeps a subnormal shift from overflowing it.
-    scale = 1.0
-    if added > 0.0:
-        gap = q[0] - largest
-        reach = added + delta
-        if gap < reach:
-            scale = max(gap, 0.0) / reach
-    bumped = q + scale * deltas
-    bumped[0] = max(1.0 - bumped[1:].sum(), 0.0)
-    return bumped
+    bumped, saturated = _shift_rows(q[None], np.array([xi_val]), mode, coordinate)
+    if saturated[0]:
+        raise SaturatedStatistics(f"xi={xi_val!r} drives q[0] below zero; noise estimate unusable")
+    return bumped[0]
 
 
 @dataclass(frozen=True)
@@ -179,8 +195,13 @@ class FiniteRateReport:
     degenerate: bool = False
 
 
-def _budget_used(budget: FiniteKeyBudget, params: FreeParams) -> float:
-    return budget.eps_ec + params.eps_pa + budget.n_pe * params.eps_pe + params.eps_bar
+def _check_budget(budget: FiniteKeyBudget, params: FreeParams) -> None:
+    used = budget.eps_ec + params.eps_pa + budget.n_pe * params.eps_pe + params.eps_bar
+    if used > budget.eps * (1.0 + 1e-9):
+        raise InfeasibleParams(
+            f"failure budget {used!r} exceeds eps={budget.eps!r} "
+            f"(n_PE={budget.n_pe})"
+        )
 
 
 def _sample_sizes(spec: ProtocolSpec, n_signals: int, p01: float) -> tuple[int, tuple[int, ...]]:
@@ -200,6 +221,19 @@ def _zero_report(params: FreeParams, n: int, ms: tuple[int, ...], *, saturated: 
     )
 
 
+def _stats_rows(spec: ProtocolSpec, key: np.ndarray, check: np.ndarray) -> np.ndarray:
+    """(K, n_bases, d) statistics from (K, d) key and check rows.
+
+    Every check basis takes the same row: all of them share the sample size
+    m_1k and the depolarizing nominal vector, the only inputs of the shift.
+    """
+    k, d = check.shape
+    stats = np.empty((k, spec.n_bases, d))
+    stats[:, 0] = key
+    stats[:, 1:] = check[:, None]
+    return stats
+
+
 def _worst_case_holevo(
     spec: ProtocolSpec,
     nominal: np.ndarray,
@@ -210,17 +244,36 @@ def _worst_case_holevo(
     """Adversary information maximized over the fluctuation corner.
 
     Raises SaturatedStatistics when any shifted vector (or the reconstructed
-    spectrum, for the (d+1)-basis family) leaves the physical region.
+    spectrum, for the (d+1)-basis family) leaves the physical region. The
+    two-basis bound reads only the check row, so its key row stays nominal.
     """
     d = spec.dim.d
     check = worst_case_vector(nominal, xi(ms[1], d, eps_pe), mode)
-    if spec.family is Family.TWO_BASIS:
-        # the two-basis bound reads only the check row
-        return adversary_information(spec, np.array((nominal, check)))
-    stats = np.empty((d + 1, d))
-    stats[0] = worst_case_vector(nominal, xi(ms[0], d, eps_pe), mode)
-    stats[1:] = check
-    return adversary_information(spec, stats)
+    key = nominal
+    if spec.family is Family.DPLUS1:
+        key = worst_case_vector(nominal, xi(ms[0], d, eps_pe), mode)
+    return adversary_information(spec, _stats_rows(spec, key[None], check[None])[0])
+
+
+def _rate(d: int, frac, n, i_e, h_ab: float, ec_log: float, pa_log, bar_log):
+    """Unfloored r_N and its penalty terms; every argument broadcasts.
+
+    The logarithms of the failure budgets come in precomputed with `math`,
+    so one cell and a whole grid of cells run the same float operations.
+    """
+    smooth_coefficient = 2.0 * math.log2(d) + 3.0
+    ec_term = ec_log / n
+    pa_term = 2.0 * pa_log / n
+    smooth_term = smooth_coefficient * np.sqrt(bar_log / n)
+    raw = frac * (math.log2(d) - i_e - h_ab - ec_term - pa_term - smooth_term)
+    return raw, {
+        "holevo_worst": i_e,
+        "h_ab": h_ab,
+        "ec_term": ec_term,
+        "pa_term": pa_term,
+        "smooth_term": smooth_term,
+        "smooth_coefficient": smooth_coefficient,
+    }
 
 
 def r_finite(
@@ -237,13 +290,7 @@ def r_finite(
     configurations and saturated statistics yield r_N = 0 with the matching
     flag and an empty term breakdown.
     """
-    used = _budget_used(budget, params)
-    if used > budget.eps * (1.0 + 1e-9):
-        raise InfeasibleParams(
-            f"failure budget {used!r} exceeds eps={budget.eps!r} "
-            f"(n_PE={budget.n_pe})"
-        )
-    d = spec.dim.d
+    _check_budget(budget, params)
     n, ms = _sample_sizes(spec, budget.n_signals, params.p01)
     if n == 0 or min(ms) == 0:
         return _zero_report(params, n, ms, degenerate=True)
@@ -252,24 +299,14 @@ def r_finite(
         i_e_worst = _worst_case_holevo(spec, nominal, ms, params.eps_pe, mode)
     except SaturatedStatistics:
         return _zero_report(params, n, ms, saturated=True)
-    h_ab = entropy_unchecked(nominal)
-    ec_term = math.log2(2.0 / budget.eps_ec) / n
-    pa_term = 2.0 * math.log2(1.0 / params.eps_pa) / n
-    smooth_coefficient = 2.0 * math.log2(d) + 3.0
-    smooth_term = smooth_coefficient * math.sqrt(math.log2(2.0 / params.eps_bar) / n)
-    raw = (n / budget.n_signals) * (
-        math.log2(d) - i_e_worst - h_ab - ec_term - pa_term - smooth_term
+    raw, terms = _rate(
+        spec.dim.d, n / budget.n_signals, n, i_e_worst, entropy_unchecked(nominal),
+        math.log2(2.0 / budget.eps_ec), math.log2(1.0 / params.eps_pa),
+        math.log2(2.0 / params.eps_bar),
     )
-    terms = {
-        "holevo_worst": i_e_worst,
-        "h_ab": h_ab,
-        "ec_term": ec_term,
-        "pa_term": pa_term,
-        "smooth_term": smooth_term,
-        "smooth_coefficient": smooth_coefficient,
-    }
     return FiniteRateReport(
-        r_n=max(raw, 0.0), n=n, m_per_basis=ms, params=params, terms=terms
+        r_n=max(float(raw), 0.0), n=n, m_per_basis=ms, params=params,
+        terms={key: float(value) for key, value in terms.items()},
     )
 
 
@@ -283,6 +320,7 @@ _DESCENT_FACTORS = (4.0, 2.0, 1.25, 1.0 / 1.25, 0.5, 0.25)
 _DESCENT_TOL = 1e-9
 _P01_TOL = 1e-4
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CHUNK_ROWS = 256  # worst-case rows per array pass; bounds memory at any grid size
 
 
 def _share_grid() -> tuple[tuple[float, float, float], ...]:
@@ -328,6 +366,100 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return best_x, best_f
 
 
+def _worst_case_holevo_rows(
+    spec: ProtocolSpec, nominal: np.ndarray, xi_key: np.ndarray | None, xi_check: np.ndarray,
+    mode: FluxMode,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_worst_case_holevo` for K radius pairs at once: I_E and a saturation mask.
+
+    Runs in chunks of _CHUNK_ROWS so no temporary grows with K; the
+    two-basis bound ignores xi_key.
+    """
+    d = spec.dim.d
+    info = np.zeros(xi_check.size)
+    saturated = np.zeros(xi_check.size, dtype=bool)
+    for start in range(0, xi_check.size, _CHUNK_ROWS):
+        part = slice(start, start + _CHUNK_ROWS)
+        rows = np.broadcast_to(nominal, (xi_check[part].size, d))
+        check, sat = _shift_rows(rows, xi_check[part], mode)
+        key = rows
+        if spec.family is Family.DPLUS1:
+            key, sat_key = _shift_rows(rows, xi_key[part], mode)
+            sat |= sat_key
+        ok = ~sat
+        if ok.any():
+            stats = _stats_rows(spec, key[ok], check[ok])
+            info_ok, sat_ok = adversary_information_rows(spec, stats)
+            sat[ok] = sat_ok
+            info[part][ok] = info_ok
+        saturated[part] = sat
+    return info, saturated
+
+
+def _distinct(values: list) -> tuple[list, np.ndarray]:
+    """The distinct values in first-seen order, and each value's position."""
+    ids: dict = {}
+    positions = [ids.setdefault(v, len(ids)) for v in values]
+    return list(ids), np.array(positions)
+
+
+def _share_params(budget: FiniteKeyBudget) -> list[FreeParams]:
+    """The budget split of each coarse-grid share, checked against eps once."""
+    per_share = [_params_from_shares(budget, _P01_GRID[0], shares) for shares in _share_grid()]
+    for params in per_share:
+        _check_budget(budget, params)
+    return per_share
+
+
+def _coarse_grid(
+    spec: ProtocolSpec, q: float, budget: FiniteKeyBudget, mode: FluxMode
+) -> np.ndarray:
+    """r_N of every (budget share, p01) cell of the coarse grid in one array pass.
+
+    Cell [i, j] equals r_finite(..., _params_from_shares(budget,
+    _P01_GRID[j], _share_grid()[i]), mode).r_n bit for bit. xi is computed
+    with `math` once per distinct (m, eps_PE) pair and the worst case once
+    per distinct (eps_PE, m_key, m_check); the rate terms are broadcast from
+    per-share and per-p01 scalars through the same `_rate` arithmetic.
+    """
+    d = spec.dim.d
+    dplus1 = spec.family is Family.DPLUS1
+    per_share = _share_params(budget)
+    r_n = np.zeros((len(per_share), len(_P01_GRID)))
+    live, ns, samples = [], [], []
+    for j, p01 in enumerate(_P01_GRID):
+        n, ms = _sample_sizes(spec, budget.n_signals, p01)
+        if n > 0 and min(ms) > 0:
+            live.append(j)
+            ns.append(n)
+            # only the (d+1)-basis bound reads the key sample size
+            samples.append((ms[0] if dplus1 else 0, ms[1]))
+    if not live:
+        return r_n
+    nominal = as_prob_vector(depolarizing_vector(spec.dim, q))
+
+    # a cell's worst case depends on its share through eps_PE and on its
+    # p01 through the sample sizes: evaluate each distinct combination once
+    eps_pe, eps_of = _distinct([p.eps_pe for p in per_share])
+    pairs, pair_of = _distinct(samples)
+
+    def radii(column: int) -> np.ndarray:
+        sizes, size_of = _distinct([pair[column] for pair in pairs])
+        return np.array([[xi(m, d, e) for m in sizes] for e in eps_pe])[:, size_of].ravel()
+
+    info, saturated = _worst_case_holevo_rows(spec, nominal, radii(0) if dplus1 else None, radii(1), mode)
+    cell = (eps_of[:, None], pair_of[None, :])
+    raw, _ = _rate(
+        d, np.array([n / budget.n_signals for n in ns]), np.array([float(n) for n in ns]),
+        info.reshape(len(eps_pe), len(pairs))[cell], entropy_unchecked(nominal),
+        math.log2(2.0 / budget.eps_ec),
+        np.array([[math.log2(1.0 / p.eps_pa)] for p in per_share]),
+        np.array([[math.log2(2.0 / p.eps_bar)] for p in per_share]),
+    )
+    r_n[:, live] = np.where(saturated.reshape(len(eps_pe), len(pairs))[cell], 0.0, np.maximum(raw, 0.0))
+    return r_n
+
+
 def optimize_r_finite(
     spec: ProtocolSpec,
     q: float,
@@ -339,10 +471,13 @@ def optimize_r_finite(
     """Deterministic search for the best basis bias and budget split.
 
     Coarse pass: p01 on a 0.01 grid against a logarithmic simplex grid of
-    budget shares. The winner's p01 is refined by golden section to 1e-4,
-    then coordinate descent rescales one share at a time (renormalizing)
-    until the rate improves by less than 1e-9. Ties prefer the smallest
-    p01, then the lexicographically smallest (eps_PA, eps_PE, eps_bar).
+    budget shares, 6,039 cells evaluated in one array pass (`_coarse_grid`,
+    equal to scalar `r_finite` cell by cell). The winner's p01 is refined by
+    golden section to 1e-4, then coordinate descent rescales one share at a
+    time (renormalizing) until the rate improves by less than 1e-9; these
+    two phases call `r_finite`, about a hundred times in all. Ties prefer
+    the smallest p01, then the lexicographically smallest (eps_PA, eps_PE,
+    eps_bar). One call takes 10-150 ms for d <= 11.
     """
     budget = FiniteKeyBudget.for_protocol(spec, n_signals, eps, eps_ec)
 
@@ -353,15 +488,19 @@ def optimize_r_finite(
         p = report.params
         return (-report.r_n, p.p01, p.eps_pa, p.eps_pe, p.eps_bar)
 
-    best: FiniteRateReport | None = None
-    best_shares: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    for shares in _share_grid():
-        for p01 in _P01_GRID:
-            report = evaluate(p01, shares)
-            if best is None or sort_key(report) < sort_key(best):
-                best, best_shares = report, shares
-
-    assert best is not None
+    # the coarse winner is the first cell, in share-major order, with the
+    # smallest sort_key; lexsort is stable and ranks by its last key first
+    shares_grid = _share_grid()
+    grid = _coarse_grid(spec, q, budget, mode)
+    per_share = _share_params(budget)
+    columns = [
+        np.repeat([getattr(p, name) for p in per_share], len(_P01_GRID))
+        for name in ("eps_bar", "eps_pe", "eps_pa")
+    ]
+    order = np.lexsort(columns + [np.tile(_P01_GRID, len(shares_grid)), -grid.ravel()])
+    i, j = divmod(int(order[0]), len(_P01_GRID))
+    best_shares = shares_grid[i]
+    best = evaluate(_P01_GRID[j], best_shares)
 
     def refine_p01(shares: tuple[float, float, float], center: float) -> FiniteRateReport:
         lo = max(center - 0.01, 1e-4)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .channels import BellSpectrum, q_from_lambda
 from .errors import DimensionTooLarge, InvalidDistribution
@@ -129,6 +128,8 @@ def _chi_square_check(counts_t: np.ndarray, matched: int, q: np.ndarray) -> tupl
     dof = int(live.sum()) - 1
     if dof == 0:
         return stat, 0, None, True
+    from scipy.stats import chi2  # deferred: importing scipy.stats dominates CLI start-up
+
     threshold = float(chi2.ppf(CHI2_CONFIDENCE, dof))
     return stat, dof, threshold, stat <= threshold
 

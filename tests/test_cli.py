@@ -249,6 +249,10 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
         ["asymptotic", "--dim", str(MAX_DIM + 1)],
         ["verify", "--dims", f"2,{MAX_DIM + 1}"],
         ["critical-q", "--dims", "2..1000000000"],
+        # argparse-level errors: a capped dimension, a bad choice, a missing flag
+        ["verify", "--dims", str(MAX_DIM + 1)],
+        ["critical-q", "--dims", "2", "--family", "three-basis"],
+        ["finite-key", "--q", "0.05"],
     ]
     for argv in cases:
         try:
@@ -260,6 +264,7 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
         assert "Traceback" not in captured.err, argv
         assert "depolarizing limit" not in captured.err, argv
         assert captured.out == "", argv
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1, argv
 
 
 def test_bad_config_files_exit_2(capsys, tmp_path):

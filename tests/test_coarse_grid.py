@@ -1,0 +1,153 @@
+"""The coarse grid of the finite-key optimizer, evaluated in one array pass.
+
+`_coarse_grid` must give every cell exactly the r_N of a scalar `r_finite`
+call with the same parameters, and `optimize_r_finite` must keep returning
+the reports it returned when the coarse pass was a loop of scalar calls (the
+pins below were recorded then), so every comparison here is `==`.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import quditkd.rates_finite as rates_finite
+from quditkd.channels import lambda_entries_from_q
+from quditkd.errors import SaturatedStatistics
+from quditkd.info_theory import depolarizing_vector
+from quditkd.protocol import Family, ProtocolSpec
+from quditkd.rates_asymptotic import CLAMP_MASS_TOL, adversary_information
+from quditkd.rates_finite import (
+    FiniteKeyBudget,
+    FiniteRateReport,
+    FluxMode,
+    FreeParams,
+    optimize_r_finite,
+    r_finite,
+    worst_case_vector,
+    xi,
+)
+
+TWO_BASIS, DPLUS1 = Family.TWO_BASIS, Family.DPLUS1
+EQUAL, SINGLE, BRUTE = FluxMode.EQUAL, FluxMode.SINGLE, FluxMode.BRUTE
+
+# together these cover both families, every mode, d in {2, 3, 5, 11} and N
+# in {1e3, 1e5, 1e7, 1e12}, with degenerate and saturated cells; the
+# dplus1 single-mode row holds cells whose spectrum is clipped without
+# saturating
+GRID_CONFIGS = (
+    (TWO_BASIS, EQUAL, 2, 10**3),
+    (TWO_BASIS, BRUTE, 11, 10**5),
+    (DPLUS1, EQUAL, 3, 10**12),
+    (DPLUS1, BRUTE, 5, 10**7),
+    (DPLUS1, SINGLE, 11, 10**7),
+)
+
+
+def _clipped(spec, nominal, report, mode):
+    """Whether a cell's reconstructed spectrum has negative weight below the clamp tolerance."""
+    d = spec.dim.d
+    check = worst_case_vector(nominal, xi(report.m_per_basis[1], d, report.params.eps_pe), mode)
+    key = worst_case_vector(nominal, xi(report.m_per_basis[0], d, report.params.eps_pe), mode)
+    lam = lambda_entries_from_q(key[None], np.broadcast_to(check, (d, d))[None])
+    return 0.0 < -lam[lam < 0.0].sum() <= CLAMP_MASS_TOL
+
+
+@pytest.mark.parametrize("family, mode, d, n_signals", GRID_CONFIGS)
+def test_coarse_grid_equals_scalar_r_finite(family, mode, d, n_signals):
+    spec = ProtocolSpec(family, d)
+    budget = FiniteKeyBudget.for_protocol(spec, n_signals, 1e-5, 1e-10)
+    grid = rates_finite._coarse_grid(spec, 0.05, budget, mode)
+    nominal = depolarizing_vector(spec.dim, 0.05)
+    clipping = (family, mode, d, n_signals) == (DPLUS1, SINGLE, 11, 10**7)
+    seen = {"degenerate": 0, "saturated": 0, "positive": 0, "clipped": 0}
+    for i, shares in enumerate(rates_finite._share_grid()):
+        for j, p01 in enumerate(rates_finite._P01_GRID):
+            params = rates_finite._params_from_shares(budget, p01, shares)
+            report = r_finite(spec, 0.05, budget, params, mode)
+            assert grid[i, j] == report.r_n, (shares, p01)
+            seen["degenerate"] += report.degenerate
+            seen["saturated"] += report.saturated
+            seen["positive"] += report.r_n > 0.0
+            if clipping and report.terms:
+                seen["clipped"] += _clipped(spec, nominal, report, mode)
+    assert grid.shape == (61, 99)
+    assert seen["clipped"] > 0 or not clipping
+    if n_signals <= 10**5:
+        assert seen["saturated"] > 0
+    if n_signals == 10**3:
+        assert seen["degenerate"] > 0 and seen["positive"] == 0
+    else:
+        assert seen["positive"] > 0
+
+
+def test_saturated_rows_are_masked_not_raised():
+    # row 1 saturates in the reconstruction (a large key shift against a
+    # small check shift), row 2 in the check shift, row 3 past xi = 4;
+    # each row agrees with the scalar path, which raises instead
+    spec = ProtocolSpec(DPLUS1, 3)
+    nominal = depolarizing_vector(spec.dim, 0.05)
+    xi_key = np.array([1e-3, 0.2, 1e-3, 1.7e308])
+    xi_check = np.array([1e-3, 1e-3, 2.0, 1e-3])
+    info, saturated = rates_finite._worst_case_holevo_rows(spec, nominal, xi_key, xi_check, EQUAL)
+    assert saturated.tolist() == [False, True, True, True]
+    for row in range(4):
+        try:
+            check = worst_case_vector(nominal, xi_check[row])
+            key = worst_case_vector(nominal, xi_key[row])
+            expected = adversary_information(spec, np.vstack([key] + [check] * 3))
+        except SaturatedStatistics:
+            expected = None
+        assert (None if saturated[row] else info[row]) == expected
+
+
+# optimize_r_finite reports recorded while the coarse pass was a loop of
+# scalar r_finite calls: ((family, mode, d, N, Q), report)
+OPTIMIZE_PINS = (
+    ((TWO_BASIS, EQUAL, 2, 1000, 0.05), FiniteRateReport(r_n=0.0, n=0, m_per_basis=(0, 999), params=FreeParams(p01=0.0001, eps_pa=4.99920004499775e-10, eps_pe=2.4996000224988753e-06, eps_bar=4.999200044997751e-06), terms={}, saturated=False, degenerate=True)),
+    ((TWO_BASIS, EQUAL, 3, 100000, 0.05), FiniteRateReport(r_n=0.31893011264709337, n=65567, m_per_basis=(65567, 3620), params=FreeParams(p01=0.8097368876500716, eps_pa=6.210496900621119e-08, eps_pe=2.4841987602484475e-06, eps_bar=4.968397520496895e-06), terms={'holevo_worst': 0.6569235638619962, 'h_ab': 0.3363969571159562, 'ec_term': 0.0005218979204306073, 'pa_term': 0.0007302672398094168, 'smooth_term': 0.10397117007110045, 'smooth_coefficient': 6.169925001442312}, saturated=False, degenerate=False)),
+    ((TWO_BASIS, SINGLE, 5, 10000000, 0.05), FiniteRateReport(r_n=1.226390563572889, n=9044277, m_per_basis=(9044277, 23996), params=FreeParams(p01=0.9510140618252039, eps_pa=1.9041896800609405e-09, eps_pe=3.808379360121881e-06, eps_bar=2.380237100076176e-06), terms={'holevo_worst': 0.5682600688644521, 'h_ab': 0.38639695711595623, 'ec_term': 3.783528627979177e-06, 'pa_term': 6.40585768403724e-06, 'smooth_term': 0.01127569289611764, 'smooth_coefficient': 7.643856189774724}, saturated=False, degenerate=False)),
+    ((TWO_BASIS, BRUTE, 11, 1000000000000, 0.05), FiniteRateReport(r_n=2.4301128459683534, n=976117371780, m_per_basis=(976117371780, 144323603), params=FreeParams(p01=0.9879865240886586, eps_pa=2.4749691238388022e-11, eps_pe=4.9499382476776045e-06, eps_bar=9.89987649535521e-08), terms={'holevo_worst': 0.5173184710905093, 'h_ab': 0.4524933618603243, 'ec_term': 3.5056522850805345e-11, 'pa_term': 7.219172516592663e-11, 'smooth_term': 4.945702649479603e-05, 'smooth_coefficient': 9.918863237274595}, saturated=False, degenerate=False)),
+    ((TWO_BASIS, BRUTE, 6, 1000000000, 0.05), FiniteRateReport(r_n=1.4815774183695716, n=916271902, m_per_basis=(916271902, 1830049), params=FreeParams(p01=0.9572209268743165, eps_pa=5.951690769697799e-11, eps_pe=4.761352615758239e-06, eps_bar=4.76135261575824e-07), terms={'holevo_worst': 0.5642403909058021, 'h_ab': 0.40249336186032425, 'ec_term': 3.73462079042053e-08, 'pa_term': 7.414373266040231e-08, 'smooth_term': 0.001266013104439958, 'smooth_coefficient': 8.169925001442312}, saturated=False, degenerate=False)),
+    ((TWO_BASIS, SINGLE, 4, 1000000, 0.1), FiniteRateReport(r_n=0.41831676979898047, n=785158, m_per_basis=(785158, 12975), params=FreeParams(p01=0.8860917023255825, eps_pa=1.420046157997515e-08, eps_pe=2.773527652338896e-06, eps_bar=4.437644243742233e-06), terms={'holevo_worst': 0.8053814191979736, 'h_ab': 0.6274918436613969, 'ec_term': 4.3582668646149724e-05, 'pa_term': 6.640570925703349e-05, 'smooth_term': 0.03423637869838209, 'smooth_coefficient': 7.0}, saturated=False, degenerate=False)),
+    ((DPLUS1, EQUAL, 3, 100000, 0.05), FiniteRateReport(r_n=0.16354296376105323, n=45220, m_per_basis=(45220, 1192, 1192, 1192), params=FreeParams(p01=0.6724611797498107, eps_pa=5.524254149171271e-08, eps_pe=1.3810635372928176e-06, eps_bar=4.419403319337016e-06), terms={'holevo_worst': 0.7593191687596087, 'h_ab': 0.3363969571159562, 'ec_term': 0.0007567289020095892, 'pa_term': 0.0010663266282733572, 'smooth_term': 0.1257626298835231, 'smooth_coefficient': 6.169925001442312}, saturated=False, degenerate=False)),
+    ((DPLUS1, SINGLE, 5, 1000000000000, 0.05), FiniteRateReport(r_n=1.660589841179505, n=983899921503, m_per_basis=(983899921503, 2613204, 2613204, 2613204, 2613204, 2613204), params=FreeParams(p01=0.9919172956971263, eps_pa=1.2420839505099317e-10, eps_pe=1.6561119340132419e-06, eps_bar=6.210419752549657e-08), terms={'holevo_worst': 0.2477296953787902, 'h_ab': 0.38639695711595623, 'ec_term': 3.4779229270188824e-11, 'pa_term': 6.688997029749226e-11, 'smooth_term': 3.8485014969323844e-05, 'smooth_coefficient': 7.643856189774724}, saturated=False, degenerate=False)),
+    ((DPLUS1, BRUTE, 11, 10000000, 0.05), FiniteRateReport(r_n=0.05708017713135668, n=1308792, m_per_basis=(1308792, 33664, 33664, 33664, 33664, 33664, 33664, 33664, 33664, 33664, 33664, 33664), params=FreeParams(p01=0.361772342674838, eps_pa=1.999380125974805e-09, eps_pe=6.664600419916017e-07, eps_bar=1.999380125974805e-06), terms={'holevo_worst': 2.5320311074040527, 'h_ab': 0.4524933618603243, 'ec_term': 2.6145698437088266e-05, 'pa_term': 4.4159499856180314e-05, 'smooth_term': 0.03870813058716109, 'smooth_coefficient': 9.918863237274595}, saturated=False, degenerate=False)),
+    ((DPLUS1, EQUAL, 11, 1000000000000, 0.05), FiniteRateReport(r_n=2.6283038594467873, n=974415112419, m_per_basis=(974415112419, 1370034, 1370034, 1370034, 1370034, 1370034, 1370034, 1370034, 1370034, 1370034, 1370034, 1370034), params=FreeParams(p01=0.9871246691371035, eps_pa=1.5526218142518413e-11, eps_pe=8.28064967600982e-07, eps_bar=6.210487257007365e-08), terms={'holevo_worst': 0.30957373138207334, 'h_ab': 0.4524933618603243, 'ec_term': 3.511776501898021e-11, 'pa_term': 7.369857491644117e-11, 'smooth_term': 5.0181585087193775e-05, 'smooth_coefficient': 9.918863237274595}, saturated=False, degenerate=False)),
+    ((DPLUS1, SINGLE, 11, 10000000, 0.05), FiniteRateReport(r_n=1.7716607446251564, n=9610197, m_per_basis=(9610197, 32, 32, 32, 32, 32, 32, 32, 32, 32, 32, 32), params=FreeParams(p01=0.9803161626731557, eps_pa=7.91365256034824e-09, eps_pe=8.243388083696083e-09, eps_bar=9.892065700435299e-06), terms={'holevo_worst': 1.1499745981681928, 'h_ab': 0.4524933618603243, 'ec_term': 3.560726273235983e-06, 'pa_term': 5.600927666128421e-06, 'smooth_term': 0.013432720423978715, 'smooth_coefficient': 9.918863237274595}, saturated=False, degenerate=False)),
+    ((DPLUS1, BRUTE, 2, 100000, 0.05), FiniteRateReport(r_n=0.054797180548873656, n=40382, m_per_basis=(40382, 3322, 3322), params=FreeParams(p01=0.6354723090252713, eps_pa=1.0987802208791208e-07, eps_pe=1.4650402945054944e-06, eps_bar=5.493901104395604e-06), terms={'holevo_worst': 0.468970388842535, 'h_ab': 0.28639695711595625, 'ec_term': 0.0008473894544320148, 'pa_term': 0.0011449454617590063, 'smooth_term': 0.10694327452902821, 'smooth_coefficient': 5.0}, saturated=False, degenerate=False)),
+    ((DPLUS1, EQUAL, 7, 1000000000, 0.0), FiniteRateReport(r_n=2.2941489367635737, n=914509754, m_per_basis=(914509754, 38973, 38973, 38973, 38973, 38973, 38973, 38973), params=FreeParams(p01=0.9563000336495667, eps_pa=2.4381614264813463e-09, eps_pe=1.219080713240673e-06, eps_bar=2.438161426481346e-07), terms={'holevo_worst': 0.2973789128196052, 'h_ab': 0.0, 'ec_term': 3.741816946096086e-08, 'pa_term': 6.257245279530308e-08, 'smooth_term': 0.0013652282468390332, 'smooth_coefficient': 8.614709844115207}, saturated=False, degenerate=False)),
+)
+
+
+@pytest.mark.parametrize("config, expected", OPTIMIZE_PINS)
+def test_optimize_report_pins(config, expected):
+    family, mode, d, n_signals, q = config
+    assert optimize_r_finite(ProtocolSpec(family, d), q, n_signals, 1e-5, 1e-10, mode) == expected
+
+
+def test_optimize_leaves_few_cells_to_scalar_r_finite(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return r_finite(*args, **kwargs)
+
+    monkeypatch.setattr(rates_finite, "r_finite", counting)
+    optimize_r_finite(ProtocolSpec(DPLUS1, 5), 0.05, 10**7, 1e-5, 1e-10)
+    assert 0 < len(calls) <= 300
+
+
+def test_coarse_pass_memory_is_bounded_at_the_largest_dimension():
+    # the worst-case rows run in fixed-size chunks; unchunked, the 6,039
+    # cells at d = 31 would hold hundreds of MB of temporaries at once
+    spec = ProtocolSpec(DPLUS1, 31)
+    budget = FiniteKeyBudget.for_protocol(spec, 10**12, 1e-5, 1e-10)
+    tracemalloc.start()
+    try:
+        grid = rates_finite._coarse_grid(spec, 0.05, budget, EQUAL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(grid > 0.0)
+    assert peak <= 32 * 2**20
