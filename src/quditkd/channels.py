@@ -52,7 +52,7 @@ class BellSpectrum:
             raise NegativeSpectrum(f"spectrum entries below -{ENTRY_SLACK}: min={lam.min()!r}")
         lam = np.clip(lam, 0.0, None)
         total = float(lam.sum())
-        if abs(total - 1.0) > SUM_SLACK:
+        if not abs(total - 1.0) <= SUM_SLACK:  # NaN fails too
             raise InvalidDistribution(f"spectrum sums to {total!r}, not 1")
         object.__setattr__(self, "lam", lam)
 

@@ -289,20 +289,18 @@ def _sim_config_from(args: argparse.Namespace) -> tuple[SimConfig, dict[str, Any
         q = parse_q(values["q"])
         rounds = int(values["rounds"])
         seed = int(values["seed"])
+        family = Family(values.get("family", Family.TWO_BASIS.value))
+        probs = parse_probs(values["basis_probs"]) if "basis_probs" in values else None
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise QkdError(f"bad config value: {exc}") from exc
     if not 2 <= dim <= MAX_DIM or not 0 <= seed < 2**128:
         raise QkdError(f"need dim in [2, {MAX_DIM}] and seed in [0, 2**128), got dim={dim} seed={seed}")
     if rounds > MAX_ROUNDS:
         raise QkdError(f"rounds={rounds} exceeds the cap of {MAX_ROUNDS}")
-    family = Family(values.get("family", Family.TWO_BASIS.value))
     fast_text = values.get("fast", "auto").lower()
     if fast_text not in ("auto", "on", "off"):
         raise QkdError(f"fast must be auto/on/off, got {values['fast']!r}")
     fast = {"auto": None, "on": True, "off": False}[fast_text]
-    probs = None
-    if "basis_probs" in values:
-        probs = parse_probs(values["basis_probs"])
 
     spec = ProtocolSpec(family, dim)
     cfg = SimConfig(

@@ -29,10 +29,10 @@ def as_prob_vector(values) -> np.ndarray:
     p = np.asarray(values, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistribution(f"expected a nonempty 1-d vector, got shape {p.shape}")
-    if np.any(p < -ENTRY_SLACK) or np.any(p > 1.0 + ENTRY_SLACK):
+    if not np.all((p >= -ENTRY_SLACK) & (p <= 1.0 + ENTRY_SLACK)):  # NaN fails too
         raise InvalidDistribution(f"entries outside [0, 1]: {p!r}")
     total = float(p.sum())
-    if abs(total - 1.0) > SUM_SLACK:
+    if not abs(total - 1.0) <= SUM_SLACK:
         raise InvalidDistribution(f"probabilities sum to {total!r}, not 1")
     return np.clip(p, 0.0, 1.0)
 

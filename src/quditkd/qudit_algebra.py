@@ -107,13 +107,11 @@ class Basis:
     """Orthonormal measurement basis.
 
     `vectors` holds one eigenvector per column; column a carries outcome
-    label a. `conjugated` marks the receiver-side (entrywise conjugated)
-    copy of a sender basis.
+    label a.
     """
 
     label: WeylIndex
     vectors: np.ndarray
-    conjugated: bool = False
 
     @property
     def d(self) -> int:
@@ -161,24 +159,3 @@ def basis_for(dim: Dim, idx: WeylIndex) -> Basis:
     if g != 1.0:
         vectors = vectors * (np.conj(g) ** s)[:, None]
     return Basis(WeylIndex(1, k), vectors)
-
-
-def basis_eigenvalues(dim: Dim, idx: WeylIndex) -> np.ndarray:
-    """Eigenvalues g * omega^a of the protocol operator, ordered by label a."""
-    j, k = _check_index(dim, idx)
-    d = dim.d
-    if (j, k) == (0, 1):
-        return _omega_pow(d, np.arange(d))
-    if j != 1:
-        raise ValueError(f"U_{{{j}{k}}} is not a protocol operator")
-    return _shift_family_phase(d, k) * _omega_pow(d, np.arange(d))
-
-
-def conjugate_basis(basis: Basis) -> Basis:
-    """Receiver-side partner basis: entrywise conjugate, same outcome labels.
-
-    Column b is then the eigenvector of conj(U) with eigenvalue
-    conj(g) omega^{-b}, which makes measuring |Phi_00> in the pair
-    (basis, conjugate_basis(basis)) give a = b with probability 1.
-    """
-    return Basis(basis.label, np.conj(basis.vectors), conjugated=not basis.conjugated)

@@ -32,10 +32,13 @@ check vector stands in for all of them. The shifted rows form the same
 to the one adversary kernel, `rates_asymptotic.adversary_information_rows`.
 
 The shift and the kernel work on stacks of K rows and report saturation as
-a mask; `worst_case_vector` and `r_finite` call them with K = 1 and turn the
-mask into SaturatedStatistics. The optimizer's coarse pass (61 budget shares
-x 99 values of p01) calls them once for the whole grid, in chunks of
-_CHUNK_ROWS rows, and reproduces every cell's scalar r_N exactly.
+a mask. One function, `_worst_case_holevo_rows`, shifts the nominal rows
+and calls the kernel: `r_finite` runs it on one radius pair and reads the
+mask as a zero-rate report, and the optimizer's coarse pass (61 budget
+shares x 99 values of p01) runs it once for the whole grid, in chunks of
+_CHUNK_ROWS rows, so every cell equals its scalar r_N exactly.
+`worst_case_vector` is the validated public entry point to the shift alone;
+it calls the shift with K = 1 and turns the mask into SaturatedStatistics.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ import numpy as np
 from .errors import DegenerateSample, InfeasibleParams, OutOfRange, SaturatedStatistics
 from .info_theory import as_prob_vector, depolarizing_vector, entropy_unchecked
 from .protocol import Family, ProtocolSpec
-from .rates_asymptotic import adversary_information, adversary_information_rows
+from .rates_asymptotic import adversary_information_rows
 
 SATURATION_TOL = 1e-12
+_CHUNK_ROWS = 256  # worst-case rows per array pass; bounds memory at any grid size
 
 
 class FluxMode(str, Enum):
@@ -129,7 +133,7 @@ def worst_case_vector(
     direction peaks, and pushing past it would make the adversarial
     statistics look *less* random than they are.
     """
-    if xi_val < 0.0:
+    if not xi_val >= 0.0:
         raise OutOfRange(f"xi must be nonnegative, got {xi_val!r}")
     q = as_prob_vector(q)
     d = q.size
@@ -151,13 +155,13 @@ class FiniteKeyBudget:
     n_pe: int
 
     def __post_init__(self) -> None:
-        if self.n_signals < 1:
+        if not self.n_signals >= 1:
             raise OutOfRange(f"need at least one signal, got {self.n_signals}")
         if not (0.0 < self.eps < 1.0):
             raise OutOfRange(f"eps={self.eps!r} outside (0, 1)")
         if not (0.0 < self.eps_ec < self.eps):
             raise OutOfRange(f"eps_EC={self.eps_ec!r} must lie in (0, eps)")
-        if self.n_pe < 1:
+        if not self.n_pe >= 1:
             raise OutOfRange(f"n_PE must be positive, got {self.n_pe}")
 
     @classmethod
@@ -180,7 +184,7 @@ class FreeParams:
         if not (0.0 < self.p01 < 1.0):
             raise OutOfRange(f"p01={self.p01!r} outside (0, 1)")
         for name in ("eps_pa", "eps_pe", "eps_bar"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise OutOfRange(f"{name} must be positive")
 
 
@@ -221,38 +225,42 @@ def _zero_report(params: FreeParams, n: int, ms: tuple[int, ...], *, saturated: 
     )
 
 
-def _stats_rows(spec: ProtocolSpec, key: np.ndarray, check: np.ndarray) -> np.ndarray:
-    """(K, n_bases, d) statistics from (K, d) key and check rows.
-
-    Every check basis takes the same row: all of them share the sample size
-    m_1k and the depolarizing nominal vector, the only inputs of the shift.
-    """
-    k, d = check.shape
-    stats = np.empty((k, spec.n_bases, d))
-    stats[:, 0] = key
-    stats[:, 1:] = check[:, None]
-    return stats
-
-
-def _worst_case_holevo(
-    spec: ProtocolSpec,
-    nominal: np.ndarray,
-    ms: tuple[int, ...],
-    eps_pe: float,
+def _worst_case_holevo_rows(
+    spec: ProtocolSpec, nominal: np.ndarray, xi_key: np.ndarray | None, xi_check: np.ndarray,
     mode: FluxMode,
-) -> float:
-    """Adversary information maximized over the fluctuation corner.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adversary information at the fluctuation corner of K radius pairs:
+    I_E and a mask of the saturated pairs, whose I_E reads 0.
 
-    Raises SaturatedStatistics when any shifted vector (or the reconstructed
-    spectrum, for the (d+1)-basis family) leaves the physical region. The
-    two-basis bound reads only the check row, so its key row stays nominal.
+    A pair saturates when a shifted vector (or the reconstructed spectrum,
+    for the (d+1)-basis family) leaves the physical region. Every check
+    basis takes the same shifted row: all of them share the sample size
+    m_1k and the depolarizing nominal vector, the only inputs of the shift.
+    The two-basis bound reads only the check row, so it ignores xi_key and
+    its key row stays nominal. Runs in chunks of _CHUNK_ROWS so no
+    temporary grows with K.
     """
     d = spec.dim.d
-    check = worst_case_vector(nominal, xi(ms[1], d, eps_pe), mode)
-    key = nominal
-    if spec.family is Family.DPLUS1:
-        key = worst_case_vector(nominal, xi(ms[0], d, eps_pe), mode)
-    return adversary_information(spec, _stats_rows(spec, key[None], check[None])[0])
+    info = np.zeros(xi_check.size)
+    saturated = np.zeros(xi_check.size, dtype=bool)
+    for start in range(0, xi_check.size, _CHUNK_ROWS):
+        part = slice(start, start + _CHUNK_ROWS)
+        rows = np.broadcast_to(nominal, (xi_check[part].size, d))
+        check, sat = _shift_rows(rows, xi_check[part], mode)
+        key = rows
+        if spec.family is Family.DPLUS1:
+            key, sat_key = _shift_rows(rows, xi_key[part], mode)
+            sat |= sat_key
+        ok = ~sat
+        if ok.any():
+            stats = np.empty((int(ok.sum()), spec.n_bases, d))
+            stats[:, 0] = key[ok]
+            stats[:, 1:] = check[ok][:, None]
+            info_ok, sat_ok = adversary_information_rows(spec, stats)
+            sat[ok] = sat_ok
+            info[part][ok] = info_ok
+        saturated[part] = sat
+    return info, saturated
 
 
 def _rate(d: int, frac, n, i_e, h_ab: float, ec_log: float, pa_log, bar_log):
@@ -294,13 +302,15 @@ def r_finite(
     n, ms = _sample_sizes(spec, budget.n_signals, params.p01)
     if n == 0 or min(ms) == 0:
         return _zero_report(params, n, ms, degenerate=True)
+    d = spec.dim.d
     nominal = depolarizing_vector(spec.dim, q)
-    try:
-        i_e_worst = _worst_case_holevo(spec, nominal, ms, params.eps_pe, mode)
-    except SaturatedStatistics:
+    xi_check = np.array([xi(ms[1], d, params.eps_pe)])
+    xi_key = np.array([xi(ms[0], d, params.eps_pe)]) if spec.family is Family.DPLUS1 else None
+    info, saturated = _worst_case_holevo_rows(spec, nominal, xi_key, xi_check, mode)
+    if saturated[0]:
         return _zero_report(params, n, ms, saturated=True)
     raw, terms = _rate(
-        spec.dim.d, n / budget.n_signals, n, i_e_worst, entropy_unchecked(nominal),
+        d, n / budget.n_signals, n, float(info[0]), entropy_unchecked(nominal),
         math.log2(2.0 / budget.eps_ec), math.log2(1.0 / params.eps_pa),
         math.log2(2.0 / params.eps_bar),
     )
@@ -320,7 +330,6 @@ _DESCENT_FACTORS = (4.0, 2.0, 1.25, 1.0 / 1.25, 0.5, 0.25)
 _DESCENT_TOL = 1e-9
 _P01_TOL = 1e-4
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_CHUNK_ROWS = 256  # worst-case rows per array pass; bounds memory at any grid size
 
 
 def _share_grid() -> tuple[tuple[float, float, float], ...]:
@@ -366,36 +375,6 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return best_x, best_f
 
 
-def _worst_case_holevo_rows(
-    spec: ProtocolSpec, nominal: np.ndarray, xi_key: np.ndarray | None, xi_check: np.ndarray,
-    mode: FluxMode,
-) -> tuple[np.ndarray, np.ndarray]:
-    """`_worst_case_holevo` for K radius pairs at once: I_E and a saturation mask.
-
-    Runs in chunks of _CHUNK_ROWS so no temporary grows with K; the
-    two-basis bound ignores xi_key.
-    """
-    d = spec.dim.d
-    info = np.zeros(xi_check.size)
-    saturated = np.zeros(xi_check.size, dtype=bool)
-    for start in range(0, xi_check.size, _CHUNK_ROWS):
-        part = slice(start, start + _CHUNK_ROWS)
-        rows = np.broadcast_to(nominal, (xi_check[part].size, d))
-        check, sat = _shift_rows(rows, xi_check[part], mode)
-        key = rows
-        if spec.family is Family.DPLUS1:
-            key, sat_key = _shift_rows(rows, xi_key[part], mode)
-            sat |= sat_key
-        ok = ~sat
-        if ok.any():
-            stats = _stats_rows(spec, key[ok], check[ok])
-            info_ok, sat_ok = adversary_information_rows(spec, stats)
-            sat[ok] = sat_ok
-            info[part][ok] = info_ok
-        saturated[part] = sat
-    return info, saturated
-
-
 def _distinct(values: list) -> tuple[list, np.ndarray]:
     """The distinct values in first-seen order, and each value's position."""
     ids: dict = {}
@@ -412,7 +391,8 @@ def _share_params(budget: FiniteKeyBudget) -> list[FreeParams]:
 
 
 def _coarse_grid(
-    spec: ProtocolSpec, q: float, budget: FiniteKeyBudget, mode: FluxMode
+    spec: ProtocolSpec, q: float, budget: FiniteKeyBudget, mode: FluxMode,
+    per_share: list[FreeParams] | None = None,
 ) -> np.ndarray:
     """r_N of every (budget share, p01) cell of the coarse grid in one array pass.
 
@@ -421,10 +401,12 @@ def _coarse_grid(
     with `math` once per distinct (m, eps_PE) pair and the worst case once
     per distinct (eps_PE, m_key, m_check); the rate terms are broadcast from
     per-share and per-p01 scalars through the same `_rate` arithmetic.
+    `per_share` is `_share_params(budget)`, built here when not passed in.
     """
     d = spec.dim.d
     dplus1 = spec.family is Family.DPLUS1
-    per_share = _share_params(budget)
+    if per_share is None:
+        per_share = _share_params(budget)
     r_n = np.zeros((len(per_share), len(_P01_GRID)))
     live, ns, samples = [], [], []
     for j, p01 in enumerate(_P01_GRID):
@@ -436,7 +418,7 @@ def _coarse_grid(
             samples.append((ms[0] if dplus1 else 0, ms[1]))
     if not live:
         return r_n
-    nominal = as_prob_vector(depolarizing_vector(spec.dim, q))
+    nominal = depolarizing_vector(spec.dim, q)
 
     # a cell's worst case depends on its share through eps_PE and on its
     # p01 through the sample sizes: evaluate each distinct combination once
@@ -491,8 +473,8 @@ def optimize_r_finite(
     # the coarse winner is the first cell, in share-major order, with the
     # smallest sort_key; lexsort is stable and ranks by its last key first
     shares_grid = _share_grid()
-    grid = _coarse_grid(spec, q, budget, mode)
     per_share = _share_params(budget)
+    grid = _coarse_grid(spec, q, budget, mode, per_share)
     columns = [
         np.repeat([getattr(p, name) for p in per_share], len(_P01_GRID))
         for name in ("eps_bar", "eps_pe", "eps_pa")

@@ -128,9 +128,12 @@ def _chi_square_check(counts_t: np.ndarray, matched: int, q: np.ndarray) -> tupl
     dof = int(live.sum()) - 1
     if dof == 0:
         return stat, 0, None, True
-    from scipy.stats import chi2  # deferred: importing scipy.stats dominates CLI start-up
+    # chi-square quantile through the regularized incomplete gamma function,
+    # the same expression scipy.stats.chi2.ppf evaluates, without importing
+    # scipy.stats; deferred so the other commands never load scipy
+    from scipy.special import gammaincinv
 
-    threshold = float(chi2.ppf(CHI2_CONFIDENCE, dof))
+    threshold = float(2.0 * gammaincinv(dof / 2, CHI2_CONFIDENCE))
     return stat, dof, threshold, stat <= threshold
 
 

@@ -1,9 +1,15 @@
-"""Slow independent re-computations used to validate the closed forms."""
+"""Slow independent re-computations used to validate the closed forms and the
+batched kernels."""
+
+import math
 
 import numpy as np
 
-from quditkd.info_theory import shannon_entropy
-from quditkd.protocol import ProtocolSpec
+from quditkd.errors import SaturatedStatistics
+from quditkd.info_theory import depolarizing_vector, shannon_entropy
+from quditkd.protocol import Family, ProtocolSpec
+from quditkd.rates_asymptotic import adversary_information
+from quditkd.rates_finite import worst_case_vector, xi
 
 
 def _grid_simplex(d: int, step: float) -> np.ndarray:
@@ -76,3 +82,39 @@ def q_from_lambda_per_basis(spec: ProtocolSpec, lam: np.ndarray) -> np.ndarray:
         else:
             out.append(np.array([lam[rows, (k * rows - t) % d].sum() for t in range(d)]))
     return np.stack(out)
+
+
+def r_finite_reference(spec: ProtocolSpec, q: float, budget, params, mode) -> tuple[float, float | None]:
+    """r_N and the worst-case I_E (None when degenerate or saturated) of one
+    finite-key configuration, built from the public K = 1 entry points.
+
+    Every basis is shifted on its own with `worst_case_vector`, from its own
+    sample size: m_key = floor(N p01^2), and m = floor(N (1 - p01)^2) for the
+    two-basis check basis or floor(N ((1 - p01)/d)^2) for each of the d
+    (d+1)-basis check bases. The two-basis bound reads only the check basis,
+    so its key row stays nominal. The rate terms follow `_rate`'s float order.
+    """
+    d = spec.dim.d
+    n_signals, p01 = budget.n_signals, params.p01
+    n = math.floor(n_signals * p01 * p01)
+    if spec.family is Family.TWO_BASIS:
+        checks = [math.floor(n_signals * (1.0 - p01) ** 2)]
+    else:
+        p1k = (1.0 - p01) / d
+        checks = [math.floor(n_signals * p1k * p1k)] * d
+    if n == 0 or min(checks) == 0:
+        return 0.0, None
+    nominal = depolarizing_vector(spec.dim, q)
+    try:
+        rows = [worst_case_vector(nominal, xi(m, d, params.eps_pe), mode) for m in checks]
+        key = nominal
+        if spec.family is Family.DPLUS1:
+            key = worst_case_vector(nominal, xi(n, d, params.eps_pe), mode)
+        i_e = adversary_information(spec, np.stack([key] + rows))
+    except SaturatedStatistics:
+        return 0.0, None
+    ec_term = math.log2(2.0 / budget.eps_ec) / n
+    pa_term = 2.0 * math.log2(1.0 / params.eps_pa) / n
+    smooth_term = (2.0 * math.log2(d) + 3.0) * math.sqrt(math.log2(2.0 / params.eps_bar) / n)
+    raw = n / n_signals * (math.log2(d) - i_e - shannon_entropy(nominal) - ec_term - pa_term - smooth_term)
+    return max(raw, 0.0), i_e

@@ -45,6 +45,11 @@ def test_bell_spectrum_clamps_and_validates():
         BellSpectrum(np.full((2, 3), 1.0 / 6.0))
 
 
+def test_bell_spectrum_rejects_nan():
+    with pytest.raises(InvalidDistribution):
+        BellSpectrum(np.array([[np.nan, 0.5], [0.25, 0.25]]))
+
+
 def test_q_from_lambda_hand_example_d2():
     spec = ProtocolSpec(Family.DPLUS1, 2)
     lam = BellSpectrum(np.array([[0.85, 0.05], [0.05, 0.05]]))

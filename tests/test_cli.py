@@ -227,6 +227,10 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
     nan_q.write_text("dim=2\nq=nan\nrounds=100\nseed=1\n", encoding="utf-8")
     many_rounds = tmp_path / "many_rounds.cfg"
     many_rounds.write_text(f"dim=2\nq=0.1\nrounds={MAX_ROUNDS + 1}\nseed=1\n", encoding="utf-8")
+    bad_probs = tmp_path / "bad_probs.cfg"
+    bad_probs.write_text("dim=2\nq=0.1\nrounds=100\nseed=1\nbasis_probs=a,b\n", encoding="utf-8")
+    bad_family = tmp_path / "bad_family.cfg"
+    bad_family.write_text("dim=2\nq=0.1\nrounds=100\nseed=1\nfamily=bogus\n", encoding="utf-8")
     cases = [
         ["critical-q", "--dims", "1"],
         ["verify", "--dims", "0"],
@@ -241,6 +245,9 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
         ["simulate", "--config", str(low_dim)],
         ["simulate", "--config", str(big_seed)],
         ["simulate", "--config", str(nan_q)],
+        ["simulate", "--config", str(bad_probs)],
+        ["simulate", "--config", str(bad_family)],
+        sim + ["--dim", "2", "--seed", "1", "--basis-probs", "nan,0.5"],
         # resource caps, refused before any work
         ["asymptotic", "--dim", "3", "--q-step", "1e-12"],
         ["finite-key", "--dim", "2", "--n-points", str(MAX_N_POINTS + 1)],

@@ -149,9 +149,19 @@ def test_cli_fuzz_exits_cleanly(argv):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # only `simulate` needs scipy.stats, and importing it costs about a
-    # second, so the CLI loads it on first use
+    # importing scipy.stats costs about a second and nothing needs it: the
+    # CLI does not load it, and neither does a simulation's chi-square check
     src = str(Path(quditkd.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, quditkd.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = (
+        "import sys\n"
+        "from quditkd import Family, ProtocolSpec, SimConfig, run_simulation\n"
+        "from quditkd.channels import depolarizing_spectrum\n"
+        "spec = ProtocolSpec(Family.TWO_BASIS, 3)\n"
+        "res = run_simulation(SimConfig(spec, depolarizing_spectrum(spec.dim, 0.1), rounds=1000, seed=1))\n"
+        "assert res.per_basis[0].chi_square_threshold is not None\n"
+        "sys.exit('scipy.stats' in sys.modules)"
+    )
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -43,6 +43,10 @@ def test_as_prob_vector_rejects_bad_input():
         as_prob_vector([1.2, -0.2])
     with pytest.raises(InvalidDistribution):
         as_prob_vector([0.5, -0.1, 0.6])
+    with pytest.raises(InvalidDistribution):
+        as_prob_vector([float("nan"), 0.5])
+    with pytest.raises(InvalidDistribution):
+        shannon_entropy([float("nan"), 1.0])
 
 
 def test_depolarizing_vector_values():

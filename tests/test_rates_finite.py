@@ -91,6 +91,20 @@ def test_worst_case_vector_validates_arguments():
         worst_case_vector(_q([0.9, 0.1]), -0.1)
     with pytest.raises(OutOfRange):
         worst_case_vector(_q([0.9, 0.05, 0.05]), 0.1, FluxMode.SINGLE, coordinate=3)
+    with pytest.raises(OutOfRange):
+        worst_case_vector(_q([0.9, 0.1]), float("nan"))
+
+
+@pytest.mark.parametrize("field", range(4))
+def test_free_params_and_budget_reject_nan(field):
+    params = [0.8, 1e-6, 1e-6, 1e-6]
+    params[field] = float("nan")
+    with pytest.raises(OutOfRange):
+        FreeParams(*params)
+    budget = [10**6, 1e-5, 1e-10, 2]
+    budget[field] = float("nan")
+    with pytest.raises(OutOfRange):
+        FiniteKeyBudget(*budget)
 
 
 def test_budget_feasibility_enforced():

@@ -6,7 +6,9 @@ from quditkd.errors import DimensionTooLarge, InvalidDistribution
 from quditkd.protocol import Family, ProtocolSpec, protocol_bases
 from quditkd.qudit_algebra import Dim, basis_for
 from quditkd.simulator import (
+    CHI2_CONFIDENCE,
     SimConfig,
+    _chi_square_check,
     difference_marginal,
     joint_outcome_distribution,
     run_simulation,
@@ -146,3 +148,13 @@ def test_fast_and_exact_paths_agree_statistically():
         assert res.all_passed
         for s in res.per_basis:
             assert np.allclose(s.empirical_q, s.analytic_q, atol=0.01)
+
+
+@pytest.mark.parametrize("dof", range(1, 32))
+def test_chi_square_threshold_matches_scipy_stats(dof):
+    from scipy.stats import chi2
+
+    q = np.full(dof + 1, 1.0 / (dof + 1))
+    _, got_dof, threshold, _ = _chi_square_check(np.full(dof + 1, 10), 10 * (dof + 1), q)
+    assert got_dof == dof
+    assert threshold == float(chi2.ppf(CHI2_CONFIDENCE, dof))

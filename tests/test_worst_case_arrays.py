@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import r_finite_reference
 
 import quditkd.rates_finite as rates_finite
 from quditkd.errors import SaturatedStatistics
 from quditkd.info_theory import depolarizing_vector
 from quditkd.protocol import Family, ProtocolSpec
-from quditkd.rates_finite import FiniteKeyBudget, FluxMode, FreeParams, r_finite, worst_case_vector
+from quditkd.rates_finite import FiniteKeyBudget, FluxMode, FreeParams, r_finite, worst_case_vector, xi
 
 TWO_BASIS, DPLUS1 = Family.TWO_BASIS, Family.DPLUS1
 EQUAL, SINGLE, BRUTE = FluxMode.EQUAL, FluxMode.SINGLE, FluxMode.BRUTE
@@ -91,6 +92,14 @@ def test_r_finite_fixed_params_exact(family, mode, d, n, r_n, holevo, saturated)
     assert rep.saturated == saturated
 
 
+@pytest.mark.parametrize("family, mode, d, n, r_n, holevo, saturated", R_FINITE_PINS)
+def test_r_finite_equals_per_basis_reference(family, mode, d, n, r_n, holevo, saturated):
+    spec = ProtocolSpec(family, d)
+    budget = FiniteKeyBudget.for_protocol(spec, n, 1e-5, 1e-10)
+    rep = r_finite(spec, 0.05, budget, PARAMS, mode)
+    assert r_finite_reference(spec, 0.05, budget, PARAMS, mode) == (rep.r_n, rep.terms.get("holevo_worst"))
+
+
 @st.composite
 def _simplex_vectors(draw):
     d = draw(st.integers(2, 11))
@@ -124,16 +133,17 @@ def test_worst_case_vector_stays_on_simplex(q, xi_val, mode, data):
 def test_r_finite_shifts_at_most_two_vectors(monkeypatch, family, d, n_signals, calls):
     # one shifted check vector serves every check basis; a degenerate
     # sample short-circuits before the adversary bound
+    shift_rows = rates_finite._shift_rows
     seen = []
 
-    def counting(*args, **kwargs):
-        seen.append(args)
-        return worst_case_vector(*args, **kwargs)
+    def counting(q, *args, **kwargs):
+        seen.append(len(q))
+        return shift_rows(q, *args, **kwargs)
 
-    monkeypatch.setattr(rates_finite, "worst_case_vector", counting)
+    monkeypatch.setattr(rates_finite, "_shift_rows", counting)
     spec = ProtocolSpec(family, d)
     r_finite(spec, 0.05, FiniteKeyBudget.for_protocol(spec, n_signals, 1e-5, 1e-10), PARAMS)
-    assert len(seen) == calls
+    assert sum(seen) == calls
 
 
 # worst_case_vector outputs at extreme xi, recorded before the overflow
@@ -174,11 +184,11 @@ def test_worst_case_information_rises_toward_saturation(family, d, q):
     # the shifted vector reaches the uniform plateau at log2(d)
     spec = ProtocolSpec(family, d)
     nominal = depolarizing_vector(spec.dim, q)
+    radii = np.array([xi(int(m), d, 1e-7) for m in np.logspace(8, 1, 60).astype(int)])
+    info, saturated = rates_finite._worst_case_holevo_rows(spec, nominal, radii, radii, EQUAL)
     previous = 0.0
-    for m in np.logspace(8, 1, 60).astype(int):
-        try:
-            i_e = rates_finite._worst_case_holevo(spec, nominal, (int(m),) * spec.n_bases, 1e-7, EQUAL)
-        except SaturatedStatistics:
+    for i_e, sat in zip(info, saturated):
+        if sat:
             break
         assert i_e >= previous - 1e-12
         previous = i_e
