@@ -10,7 +10,7 @@ from .channels import BellSpectrum, depolarizing_spectrum, lambda_from_q, q_from
 from .errors import QkdError
 from .info_theory import depolarizing_vector, shannon_entropy
 from .protocol import Family, ProtocolSpec
-from .qudit_algebra import Basis, Dim, WeylIndex, basis_for, bell_state, weyl_operator
+from .qudit_algebra import Basis, Dim, WeylIndex, basis_for, weyl_operator
 from .rates_asymptotic import RateReport, critical_q, ie_depolarizing, r_infinity
 from .rates_finite import (
     FiniteKeyBudget,
@@ -44,7 +44,6 @@ __all__ = [
     "SimResult",
     "WeylIndex",
     "basis_for",
-    "bell_state",
     "critical_q",
     "depolarizing_spectrum",
     "depolarizing_vector",

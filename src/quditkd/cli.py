@@ -39,6 +39,7 @@ MAX_DIM = 32  # verify builds a d^2 x d^2 complex Gram matrix (16 MB at the cap)
 MAX_SWEEP = 10_000  # Q values in one asymptotic sweep
 MAX_N_POINTS = 50  # finite-key N values; each is one optimizer run (about 1 s at d = 31)
 MAX_ROUNDS = 10**7  # simulate rounds; sampling arrays grow with rounds
+MAX_CONFIG_BYTES = 65536  # simulate --config file; a real config is under 1 KB
 
 
 def parse_dim(text: str) -> int:
@@ -164,6 +165,8 @@ def _q_sweep(args: argparse.Namespace, d: int) -> list[float]:
     else:
         if args.q_step <= 0:
             raise QkdError(f"--q-step must be positive, got {args.q_step}")
+        if args.q_max < args.q_min:
+            raise QkdError(f"--q-max {args.q_max} is below --q-min {args.q_min}")
         steps = (args.q_max - args.q_min) / args.q_step
         if steps >= MAX_SWEEP:
             raise QkdError(f"sweep of {steps + 1:.3g} Q values exceeds the cap of {MAX_SWEEP}")
@@ -245,20 +248,24 @@ def cmd_finite_key(args: argparse.Namespace) -> int:
 
 
 def _load_sim_config(path: str) -> dict[str, str]:
-    """Flat key=value file; blank lines and '#' comments ignored."""
-    pairs: dict[str, str] = {}
+    """Flat key=value file of at most MAX_CONFIG_BYTES; blank lines and '#' comments ignored."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise QkdError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-                key, value = line.split("=", 1)
-                pairs[key.strip()] = value.strip()
-    except OSError as exc:
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_CONFIG_BYTES + 1)
+        if len(data) > MAX_CONFIG_BYTES:
+            raise QkdError(f"config {path} exceeds the cap of {MAX_CONFIG_BYTES} bytes")
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise QkdError(f"cannot read config {path}: {exc}") from exc
+    pairs: dict[str, str] = {}
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise QkdError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        pairs[key.strip()] = value.strip()
     return pairs
 
 

@@ -7,6 +7,9 @@ Conventions used throughout the package:
   clock operator and U_{10} the cyclic shift.
 * |Phi_{jk}> = (1 x U_{jk}) |Phi_00> with |Phi_00> the normalized maximally
   entangled state; amplitudes are stored row-major, index a*d + b for |a>|b>.
+* A WeylIndex may hold integer arrays of one shape S in place of ints;
+  weyl_operator and bell_matrix then return the (*S, d, d) stack and
+  commutator_phase the (*S,) exponents, each slice equal to its lone call.
 * Measurement outcome `a` in the eigenbasis of U_{jk} labels the eigenvector
   with eigenvalue g * omega^a, where g is a fixed global phase (g != 1 only
   when k*(d-1) is odd, e.g. d=2, k=1) chosen so the residual spectrum is
@@ -52,13 +55,14 @@ class Dim:
 class WeylIndex(NamedTuple):
     """Displacement index (j, k) of a Weyl operator: j shifts, k phases."""
 
-    j: int
-    k: int
+    j: int | np.ndarray
+    k: int | np.ndarray
 
 
 def _check_index(dim: Dim, idx: WeylIndex) -> WeylIndex:
     j, k = idx
-    if not (0 <= j < dim.d and 0 <= k < dim.d):
+    jk = np.asarray((j, k))
+    if not ((0 <= jk) & (jk < dim.d)).all():
         raise ValueError(f"Weyl index {idx} out of range for d={dim.d}")
     return WeylIndex(j, k)
 
@@ -71,16 +75,18 @@ def _omega_pow(d: int, exponents: np.ndarray) -> np.ndarray:
 
 
 def weyl_operator(dim: Dim, idx: WeylIndex) -> np.ndarray:
-    """Matrix of U_{jk} = sum_s omega^{sk} |s+j><s| as a (d, d) complex array."""
+    """Matrix of U_{jk} = sum_s omega^{sk} |s+j><s| as a (*S, d, d) complex array."""
     j, k = _check_index(dim, idx)
     d = dim.d
     s = np.arange(d)
-    u = np.zeros((d, d), dtype=np.complex128)
-    u[(s + j) % d, s] = _omega_pow(d, s * k)
+    rows = np.add.outer(j, s) % d
+    u = np.zeros(rows.shape + (d,), dtype=np.complex128)
+    values = _omega_pow(d, np.multiply.outer(k, s))
+    np.put_along_axis(u, rows[..., None, :], values[..., None, :], axis=-2)
     return u
 
 
-def commutator_phase(dim: Dim, a: WeylIndex, b: WeylIndex) -> int:
+def commutator_phase(dim: Dim, a: WeylIndex, b: WeylIndex) -> int | np.ndarray:
     """Exponent c with U_a U_b = omega^c U_b U_a, namely (a.k*b.j - a.j*b.k) mod d."""
     a = _check_index(dim, a)
     b = _check_index(dim, b)
@@ -88,18 +94,15 @@ def commutator_phase(dim: Dim, a: WeylIndex, b: WeylIndex) -> int:
 
 
 def bell_matrix(dim: Dim, idx: WeylIndex) -> np.ndarray:
-    """|Phi_{jk}> reshaped to (d, d): entry [a, b] is the amplitude of |a>|b>."""
+    """|Phi_{jk}> reshaped to (*S, d, d): entry [a, b] is the amplitude of |a>|b>."""
     j, k = _check_index(dim, idx)
     d = dim.d
     s = np.arange(d)
-    f = np.zeros((d, d), dtype=np.complex128)
-    f[s, (s + j) % d] = _omega_pow(d, s * k) / np.sqrt(d)
+    cols = np.add.outer(j, s) % d
+    f = np.zeros(cols.shape + (d,), dtype=np.complex128)
+    values = _omega_pow(d, np.multiply.outer(k, s)) / np.sqrt(d)
+    np.put_along_axis(f, cols[..., None], values[..., None], axis=-1)
     return f
-
-
-def bell_state(dim: Dim, idx: WeylIndex) -> np.ndarray:
-    """Normalized generalized Bell state as a flat (d*d,) vector."""
-    return bell_matrix(dim, idx).reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,6 @@ EXACT_DIM_CAP = 11
 CHI2_CONFIDENCE = 0.999
 MARGINAL_TOL = 1e-10
 
-# The error-vector formulas tie spectrum entry (j, k) to the Bell state
-# whose shift index is -j mod d; using the identity pairing instead flips
-# the sign of the difference statistic in every U_1k basis.
-def _state_index(d: int, j: int, k: int) -> WeylIndex:
-    return WeylIndex((-j) % d, k)
-
 
 def joint_outcome_distribution(dim: Dim, spectrum: BellSpectrum, basis: Basis) -> np.ndarray:
     """Exact joint table P(a, b) for one sifted basis.
@@ -47,16 +41,12 @@ def joint_outcome_distribution(dim: Dim, spectrum: BellSpectrum, basis: Basis) -
     if spectrum.d != d or basis.d != d:
         raise InvalidDistribution("dimension mismatch between spectrum and basis")
     e = basis.vectors
-    table = np.zeros((d, d))
-    for j in range(d):
-        for k in range(d):
-            w = spectrum.lam[j, k]
-            if w == 0.0:
-                continue
-            f = bell_matrix(dim, _state_index(d, j, k))
-            amp = e.conj().T @ f @ e
-            table += w * (amp.real**2 + amp.imag**2)
-    return table
+    j, k = np.divmod(np.arange(d * d), d)
+    # The error-vector formulas tie spectrum entry (j, k) to the Bell state
+    # whose shift index is -j mod d; using the identity pairing instead flips
+    # the sign of the difference statistic in every U_1k basis.
+    amp = e.conj().T @ bell_matrix(dim, WeylIndex(-j % d, k)) @ e
+    return (spectrum.lam.reshape(-1, 1, 1) * (amp.real**2 + amp.imag**2)).sum(axis=0)
 
 
 def difference_marginal(table: np.ndarray) -> np.ndarray:

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 
+from quditkd.channels import BellSpectrum
 from quditkd.errors import SaturatedStatistics
 from quditkd.info_theory import depolarizing_vector, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
+from quditkd.qudit_algebra import Basis, Dim, WeylIndex, bell_matrix
 from quditkd.rates_asymptotic import adversary_information
 from quditkd.rates_finite import worst_case_vector, xi
 
@@ -82,6 +84,19 @@ def q_from_lambda_per_basis(spec: ProtocolSpec, lam: np.ndarray) -> np.ndarray:
         else:
             out.append(np.array([lam[rows, (k * rows - t) % d].sum() for t in range(d)]))
     return np.stack(out)
+
+
+def joint_table_per_state(dim: Dim, spectrum: BellSpectrum, basis: Basis) -> np.ndarray:
+    """Exact joint table P(a, b) of one basis, summed one Bell state at a time
+    in spectrum order; spectrum entry (j, k) weighs the state U_{-j mod d, k}."""
+    d = dim.d
+    e = basis.vectors
+    table = np.zeros((d, d))
+    for j in range(d):
+        for k in range(d):
+            amp = e.conj().T @ bell_matrix(dim, WeylIndex(-j % d, k)) @ e
+            table += spectrum.lam[j, k] * (amp.real**2 + amp.imag**2)
+    return table
 
 
 def r_finite_reference(spec: ProtocolSpec, q: float, budget, params, mode) -> tuple[float, float | None]:

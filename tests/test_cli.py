@@ -2,12 +2,15 @@ import argparse
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 import quditkd.verification
-from quditkd.cli import MAX_DIM, MAX_N_POINTS, MAX_ROUNDS, main, parse_count, parse_dims, parse_q
+from quditkd.cli import MAX_CONFIG_BYTES, MAX_DIM, MAX_N_POINTS, MAX_ROUNDS, main, parse_count, parse_dims, parse_q
 from quditkd.verification import CheckResult
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
 
 
 def _run(capsys, argv):
@@ -250,6 +253,7 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
         sim + ["--dim", "2", "--seed", "1", "--basis-probs", "nan,0.5"],
         # resource caps, refused before any work
         ["asymptotic", "--dim", "3", "--q-step", "1e-12"],
+        ["asymptotic", "--dim", "3", "--q-min", "0.3", "--q-max", "0.1"],
         ["finite-key", "--dim", "2", "--n-points", str(MAX_N_POINTS + 1)],
         sim + ["--dim", "2", "--seed", "1", "--rounds", str(MAX_ROUNDS + 1)],
         ["simulate", "--config", str(many_rounds)],
@@ -272,6 +276,28 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
         assert "depolarizing limit" not in captured.err, argv
         assert captured.out == "", argv
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1, argv
+    # a reversed sweep names the range flags
+    main(["asymptotic", "--dim", "3", "--q-min", "0.3", "--q-max", "0.1"])
+    assert "--q-min" in capsys.readouterr().err
+
+
+def test_config_file_is_read_up_to_its_cap(capsys, tmp_path):
+    body = "dim=2\nq=0.1\nrounds=100\nseed=1\n"
+    at_cap = tmp_path / "at_cap.cfg"
+    at_cap.write_bytes(body.encode() + b"#" * (MAX_CONFIG_BYTES - len(body)))
+    code, out, _ = _run(capsys, ["simulate", "--config", str(at_cap)])
+    assert code == 0 and json.loads(out)["config"]["dim"] == 2
+
+    over_cap = tmp_path / "over_cap.cfg"
+    over_cap.write_bytes(body.encode() + b"#" * (MAX_CONFIG_BYTES + 1 - len(body)))
+    code, out, err = _run(capsys, ["simulate", "--config", str(over_cap)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(MAX_CONFIG_BYTES) in err and err.count("\n") == 1
+
+    not_utf8 = tmp_path / "not_utf8.cfg"
+    not_utf8.write_bytes(b"dim=2\nq=\xff\n")
+    code, _, err = _run(capsys, ["simulate", "--config", str(not_utf8)])
+    assert code == 2 and err.startswith("error: cannot read config") and err.count("\n") == 1
 
 
 def test_bad_config_files_exit_2(capsys, tmp_path):
@@ -301,3 +327,12 @@ def test_verify_reports_and_exit_codes(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["verify", "--dims", "2"])
     assert code == 3
     assert "FAIL" in out and "1 failures" in out
+
+
+def test_verify_matches_its_golden_byte_for_byte(capsys):
+    # a batched product that reordered one summation would move a printed
+    # max_err by an ulp; this pins the whole report
+    golden = (GOLDEN / "readme-cli" / "verify-2-19.txt").read_text(encoding="utf-8")
+    code, out, _ = _run(capsys, ["verify", "--dims", "2..7,13,19"])
+    assert code == 0
+    assert out == golden

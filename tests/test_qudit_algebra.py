@@ -7,7 +7,6 @@ from quditkd.qudit_algebra import (
     WeylIndex,
     basis_for,
     bell_matrix,
-    bell_state,
     commutator_phase,
     is_prime,
     weyl_operator,
@@ -48,6 +47,38 @@ def test_weyl_index_range_checked():
         weyl_operator(Dim(3), WeylIndex(0, -1))
 
 
+@pytest.mark.parametrize("d", [2, 3, 6, 13])
+def test_stacked_index_equals_single_index_calls(d):
+    dim = Dim(d)
+    rng = np.random.default_rng(d)
+    j, k, j2, k2 = rng.integers(0, d, size=(4, 3, 5))
+    for build in (weyl_operator, bell_matrix):
+        stack = build(dim, WeylIndex(j, k))
+        assert stack.shape == (3, 5, d, d)
+        for n in np.ndindex(3, 5):
+            assert np.array_equal(stack[n], build(dim, WeylIndex(int(j[n]), int(k[n]))))
+    phases = commutator_phase(dim, WeylIndex(j, k), WeylIndex(j2, k2))
+    assert phases.shape == (3, 5)
+    for n in np.ndindex(3, 5):
+        a, b = WeylIndex(int(j[n]), int(k[n])), WeylIndex(int(j2[n]), int(k2[n]))
+        assert phases[n] == commutator_phase(dim, a, b)
+
+
+def test_stacked_index_range_checked():
+    dim = Dim(3)
+    good = np.array([0, 1, 2, 2, 1, 0])
+    assert weyl_operator(dim, WeylIndex(good, good)).shape == (6, 3, 3)
+    for bad in ([0, 1, 2, 3, 0, 1], [0, 1, -1, 2, 0, 1]):
+        bad = np.array(bad)
+        for idx in (WeylIndex(bad, good), WeylIndex(good, bad)):
+            with pytest.raises(ValueError):
+                weyl_operator(dim, idx)
+            with pytest.raises(ValueError):
+                bell_matrix(dim, idx)
+            with pytest.raises(ValueError):
+                commutator_phase(dim, WeylIndex(good, good), idx)
+
+
 def test_unitarity_all_dims_up_to_20():
     for d in range(2, 21):
         dim = Dim(d)
@@ -78,13 +109,13 @@ def test_commutation_matrix_identity_random_pairs():
 
 
 def test_bell_state_examples():
-    phi00 = bell_state(Dim(2), WeylIndex(0, 0))
+    phi00 = bell_matrix(Dim(2), WeylIndex(0, 0)).reshape(-1)
     assert np.allclose(phi00, np.array([1, 0, 0, 1]) / np.sqrt(2))
     # singlet up to a global phase
     singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
-    overlap = abs(np.vdot(singlet, bell_state(Dim(2), WeylIndex(1, 1))))
+    overlap = abs(np.vdot(singlet, bell_matrix(Dim(2), WeylIndex(1, 1)).reshape(-1)))
     assert overlap == pytest.approx(1.0, abs=1e-12)
-    phi10 = bell_state(Dim(3), WeylIndex(1, 0))
+    phi10 = bell_matrix(Dim(3), WeylIndex(1, 0)).reshape(-1)
     expect = np.zeros(9)
     expect[[1, 5, 6]] = 1 / np.sqrt(3)  # |01>, |12>, |20>
     assert np.allclose(phi10, expect)
@@ -94,7 +125,7 @@ def test_bell_state_examples():
 def test_bell_orthonormality(d):
     dim = Dim(d)
     vecs = np.stack(
-        [bell_state(dim, WeylIndex(j, k)) for j in range(d) for k in range(d)]
+        [bell_matrix(dim, WeylIndex(j, k)).reshape(-1) for j in range(d) for k in range(d)]
     )
     gram = vecs.conj() @ vecs.T
     assert np.abs(gram - np.eye(d * d)).max() <= 1e-10

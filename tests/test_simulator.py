@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import joint_table_per_state
+
 from quditkd.channels import BellSpectrum, depolarizing_spectrum, q_from_lambda
 from quditkd.errors import DimensionTooLarge, InvalidDistribution
 from quditkd.protocol import Family, ProtocolSpec, protocol_bases
@@ -65,6 +67,18 @@ def test_joint_tables_reproduce_analytic_error_vectors(d):
             table = joint_outcome_distribution(spec.dim, spectrum, basis)
             assert abs(table.sum() - 1.0) < 1e-10
             assert np.allclose(difference_marginal(table), analytic[i], atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 11])
+def test_joint_tables_equal_the_per_state_sum(d):
+    # the stacked table keeps the per-state loop's summation order exactly
+    rng = np.random.default_rng(d)
+    spec = ProtocolSpec(Family.DPLUS1, d)
+    spectra = (_random_spectrum(d, rng), depolarizing_spectrum(spec.dim, 0.05), _pure(d, 1, d - 1))
+    for spectrum in spectra:
+        for basis in protocol_bases(spec):
+            table = joint_outcome_distribution(spec.dim, spectrum, basis)
+            assert np.array_equal(table, joint_table_per_state(spec.dim, spectrum, basis))
 
 
 def test_exact_path_dimension_cap():

@@ -3,7 +3,7 @@ import pytest
 
 import quditkd.verification as verification
 from quditkd.qudit_algebra import Dim
-from quditkd.verification import CheckResult, check_unitarity, run_suite
+from quditkd.verification import CheckResult, check_bell_orthonormality, check_unitarity, run_suite
 
 
 def test_suite_passes_across_dimensions():
@@ -34,5 +34,17 @@ def test_fault_injection_is_caught(monkeypatch):
 
     monkeypatch.setattr(verification, "weyl_operator", crooked)
     result = check_unitarity(Dim(3))
+    assert not result.passed
+    assert result.max_err > 1e-7
+
+    original_bell = verification.bell_matrix
+
+    def crooked_bell(dim, idx):
+        f = np.array(original_bell(dim, idx), copy=True)
+        f[0, 0] += 1e-6
+        return f
+
+    monkeypatch.setattr(verification, "bell_matrix", crooked_bell)
+    result = check_bell_orthonormality(Dim(3))
     assert not result.passed
     assert result.max_err > 1e-7
