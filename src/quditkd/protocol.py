@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import NonPrimeDimension
 from .qudit_algebra import Basis, Dim, WeylIndex, basis_for
@@ -40,7 +41,7 @@ class ProtocolSpec:
                 f"d={self.dim.d} is composite"
             )
 
-    @property
+    @cached_property  # the finite-key rate reads n_bases on every evaluation
     def basis_indices(self) -> tuple[WeylIndex, ...]:
         if self.family is Family.TWO_BASIS:
             return (KEY_BASIS, WeylIndex(1, 0))

@@ -15,12 +15,13 @@ except with probability eps_PE, and the rate reads
                   - (2 log2 d + 3) sqrt(log2(2/eps_bar)/n) ],
 
 floored at zero. The total failure probability is
-eps_EC + eps_PA + n_PE * eps_PE + eps_bar <= eps.
+eps_EC + eps_PA + n_PE * eps_PE + eps_bar <= eps, where n_PE is the number
+of estimated bases, `ProtocolSpec.n_bases`.
 
 Worst-case statistics place the fluctuation budget xi on the error
 coordinates; three splits are supported. "equal" (the default, and the
 more conservative of the two extremes) spreads xi/2 evenly, "single" puts
-xi/2 on one coordinate, and "brute" puts xi/2 on every coordinate at once,
+xi/2 on error coordinate 1, and "brute" puts xi/2 on every coordinate at once,
 which overshoots the total-variation budget and is known to be overly
 pessimistic.
 
@@ -33,16 +34,20 @@ to the one adversary kernel, `rates_asymptotic.adversary_information_rows`.
 
 The shift and the kernel work on stacks of K rows and report saturation as
 a mask. One function, `_worst_case_holevo_rows`, shifts the nominal rows
-and calls the kernel: `r_finite` runs it on one radius pair and reads the
-mask as a zero-rate report, and the optimizer's coarse pass (61 budget
-shares x 99 values of p01) runs it once for the whole grid, in chunks of
-_CHUNK_ROWS rows, so every cell equals its scalar r_N exactly.
-`worst_case_vector` is the validated public entry point to the shift alone;
-it calls the shift with K = 1 and turns the mask into SaturatedStatistics.
+and calls the kernel, in chunks of _CHUNK_ROWS rows. One function,
+`_rates`, evaluates r_N on a block of (budget share x p01) cells in one
+array pass: it computes xi with `math` once per distinct (m, eps_PE), the
+worst case once per distinct (eps_PE, m_key, m_check), and the rate terms
+by broadcasting. `r_finite` is that block at one cell, and the optimizer's
+coarse pass is the block of 61 budget shares x 99 values of p01, so every
+grid cell equals its scalar r_N exactly. `worst_case_vector` is the
+validated public entry point to the shift alone; it calls the shift with
+K = 1 and turns the mask into SaturatedStatistics.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -57,6 +62,7 @@ from .rates_asymptotic import adversary_information_rows
 
 SATURATION_TOL = 1e-12
 _CHUNK_ROWS = 256  # worst-case rows per array pass; bounds memory at any grid size
+_TERMS = ("holevo_worst", "h_ab", "ec_term", "pa_term", "smooth_term", "smooth_coefficient")
 
 
 class FluxMode(str, Enum):
@@ -74,9 +80,7 @@ def xi(m: int, spec_dim_d: int, eps_pe: float) -> float:
     return math.sqrt((2.0 * math.log(1.0 / eps_pe) + 2.0 * spec_dim_d * math.log(m + 1.0)) / m)
 
 
-def _shift_rows(
-    q: np.ndarray, xi_vals: np.ndarray, mode: FluxMode, coordinate: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
+def _shift_rows(q: np.ndarray, xi_vals: np.ndarray, mode: FluxMode) -> tuple[np.ndarray, np.ndarray]:
     """Corner shift of each row of q (K, d) by its own radius xi_vals[i].
 
     Unchecked kernel behind `worst_case_vector`: returns the shifted rows and
@@ -90,8 +94,8 @@ def _shift_rows(
     deltas = np.zeros((k, d))
     if mode is FluxMode.SINGLE:
         delta = xi_vals / 2.0
-        deltas[:, coordinate] = delta
-        largest = q[:, coordinate]
+        deltas[:, 1] = delta
+        largest = q[:, 1]
     else:
         delta = xi_vals / (2.0 * (d - 1)) if mode is FluxMode.EQUAL else xi_vals / 2.0
         deltas[:, 1:] = delta[:, None]
@@ -114,16 +118,11 @@ def _shift_rows(
     return bumped, saturated
 
 
-def worst_case_vector(
-    q: np.ndarray,
-    xi_val: float,
-    mode: FluxMode = FluxMode.EQUAL,
-    coordinate: int = 1,
-) -> np.ndarray:
+def worst_case_vector(q: np.ndarray, xi_val: float, mode: FluxMode = FluxMode.EQUAL) -> np.ndarray:
     """Shift an error vector to the adversarial corner of its xi-ball.
 
     Error coordinates are raised (equal split: xi/(2(d-1)) each; single:
-    xi/2 on `coordinate`; brute: xi/2 on all) and the no-error coordinate
+    xi/2 on coordinate 1; brute: xi/2 on all) and the no-error coordinate
     rebalances the total. If it would go negative the statistics are
     saturated and no key can be certified. `q` is validated here; the
     result is a fresh array.
@@ -135,11 +134,7 @@ def worst_case_vector(
     """
     if not xi_val >= 0.0:
         raise OutOfRange(f"xi must be nonnegative, got {xi_val!r}")
-    q = as_prob_vector(q)
-    d = q.size
-    if not 1 <= coordinate < d:
-        raise OutOfRange(f"coordinate {coordinate} is not an error class for d={d}")
-    bumped, saturated = _shift_rows(q[None], np.array([xi_val]), mode, coordinate)
+    bumped, saturated = _shift_rows(as_prob_vector(q)[None], np.array([xi_val]), mode)
     if saturated[0]:
         raise SaturatedStatistics(f"xi={xi_val!r} drives q[0] below zero; noise estimate unusable")
     return bumped[0]
@@ -147,12 +142,15 @@ def worst_case_vector(
 
 @dataclass(frozen=True)
 class FiniteKeyBudget:
-    """Total signals and failure-probability budget for one protocol run."""
+    """Total signals and failure-probability budget for one protocol run.
+
+    The number n_PE of parameter-estimation failures charged to the budget
+    is the protocol's number of bases, read from the `ProtocolSpec`.
+    """
 
     n_signals: int
     eps: float
     eps_ec: float
-    n_pe: int
 
     def __post_init__(self) -> None:
         if not self.n_signals >= 1:
@@ -161,14 +159,6 @@ class FiniteKeyBudget:
             raise OutOfRange(f"eps={self.eps!r} outside (0, 1)")
         if not (0.0 < self.eps_ec < self.eps):
             raise OutOfRange(f"eps_EC={self.eps_ec!r} must lie in (0, eps)")
-        if not self.n_pe >= 1:
-            raise OutOfRange(f"n_PE must be positive, got {self.n_pe}")
-
-    @classmethod
-    def for_protocol(
-        cls, spec: ProtocolSpec, n_signals: int, eps: float, eps_ec: float
-    ) -> "FiniteKeyBudget":
-        return cls(n_signals=n_signals, eps=eps, eps_ec=eps_ec, n_pe=spec.n_bases)
 
 
 @dataclass(frozen=True)
@@ -199,12 +189,12 @@ class FiniteRateReport:
     degenerate: bool = False
 
 
-def _check_budget(budget: FiniteKeyBudget, params: FreeParams) -> None:
-    used = budget.eps_ec + params.eps_pa + budget.n_pe * params.eps_pe + params.eps_bar
+def _check_budget(spec: ProtocolSpec, budget: FiniteKeyBudget, params: FreeParams) -> None:
+    used = budget.eps_ec + params.eps_pa + spec.n_bases * params.eps_pe + params.eps_bar
     if used > budget.eps * (1.0 + 1e-9):
         raise InfeasibleParams(
             f"failure budget {used!r} exceeds eps={budget.eps!r} "
-            f"(n_PE={budget.n_pe})"
+            f"(n_PE={spec.n_bases})"
         )
 
 
@@ -215,14 +205,6 @@ def _sample_sizes(spec: ProtocolSpec, n_signals: int, p01: float) -> tuple[int, 
     p1k = (1.0 - p01) / spec.dim.d
     m1k = math.floor(n_signals * p1k * p1k)
     return n, (n,) + (m1k,) * spec.dim.d
-
-
-def _zero_report(params: FreeParams, n: int, ms: tuple[int, ...], *, saturated: bool = False,
-                 degenerate: bool = False) -> FiniteRateReport:
-    return FiniteRateReport(
-        r_n=0.0, n=n, m_per_basis=ms, params=params, terms={},
-        saturated=saturated, degenerate=degenerate,
-    )
 
 
 def _worst_case_holevo_rows(
@@ -263,25 +245,70 @@ def _worst_case_holevo_rows(
     return info, saturated
 
 
-def _rate(d: int, frac, n, i_e, h_ab: float, ec_log: float, pa_log, bar_log):
-    """Unfloored r_N and its penalty terms; every argument broadcasts.
+def _distinct(values: list) -> tuple[list, np.ndarray]:
+    """The distinct values in first-seen order, and each value's position."""
+    ids: dict = {}
+    positions = [ids.setdefault(v, len(ids)) for v in values]
+    return list(ids), np.array(positions)
 
-    The logarithms of the failure budgets come in precomputed with `math`,
-    so one cell and a whole grid of cells run the same float operations.
+
+def _rates(
+    spec: ProtocolSpec, q: float, budget: FiniteKeyBudget, per_share: list[FreeParams],
+    p01s, mode: FluxMode,
+) -> tuple[np.ndarray, dict, list, np.ndarray, np.ndarray]:
+    """r_N of every (budget share i, p01 j) cell in one array pass.
+
+    Row i takes its failure budgets from per_share[i] (its p01 is not read)
+    and column j its sample sizes from p01s[j]. Returns, in order: the
+    unfloored r_N, shape (S, P); its terms, each broadcasting to (S, P);
+    the (n, m_per_basis) of each p01; a (P,) mask of the degenerate columns,
+    where some basis keeps no sample; and an (S, P) mask of the saturated
+    cells. A cell with either flag has no rate: its r_N reads 0 and its
+    terms carry no meaning.
+
+    xi is computed with `math` once per distinct (m, eps_PE) pair and the
+    worst case once per distinct (eps_PE, m_key, m_check); the terms are
+    broadcast from per-share and per-p01 scalars, so a cell's float
+    operations do not depend on the size of the block.
     """
+    d = spec.dim.d
+    dplus1 = spec.family is Family.DPLUS1
+    sizes = [_sample_sizes(spec, budget.n_signals, p01) for p01 in p01s]
+    # m_per_basis starts with n, so this also catches an empty key basis
+    degenerate = np.array([min(ms) == 0 for _, ms in sizes])
+    if degenerate.all():  # the optimizer's refine phases hit this at small N
+        raw = np.zeros((len(per_share), len(p01s)))
+        return raw, dict.fromkeys(_TERMS, raw), sizes, degenerate, np.zeros(raw.shape, dtype=bool)
+    # a degenerate column is evaluated as if each basis kept one sample,
+    # which keeps its arithmetic finite; its cells are masked at the end
+    key = [max(n, 1) for n, _ in sizes]
+    check = [max(ms[1], 1) for _, ms in sizes]
+    nominal = depolarizing_vector(spec.dim, q)
+
+    # a cell's worst case depends on its share through eps_PE and on its
+    # p01 through the sample sizes: evaluate each distinct combination once
+    eps_pe, eps_of = _distinct([p.eps_pe for p in per_share])
+    # only the (d+1)-basis bound reads the key sample size
+    pairs, pair_of = _distinct([(k if dplus1 else 0, c) for k, c in zip(key, check)])
+
+    def radii(column: int) -> np.ndarray:
+        ms, m_of = _distinct([pair[column] for pair in pairs])
+        return np.array([[xi(m, d, e) for m in ms] for e in eps_pe])[:, m_of].ravel()
+
+    info, sat = _worst_case_holevo_rows(spec, nominal, radii(0) if dplus1 else None, radii(1), mode)
+    cell = eps_of[:, None] * len(pairs) + pair_of  # positions in the flat worst-case tables
+    n = np.array([float(k) for k in key])
+    holevo_worst = info.take(cell)
+    h_ab = entropy_unchecked(nominal)
+    ec_term = math.log2(2.0 / budget.eps_ec) / n
+    pa_term = 2.0 * np.array([[math.log2(1.0 / p.eps_pa)] for p in per_share]) / n
     smooth_coefficient = 2.0 * math.log2(d) + 3.0
-    ec_term = ec_log / n
-    pa_term = 2.0 * pa_log / n
-    smooth_term = smooth_coefficient * np.sqrt(bar_log / n)
-    raw = frac * (math.log2(d) - i_e - h_ab - ec_term - pa_term - smooth_term)
-    return raw, {
-        "holevo_worst": i_e,
-        "h_ab": h_ab,
-        "ec_term": ec_term,
-        "pa_term": pa_term,
-        "smooth_term": smooth_term,
-        "smooth_coefficient": smooth_coefficient,
-    }
+    smooth_term = smooth_coefficient * np.sqrt(np.array([[math.log2(2.0 / p.eps_bar)] for p in per_share]) / n)
+    frac = np.array([k / budget.n_signals for k in key])
+    rate = frac * (math.log2(d) - holevo_worst - h_ab - ec_term - pa_term - smooth_term)
+    saturated = sat.take(cell) & ~degenerate
+    terms = dict(zip(_TERMS, (holevo_worst, h_ab, ec_term, pa_term, smooth_term, smooth_coefficient)))
+    return np.where(saturated | degenerate, 0.0, rate), terms, sizes, degenerate, saturated
 
 
 def r_finite(
@@ -294,29 +321,20 @@ def r_finite(
     """Finite-key rate for a depolarizing channel at error rate Q.
 
     Error correction is charged at the nominal (observed) error vector; only
-    the adversary bound takes the statistical worst case. Zero-sample
-    configurations and saturated statistics yield r_N = 0 with the matching
-    flag and an empty term breakdown.
+    the adversary bound takes the statistical worst case. This is `_rates`
+    on a block of one cell, floored at zero. Zero-sample configurations and
+    saturated statistics yield r_N = 0 with the matching flag and an empty
+    term breakdown.
     """
-    _check_budget(budget, params)
-    n, ms = _sample_sizes(spec, budget.n_signals, params.p01)
-    if n == 0 or min(ms) == 0:
-        return _zero_report(params, n, ms, degenerate=True)
-    d = spec.dim.d
-    nominal = depolarizing_vector(spec.dim, q)
-    xi_check = np.array([xi(ms[1], d, params.eps_pe)])
-    xi_key = np.array([xi(ms[0], d, params.eps_pe)]) if spec.family is Family.DPLUS1 else None
-    info, saturated = _worst_case_holevo_rows(spec, nominal, xi_key, xi_check, mode)
-    if saturated[0]:
-        return _zero_report(params, n, ms, saturated=True)
-    raw, terms = _rate(
-        d, n / budget.n_signals, n, float(info[0]), entropy_unchecked(nominal),
-        math.log2(2.0 / budget.eps_ec), math.log2(1.0 / params.eps_pa),
-        math.log2(2.0 / params.eps_bar),
-    )
+    _check_budget(spec, budget, params)
+    raw, terms, sizes, degenerate, saturated = _rates(spec, q, budget, [params], [params.p01], mode)
+    n, ms = sizes[0]
+    has_rate = not (degenerate[0] or saturated[0, 0])
     return FiniteRateReport(
-        r_n=max(float(raw), 0.0), n=n, m_per_basis=ms, params=params,
-        terms={key: float(value) for key, value in terms.items()},
+        r_n=max(float(raw[0, 0]), 0.0), n=n, m_per_basis=ms, params=params,
+        # each term of a one-cell block holds exactly one value
+        terms={name: np.asarray(value).item() for name, value in terms.items()} if has_rate else {},
+        saturated=bool(saturated[0, 0]), degenerate=bool(degenerate[0]),
     )
 
 
@@ -332,6 +350,7 @@ _P01_TOL = 1e-4
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+@functools.cache
 def _share_grid() -> tuple[tuple[float, float, float], ...]:
     seen: dict[tuple[float, float, float], tuple[float, float, float]] = {}
     for w in itertools.product(_SHARE_WEIGHTS, repeat=3):
@@ -342,13 +361,13 @@ def _share_grid() -> tuple[tuple[float, float, float], ...]:
 
 
 def _params_from_shares(
-    budget: FiniteKeyBudget, p01: float, shares: tuple[float, float, float]
+    spec: ProtocolSpec, budget: FiniteKeyBudget, p01: float, shares: tuple[float, float, float]
 ) -> FreeParams:
     remaining = (budget.eps - budget.eps_ec) * _BUDGET_FILL
     return FreeParams(
         p01=p01,
         eps_pa=shares[0] * remaining,
-        eps_pe=shares[1] * remaining / budget.n_pe,
+        eps_pe=shares[1] * remaining / spec.n_bases,
         eps_bar=shares[2] * remaining,
     )
 
@@ -375,71 +394,12 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return best_x, best_f
 
 
-def _distinct(values: list) -> tuple[list, np.ndarray]:
-    """The distinct values in first-seen order, and each value's position."""
-    ids: dict = {}
-    positions = [ids.setdefault(v, len(ids)) for v in values]
-    return list(ids), np.array(positions)
-
-
-def _share_params(budget: FiniteKeyBudget) -> list[FreeParams]:
+def _share_params(spec: ProtocolSpec, budget: FiniteKeyBudget) -> list[FreeParams]:
     """The budget split of each coarse-grid share, checked against eps once."""
-    per_share = [_params_from_shares(budget, _P01_GRID[0], shares) for shares in _share_grid()]
+    per_share = [_params_from_shares(spec, budget, _P01_GRID[0], shares) for shares in _share_grid()]
     for params in per_share:
-        _check_budget(budget, params)
+        _check_budget(spec, budget, params)
     return per_share
-
-
-def _coarse_grid(
-    spec: ProtocolSpec, q: float, budget: FiniteKeyBudget, mode: FluxMode,
-    per_share: list[FreeParams] | None = None,
-) -> np.ndarray:
-    """r_N of every (budget share, p01) cell of the coarse grid in one array pass.
-
-    Cell [i, j] equals r_finite(..., _params_from_shares(budget,
-    _P01_GRID[j], _share_grid()[i]), mode).r_n bit for bit. xi is computed
-    with `math` once per distinct (m, eps_PE) pair and the worst case once
-    per distinct (eps_PE, m_key, m_check); the rate terms are broadcast from
-    per-share and per-p01 scalars through the same `_rate` arithmetic.
-    `per_share` is `_share_params(budget)`, built here when not passed in.
-    """
-    d = spec.dim.d
-    dplus1 = spec.family is Family.DPLUS1
-    if per_share is None:
-        per_share = _share_params(budget)
-    r_n = np.zeros((len(per_share), len(_P01_GRID)))
-    live, ns, samples = [], [], []
-    for j, p01 in enumerate(_P01_GRID):
-        n, ms = _sample_sizes(spec, budget.n_signals, p01)
-        if n > 0 and min(ms) > 0:
-            live.append(j)
-            ns.append(n)
-            # only the (d+1)-basis bound reads the key sample size
-            samples.append((ms[0] if dplus1 else 0, ms[1]))
-    if not live:
-        return r_n
-    nominal = depolarizing_vector(spec.dim, q)
-
-    # a cell's worst case depends on its share through eps_PE and on its
-    # p01 through the sample sizes: evaluate each distinct combination once
-    eps_pe, eps_of = _distinct([p.eps_pe for p in per_share])
-    pairs, pair_of = _distinct(samples)
-
-    def radii(column: int) -> np.ndarray:
-        sizes, size_of = _distinct([pair[column] for pair in pairs])
-        return np.array([[xi(m, d, e) for m in sizes] for e in eps_pe])[:, size_of].ravel()
-
-    info, saturated = _worst_case_holevo_rows(spec, nominal, radii(0) if dplus1 else None, radii(1), mode)
-    cell = (eps_of[:, None], pair_of[None, :])
-    raw, _ = _rate(
-        d, np.array([n / budget.n_signals for n in ns]), np.array([float(n) for n in ns]),
-        info.reshape(len(eps_pe), len(pairs))[cell], entropy_unchecked(nominal),
-        math.log2(2.0 / budget.eps_ec),
-        np.array([[math.log2(1.0 / p.eps_pa)] for p in per_share]),
-        np.array([[math.log2(2.0 / p.eps_bar)] for p in per_share]),
-    )
-    r_n[:, live] = np.where(saturated.reshape(len(eps_pe), len(pairs))[cell], 0.0, np.maximum(raw, 0.0))
-    return r_n
 
 
 def optimize_r_finite(
@@ -453,18 +413,19 @@ def optimize_r_finite(
     """Deterministic search for the best basis bias and budget split.
 
     Coarse pass: p01 on a 0.01 grid against a logarithmic simplex grid of
-    budget shares, 6,039 cells evaluated in one array pass (`_coarse_grid`,
-    equal to scalar `r_finite` cell by cell). The winner's p01 is refined by
-    golden section to 1e-4, then coordinate descent rescales one share at a
-    time (renormalizing) until the rate improves by less than 1e-9; these
-    two phases call `r_finite`, about a hundred times in all. Ties prefer
-    the smallest p01, then the lexicographically smallest (eps_PA, eps_PE,
-    eps_bar). One call takes 10-150 ms for d <= 11.
+    budget shares, 6,039 cells evaluated by `_rates` as one block and
+    floored here. The winner's p01 is refined by golden section to 1e-4,
+    then coordinate descent rescales one share at a time (renormalizing)
+    until the rate improves by less than 1e-9; these two phases call
+    `r_finite`, which is `_rates` at one cell, about a hundred times in
+    all, so every candidate's r_N comes from the same arithmetic. Ties
+    prefer the smallest p01, then the lexicographically smallest (eps_PA,
+    eps_PE, eps_bar). One call takes 10-150 ms for d <= 11.
     """
-    budget = FiniteKeyBudget.for_protocol(spec, n_signals, eps, eps_ec)
+    budget = FiniteKeyBudget(n_signals, eps, eps_ec)
 
     def evaluate(p01: float, shares: tuple[float, float, float]) -> FiniteRateReport:
-        return r_finite(spec, q, budget, _params_from_shares(budget, p01, shares), mode)
+        return r_finite(spec, q, budget, _params_from_shares(spec, budget, p01, shares), mode)
 
     def sort_key(report: FiniteRateReport) -> tuple:
         p = report.params
@@ -473,8 +434,8 @@ def optimize_r_finite(
     # the coarse winner is the first cell, in share-major order, with the
     # smallest sort_key; lexsort is stable and ranks by its last key first
     shares_grid = _share_grid()
-    per_share = _share_params(budget)
-    grid = _coarse_grid(spec, q, budget, mode, per_share)
+    per_share = _share_params(spec, budget)
+    grid = np.maximum(_rates(spec, q, budget, per_share, _P01_GRID, mode)[0], 0.0)
     columns = [
         np.repeat([getattr(p, name) for p in per_share], len(_P01_GRID))
         for name in ("eps_bar", "eps_pe", "eps_pa")

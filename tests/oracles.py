@@ -107,7 +107,9 @@ def r_finite_reference(spec: ProtocolSpec, q: float, budget, params, mode) -> tu
     sample size: m_key = floor(N p01^2), and m = floor(N (1 - p01)^2) for the
     two-basis check basis or floor(N ((1 - p01)/d)^2) for each of the d
     (d+1)-basis check bases. The two-basis bound reads only the check basis,
-    so its key row stays nominal. The rate terms follow `_rate`'s float order.
+    so its key row stays nominal. The rate terms are evaluated in the float
+    order of `rates_finite._rates`, so equal inputs give equal bits; nothing
+    here calls `_rates`.
     """
     d = spec.dim.d
     n_signals, p01 = budget.n_signals, params.p01

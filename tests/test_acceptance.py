@@ -172,7 +172,7 @@ def test_criterion_08_smoothing_coefficient(capsys):
     coeffs = {}
     for d in (2, 5):
         spec = ProtocolSpec(Family.TWO_BASIS, d)
-        budget = FiniteKeyBudget.for_protocol(spec, 10**8, 1e-5, 1e-10)
+        budget = FiniteKeyBudget(10**8, 1e-5, 1e-10)
         rep = r_finite(spec, 0.05, budget, FreeParams(0.9, 1e-6, 1e-6, 1e-6))
         coeffs[d] = rep.terms["smooth_coefficient"]
     ok = coeffs[2] == 5.0 and abs(coeffs[5] - (2 * math.log2(5) + 3)) <= 1e-12 \

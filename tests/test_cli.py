@@ -1,7 +1,9 @@
 import argparse
 import csv
+import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,20 @@ import quditkd.verification
 from quditkd.cli import MAX_CONFIG_BYTES, MAX_DIM, MAX_N_POINTS, MAX_ROUNDS, main, parse_count, parse_dims, parse_q
 from quditkd.verification import CheckResult
 
-GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+GOLDEN = BENCH / "golden"
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded from its file without adding bench/ to sys.path."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+FINITE_KEY_REQUESTS = _bench_workloads().WORKLOADS["finite-key"].requests
 
 
 def _run(capsys, argv):
@@ -334,5 +349,15 @@ def test_verify_matches_its_golden_byte_for_byte(capsys):
     # max_err by an ulp; this pins the whole report
     golden = (GOLDEN / "readme-cli" / "verify-2-19.txt").read_text(encoding="utf-8")
     code, out, _ = _run(capsys, ["verify", "--dims", "2..7,13,19"])
+    assert code == 0
+    assert out == golden
+
+
+@pytest.mark.parametrize("request_", FINITE_KEY_REQUESTS, ids=lambda r: r.key)
+def test_finite_key_matches_its_golden_byte_for_byte(capsys, request_):
+    # one finite-key evaluator serves the coarse grid and the refine phases;
+    # a changed float operation in either would move a printed digit
+    golden = (GOLDEN / "finite-key" / f"{request_.golden_key}.csv").read_text(encoding="utf-8")
+    code, out, _ = _run(capsys, list(request_.argv))
     assert code == 0
     assert out == golden

@@ -1,8 +1,9 @@
 """The coarse grid of the finite-key optimizer, evaluated in one array pass.
 
-`_coarse_grid` must give every cell exactly the r_N of a scalar `r_finite`
-call with the same parameters, and `optimize_r_finite` must keep returning
-the reports it returned when the coarse pass was a loop of scalar calls (the
+`_rates` on the 61 x 99 grid must give every cell exactly the r_N and worst-
+case I_E of the per-basis reference `oracles.r_finite_reference`, which never
+goes through `_rates`, and `optimize_r_finite` must keep returning the
+reports it returned when the coarse pass was a loop of scalar calls (the
 pins below were recorded then), so every comparison here is `==`.
 """
 
@@ -10,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import r_finite_reference
 
 import quditkd.rates_finite as rates_finite
 from quditkd.channels import lambda_entries_from_q
@@ -44,11 +46,11 @@ GRID_CONFIGS = (
 )
 
 
-def _clipped(spec, nominal, report, mode):
+def _clipped(spec, nominal, sizes, eps_pe, mode):
     """Whether a cell's reconstructed spectrum has negative weight below the clamp tolerance."""
     d = spec.dim.d
-    check = worst_case_vector(nominal, xi(report.m_per_basis[1], d, report.params.eps_pe), mode)
-    key = worst_case_vector(nominal, xi(report.m_per_basis[0], d, report.params.eps_pe), mode)
+    check = worst_case_vector(nominal, xi(sizes[1], d, eps_pe), mode)
+    key = worst_case_vector(nominal, xi(sizes[0], d, eps_pe), mode)
     lam = lambda_entries_from_q(key[None], np.broadcast_to(check, (d, d))[None])
     return 0.0 < -lam[lam < 0.0].sum() <= CLAMP_MASS_TOL
 
@@ -56,27 +58,30 @@ def _clipped(spec, nominal, report, mode):
 @pytest.mark.parametrize("family, mode, d, n_signals", GRID_CONFIGS)
 def test_coarse_grid_equals_scalar_r_finite(family, mode, d, n_signals):
     spec = ProtocolSpec(family, d)
-    budget = FiniteKeyBudget.for_protocol(spec, n_signals, 1e-5, 1e-10)
-    grid = rates_finite._coarse_grid(spec, 0.05, budget, mode)
+    budget = FiniteKeyBudget(n_signals, 1e-5, 1e-10)
+    per_share = rates_finite._share_params(spec, budget)
+    raw, terms, sizes, degenerate, saturated = rates_finite._rates(
+        spec, 0.05, budget, per_share, rates_finite._P01_GRID, mode
+    )
+    grid = np.maximum(raw, 0.0)
     nominal = depolarizing_vector(spec.dim, 0.05)
     clipping = (family, mode, d, n_signals) == (DPLUS1, SINGLE, 11, 10**7)
-    seen = {"degenerate": 0, "saturated": 0, "positive": 0, "clipped": 0}
+    seen = {"positive": 0, "clipped": 0}
     for i, shares in enumerate(rates_finite._share_grid()):
         for j, p01 in enumerate(rates_finite._P01_GRID):
-            params = rates_finite._params_from_shares(budget, p01, shares)
-            report = r_finite(spec, 0.05, budget, params, mode)
-            assert grid[i, j] == report.r_n, (shares, p01)
-            seen["degenerate"] += report.degenerate
-            seen["saturated"] += report.saturated
-            seen["positive"] += report.r_n > 0.0
-            if clipping and report.terms:
-                seen["clipped"] += _clipped(spec, nominal, report, mode)
+            params = rates_finite._params_from_shares(spec, budget, p01, shares)
+            no_rate = degenerate[j] or saturated[i, j]
+            cell = (grid[i, j], None if no_rate else terms["holevo_worst"][i, j])
+            assert cell == r_finite_reference(spec, 0.05, budget, params, mode), (shares, p01)
+            seen["positive"] += grid[i, j] > 0.0
+            if clipping and not no_rate:
+                seen["clipped"] += _clipped(spec, nominal, sizes[j][1], params.eps_pe, mode)
     assert grid.shape == (61, 99)
     assert seen["clipped"] > 0 or not clipping
     if n_signals <= 10**5:
-        assert seen["saturated"] > 0
+        assert saturated.any()
     if n_signals == 10**3:
-        assert seen["degenerate"] > 0 and seen["positive"] == 0
+        assert degenerate.any() and seen["positive"] == 0
     else:
         assert seen["positive"] > 0
 
@@ -142,12 +147,13 @@ def test_coarse_pass_memory_is_bounded_at_the_largest_dimension():
     # the worst-case rows run in fixed-size chunks; unchunked, the 6,039
     # cells at d = 31 would hold hundreds of MB of temporaries at once
     spec = ProtocolSpec(DPLUS1, 31)
-    budget = FiniteKeyBudget.for_protocol(spec, 10**12, 1e-5, 1e-10)
+    budget = FiniteKeyBudget(10**12, 1e-5, 1e-10)
     tracemalloc.start()
     try:
-        grid = rates_finite._coarse_grid(spec, 0.05, budget, EQUAL)
+        per_share = rates_finite._share_params(spec, budget)
+        raw = rates_finite._rates(spec, 0.05, budget, per_share, rates_finite._P01_GRID, EQUAL)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.all(grid > 0.0)
+    assert np.all(raw > 0.0)
     assert peak <= 32 * 2**20

@@ -60,8 +60,6 @@ def test_worst_case_vector_examples():
     assert np.allclose(worst_case_vector(_q([0.95, 0.05]), 0.02), [0.94, 0.06])
     got = worst_case_vector(_q([0.94, 0.03, 0.03]), 0.04)
     assert np.allclose(got, [0.92, 0.04, 0.04])
-    single = worst_case_vector(_q([0.94, 0.03, 0.03]), 0.04, FluxMode.SINGLE, coordinate=2)
-    assert np.allclose(single, [0.92, 0.03, 0.05])
     brute = worst_case_vector(_q([0.94, 0.03, 0.03]), 0.04, FluxMode.BRUTE)
     assert np.allclose(brute, [0.90, 0.05, 0.05])
 
@@ -90,8 +88,6 @@ def test_worst_case_vector_validates_arguments():
     with pytest.raises(OutOfRange):
         worst_case_vector(_q([0.9, 0.1]), -0.1)
     with pytest.raises(OutOfRange):
-        worst_case_vector(_q([0.9, 0.05, 0.05]), 0.1, FluxMode.SINGLE, coordinate=3)
-    with pytest.raises(OutOfRange):
         worst_case_vector(_q([0.9, 0.1]), float("nan"))
 
 
@@ -101,27 +97,34 @@ def test_free_params_and_budget_reject_nan(field):
     params[field] = float("nan")
     with pytest.raises(OutOfRange):
         FreeParams(*params)
-    budget = [10**6, 1e-5, 1e-10, 2]
-    budget[field] = float("nan")
-    with pytest.raises(OutOfRange):
-        FiniteKeyBudget(*budget)
+    budget = [10**6, 1e-5, 1e-10]
+    if field < len(budget):
+        budget[field] = float("nan")
+        with pytest.raises(OutOfRange):
+            FiniteKeyBudget(*budget)
 
 
 def test_budget_feasibility_enforced():
     spec = ProtocolSpec(Family.TWO_BASIS, 2)
-    budget = FiniteKeyBudget.for_protocol(spec, 10**6, 1e-5, 1e-10)
-    assert budget.n_pe == 2
-    assert FiniteKeyBudget.for_protocol(ProtocolSpec(Family.DPLUS1, 5), 10, 1e-5, 1e-10).n_pe == 6
+    budget = FiniteKeyBudget(10**6, 1e-5, 1e-10)
     bad = FreeParams(p01=0.8, eps_pa=5e-6, eps_pe=2e-6, eps_bar=2e-6)  # sums past eps
     with pytest.raises(InfeasibleParams):
         r_finite(spec, 0.05, budget, bad)
     with pytest.raises(OutOfRange):
-        FiniteKeyBudget(10**6, 1e-5, 2e-5, 2)  # eps_EC above eps
+        FiniteKeyBudget(10**6, 1e-5, 2e-5)  # eps_EC above eps
+
+
+def test_budget_charges_eps_pe_once_per_basis_of_the_spec():
+    # 1e-10 + 1e-6 + 6 * 4e-6 + 1e-6 = 2.6e-5 > eps: the six dplus1 bases
+    # each spend eps_PE, although one basis alone would fit in eps
+    spec = ProtocolSpec(Family.DPLUS1, 5)
+    with pytest.raises(InfeasibleParams):
+        r_finite(spec, 0.05, FiniteKeyBudget(10**7, 1e-5, 1e-10), FreeParams(0.9, 1e-6, 4e-6, 1e-6))
 
 
 def test_r_finite_fixed_params_pin():
     spec = ProtocolSpec(Family.TWO_BASIS, 3)
-    budget = FiniteKeyBudget.for_protocol(spec, 10**6, 1e-5, 1e-10)
+    budget = FiniteKeyBudget(10**6, 1e-5, 1e-10)
     params = FreeParams(p01=0.8, eps_pa=1e-6, eps_pe=1e-6, eps_bar=1e-6)
     rep = r_finite(spec, 0.05, budget, params)
     assert rep.r_n == pytest.approx(0.4858000064054474, rel=1e-12)
@@ -131,7 +134,7 @@ def test_r_finite_fixed_params_pin():
 def test_r_finite_term_reconstruction():
     for family, d in ((Family.TWO_BASIS, 2), (Family.TWO_BASIS, 5), (Family.DPLUS1, 5)):
         spec = ProtocolSpec(family, d)
-        budget = FiniteKeyBudget.for_protocol(spec, 10**7, 1e-5, 1e-10)
+        budget = FiniteKeyBudget(10**7, 1e-5, 1e-10)
         params = FreeParams(p01=0.85, eps_pa=1e-6, eps_pe=1e-7, eps_bar=1e-6)
         rep = r_finite(spec, 0.05, budget, params)
         assert rep.r_n > 0
@@ -145,14 +148,14 @@ def test_r_finite_term_reconstruction():
 def test_smooth_coefficient_is_2log2d_plus_3():
     for d, expect in ((2, 5.0), (5, 2 * math.log2(5) + 3)):
         spec = ProtocolSpec(Family.TWO_BASIS, d)
-        budget = FiniteKeyBudget.for_protocol(spec, 10**8, 1e-5, 1e-10)
+        budget = FiniteKeyBudget(10**8, 1e-5, 1e-10)
         rep = r_finite(spec, 0.05, budget, FreeParams(0.9, 1e-6, 1e-6, 1e-6))
         assert rep.terms["smooth_coefficient"] == pytest.approx(expect, abs=1e-12)
 
 
 def test_degenerate_sampling_reports_zero():
     spec = ProtocolSpec(Family.TWO_BASIS, 2)
-    budget = FiniteKeyBudget.for_protocol(spec, 1000, 1e-5, 1e-10)
+    budget = FiniteKeyBudget(1000, 1e-5, 1e-10)
     rep = r_finite(spec, 0.05, budget, FreeParams(0.01, 1e-6, 1e-6, 1e-6))
     assert rep.r_n == 0.0 and rep.degenerate and not rep.terms
 
@@ -161,7 +164,7 @@ def test_saturated_statistics_reports_zero():
     # tiny check-basis sample at high dimension: the fluctuation radius
     # exceeds the whole no-error weight
     spec = ProtocolSpec(Family.TWO_BASIS, 2)
-    budget = FiniteKeyBudget.for_protocol(spec, 100, 1e-2, 1e-4)
+    budget = FiniteKeyBudget(100, 1e-2, 1e-4)
     rep = r_finite(spec, 0.4, budget, FreeParams(0.8, 1e-3, 1e-3, 1e-3))
     assert rep.r_n == 0.0 and rep.saturated
 
@@ -169,7 +172,7 @@ def test_saturated_statistics_reports_zero():
 def test_large_n_fixed_params_approach_scaled_asymptote():
     spec = ProtocolSpec(Family.TWO_BASIS, 3)
     p01 = 0.9
-    budget = FiniteKeyBudget.for_protocol(spec, 10**12, 1e-5, 1e-10)
+    budget = FiniteKeyBudget(10**12, 1e-5, 1e-10)
     rep = r_finite(spec, 0.05, budget, FreeParams(p01, 1e-6, 1e-6, 1e-6))
     target = p01**2 * r_infinity(spec, 0.05).r_inf
     assert rep.r_n == pytest.approx(target, rel=2e-2)

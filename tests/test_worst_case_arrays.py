@@ -85,7 +85,7 @@ R_FINITE_PINS = (
 @pytest.mark.parametrize("family, mode, d, n, r_n, holevo, saturated", R_FINITE_PINS)
 def test_r_finite_fixed_params_exact(family, mode, d, n, r_n, holevo, saturated):
     spec = ProtocolSpec(family, d)
-    budget = FiniteKeyBudget.for_protocol(spec, n, 1e-5, 1e-10)
+    budget = FiniteKeyBudget(n, 1e-5, 1e-10)
     rep = r_finite(spec, 0.05, budget, PARAMS, mode)
     assert rep.r_n == r_n
     assert rep.terms.get("holevo_worst") == holevo
@@ -95,7 +95,7 @@ def test_r_finite_fixed_params_exact(family, mode, d, n, r_n, holevo, saturated)
 @pytest.mark.parametrize("family, mode, d, n, r_n, holevo, saturated", R_FINITE_PINS)
 def test_r_finite_equals_per_basis_reference(family, mode, d, n, r_n, holevo, saturated):
     spec = ProtocolSpec(family, d)
-    budget = FiniteKeyBudget.for_protocol(spec, n, 1e-5, 1e-10)
+    budget = FiniteKeyBudget(n, 1e-5, 1e-10)
     rep = r_finite(spec, 0.05, budget, PARAMS, mode)
     assert r_finite_reference(spec, 0.05, budget, PARAMS, mode) == (rep.r_n, rep.terms.get("holevo_worst"))
 
@@ -113,12 +113,10 @@ def _simplex_vectors(draw):
     q=_simplex_vectors(),
     xi_val=st.floats(0.0, 4.0) | st.floats(min_value=0.0),  # every mode saturates past 2
     mode=st.sampled_from(FluxMode),
-    data=st.data(),
 )
-def test_worst_case_vector_stays_on_simplex(q, xi_val, mode, data):
-    coordinate = data.draw(st.integers(1, q.size - 1))
+def test_worst_case_vector_stays_on_simplex(q, xi_val, mode):
     try:
-        got = worst_case_vector(q, xi_val, mode, coordinate)
+        got = worst_case_vector(q, xi_val, mode)
     except SaturatedStatistics:
         return
     assert got.shape == q.shape
@@ -142,7 +140,7 @@ def test_r_finite_shifts_at_most_two_vectors(monkeypatch, family, d, n_signals, 
 
     monkeypatch.setattr(rates_finite, "_shift_rows", counting)
     spec = ProtocolSpec(family, d)
-    r_finite(spec, 0.05, FiniteKeyBudget.for_protocol(spec, n_signals, 1e-5, 1e-10), PARAMS)
+    r_finite(spec, 0.05, FiniteKeyBudget(n_signals, 1e-5, 1e-10), PARAMS)
     assert sum(seen) == calls
 
 
