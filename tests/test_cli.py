@@ -25,7 +25,15 @@ def _bench_workloads():
     return module
 
 
-FINITE_KEY_REQUESTS = _bench_workloads().WORKLOADS["finite-key"].requests
+BENCH_WORKLOADS = _bench_workloads()
+FINITE_KEY_REQUESTS = BENCH_WORKLOADS.WORKLOADS["finite-key"].requests
+SIMULATE_REQUESTS = [
+    pytest.param(name, request.with_seed(seed), id=request.with_seed(seed).golden_key)
+    for name in ("readme-cli", "simulate-verify")
+    for request in BENCH_WORKLOADS.WORKLOADS[name].requests
+    if request.argv[0] == "simulate"
+    for seed in BENCH_WORKLOADS.SIM_SEEDS
+]
 
 
 def _run(capsys, argv):
@@ -361,3 +369,14 @@ def test_finite_key_matches_its_golden_byte_for_byte(capsys, request_):
     code, out, _ = _run(capsys, list(request_.argv))
     assert code == 0
     assert out == golden
+
+
+@pytest.mark.parametrize("workload, request_", SIMULATE_REQUESTS)
+def test_simulate_matches_its_golden_byte_for_byte(capsys, monkeypatch, workload, request_):
+    # the streamed basis labels must be the draws of one rng.choice call;
+    # one changed draw would move a matched count or a table cell
+    monkeypatch.chdir(BENCH.parent)  # the config request names its file from the repository root
+    golden = json.loads(BENCH_WORKLOADS.golden_path(workload, request_).read_text(encoding="utf-8"))
+    code, out, _ = _run(capsys, list(request_.argv))
+    assert code == 0
+    assert BENCH_WORKLOADS.json_view(json.loads(out)) == golden

@@ -165,3 +165,20 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         "sys.exit('scipy.stats' in sys.modules)"
     )
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_simulate_runs_without_scipy():
+    # the chi-square thresholds are a constant table: neither sampling path
+    # loads any part of scipy
+    src = str(Path(quditkd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from quditkd.cli import main\n"
+        "for d in ('2', '11', '13'):\n"
+        "    assert main(['simulate', '--dim', d, '--family', 'dplus1', '--q', '0.05',\n"
+        "                 '--rounds', '20000', '--seed', '3']) == 0\n"
+        "sys.exit('scipy' in sys.modules)"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -1,16 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import joint_table_per_state
 
 from quditkd.channels import BellSpectrum, depolarizing_spectrum, q_from_lambda
+from quditkd.cli import MAX_DIM
 from quditkd.errors import DimensionTooLarge, InvalidDistribution
 from quditkd.protocol import Family, ProtocolSpec, protocol_bases
 from quditkd.qudit_algebra import Dim, basis_for
 from quditkd.simulator import (
+    _CHUNK,
     CHI2_CONFIDENCE,
+    CHI2_THRESHOLDS,
     SimConfig,
     _chi_square_check,
+    _label_chunks,
     difference_marginal,
     joint_outcome_distribution,
     run_simulation,
@@ -99,6 +105,48 @@ def test_config_validation():
         SimConfig(spec, _pure(2), rounds=10, seed=1, basis_probs=(3.0, 1.0))
     cfg = SimConfig(spec, _pure(2), rounds=10, seed=1, basis_probs=(0.75, 0.25))
     assert cfg.basis_probs == (0.75, 0.25)
+
+
+def test_config_refuses_dimensions_beyond_the_threshold_table():
+    # a basis has up to d - 1 degrees of freedom; the table ends at the CLI's cap
+    assert len(CHI2_THRESHOLDS) + 1 == MAX_DIM
+    spec = ProtocolSpec(Family.DPLUS1, 37)
+    with pytest.raises(DimensionTooLarge):
+        SimConfig(spec, depolarizing_spectrum(spec.dim, 0.05), rounds=10, seed=1)
+    spec = ProtocolSpec(Family.TWO_BASIS, MAX_DIM)
+    SimConfig(spec, depolarizing_spectrum(spec.dim, 0.05), rounds=10, seed=1)
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+@pytest.mark.parametrize(
+    "probs",
+    [(0.0, 0.5, 0.25, 0.25), (0.3, 0.0, 0.7), (0.25, 0.25, 0.5, 0.0), (0.8, 0.2), tuple([1 / 12] * 12)],
+)
+def test_label_chunks_equal_one_generator_choice(n, probs):
+    # the streamed labels are the draws of one rng.choice call, and the
+    # generator is left where that call leaves it
+    p = np.asarray(probs)
+    streamed = np.random.Generator(np.random.Philox(key=2024))
+    reference = np.random.Generator(np.random.Philox(key=2024))
+    chunks = list(_label_chunks(streamed, p, n))
+    assert [start for start, _ in chunks] == list(range(0, n, _CHUNK))
+    labels = np.concatenate([lab for _, lab in chunks])
+    assert labels.dtype == np.uint8
+    assert np.array_equal(labels, reference.choice(p.size, size=n, p=p))
+    assert streamed.random() == reference.random()
+
+
+def test_run_memory_is_one_byte_per_round():
+    # 1e7 rounds keep one uint8 sender label each plus fixed-size chunks
+    spec = ProtocolSpec(Family.DPLUS1, 11)
+    cfg = SimConfig(spec, depolarizing_spectrum(spec.dim, 0.05), rounds=10**7, seed=7)
+    tracemalloc.start()
+    try:
+        run_simulation(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_run_determinism():
