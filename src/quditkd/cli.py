@@ -37,7 +37,7 @@ _TERM_KEYS = ("holevo_worst", "h_ab", "ec_term", "pa_term", "smooth_term", "smoo
 
 MAX_DIM = 32  # verify builds a d^2 x d^2 complex Gram matrix (16 MB at the cap)
 MAX_SWEEP = 10_000  # Q values in one asymptotic sweep
-MAX_N_POINTS = 50  # finite-key N values; each is one optimizer run (about 1 s at d = 31)
+MAX_N_POINTS = 50  # finite-key N values; each is one optimizer run (about 0.5 s at d = 31)
 MAX_ROUNDS = 10**7  # simulate rounds; bounds run time, which grows linearly with rounds
 MAX_CONFIG_BYTES = 65536  # simulate --config file; a real config is under 1 KB
 

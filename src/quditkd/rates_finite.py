@@ -36,11 +36,12 @@ The shift and the kernel work on stacks of K rows and report saturation as
 a mask. One function, `_worst_case_holevo_rows`, shifts the nominal rows
 and calls the kernel, in chunks of _CHUNK_ROWS rows. One function,
 `_rates`, evaluates r_N on a block of (budget share x p01) cells in one
-array pass: it computes xi with `math` once per distinct (m, eps_PE), the
-worst case once per distinct (eps_PE, m_key, m_check), and the rate terms
-by broadcasting. `r_finite` is that block at one cell, and the optimizer's
-coarse pass is the block of 61 budget shares x 99 values of p01, so every
-grid cell equals its scalar r_N exactly. `worst_case_vector` is the
+array pass: it takes xi's logarithms with `math` once per distinct eps_PE
+and m, the worst case once per distinct (eps_PE, m_key, m_check), and the
+rate terms by broadcasting. `r_finite` is that block at one cell, and the
+optimizer's coarse pass is the block of 61 budget shares x 99 values of
+p01, so every grid cell equals its scalar r_N exactly; its refine phases
+walk blocks of probes in the sequential order. `worst_case_vector` is the
 validated public entry point to the shift alone; it calls the shift with
 K = 1 and turns the mask into SaturatedStatistics.
 """
@@ -78,6 +79,14 @@ def xi(m: int, spec_dim_d: int, eps_pe: float) -> float:
     if not (0.0 < eps_pe < 1.0):
         raise OutOfRange(f"eps_PE={eps_pe!r} outside (0, 1)")
     return math.sqrt((2.0 * math.log(1.0 / eps_pe) + 2.0 * spec_dim_d * math.log(m + 1.0)) / m)
+
+
+def _xi_table(d: int, eps_pe: list[float], ms: list[int]) -> np.ndarray:
+    """Unchecked xi(m, d, e) for each e in eps_pe (rows) and m in ms (columns):
+    each logarithm once with `math`, combined in xi's operand order."""
+    by_eps = np.array([2.0 * math.log(1.0 / e) for e in eps_pe])
+    by_m = np.array([2.0 * d * math.log(m + 1.0) for m in ms])
+    return np.sqrt((by_eps[:, None] + by_m) / np.array(ms, dtype=float))
 
 
 def _shift_rows(q: np.ndarray, xi_vals: np.ndarray, mode: FluxMode) -> tuple[np.ndarray, np.ndarray]:
@@ -266,8 +275,8 @@ def _rates(
     cells. A cell with either flag has no rate: its r_N reads 0 and its
     terms carry no meaning.
 
-    xi is computed with `math` once per distinct (m, eps_PE) pair and the
-    worst case once per distinct (eps_PE, m_key, m_check); the terms are
+    xi's logarithms are taken with `math` once per distinct eps_PE and m,
+    the worst case once per distinct (eps_PE, m_key, m_check); the terms are
     broadcast from per-share and per-p01 scalars, so a cell's float
     operations do not depend on the size of the block.
     """
@@ -293,7 +302,7 @@ def _rates(
 
     def radii(column: int) -> np.ndarray:
         ms, m_of = _distinct([pair[column] for pair in pairs])
-        return np.array([[xi(m, d, e) for m in ms] for e in eps_pe])[:, m_of].ravel()
+        return _xi_table(d, eps_pe, ms)[:, m_of].ravel()
 
     info, sat = _worst_case_holevo_rows(spec, nominal, radii(0) if dplus1 else None, radii(1), mode)
     cell = eps_of[:, None] * len(pairs) + pair_of  # positions in the flat worst-case tables
@@ -348,6 +357,7 @@ _DESCENT_FACTORS = (4.0, 2.0, 1.25, 1.0 / 1.25, 0.5, 0.25)
 _DESCENT_TOL = 1e-9
 _P01_TOL = 1e-4
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_DEPTH = 4  # golden-section iterations whose probes one `_rates` block holds
 
 
 @functools.cache
@@ -372,25 +382,51 @@ def _params_from_shares(
     )
 
 
+def _golden_step(bracket: tuple, left: bool) -> tuple:
+    """One golden-section iteration on bracket (a, b, c, d), c < d; `left` keeps [a, d]."""
+    a, b, c, d_pt = bracket
+    return (a, d_pt, d_pt - _INVPHI * (d_pt - a), c) if left else (c, b, d_pt, c + _INVPHI * (b - c))
+
+
+def _golden_probes(bracket: tuple, known: dict, tol: float, depth: int) -> list[float]:
+    """The inner points of every bracket the next `depth` iterations from
+    `bracket` may reach: an iteration whose comparison `known` decides takes
+    its branch, any other takes both."""
+    a, b, c, d_pt = bracket
+    if depth == 0 or not b - a > tol:
+        return []
+    points = []
+    for left in (known[c] > known[d_pt],) if c in known and d_pt in known else (True, False):
+        narrowed = _golden_step(bracket, left)
+        points += [*narrowed[2:], *_golden_probes(narrowed, known, tol, depth - 1)]
+    return points
+
+
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization; returns (best_x, best_f) over all probes."""
-    best_x, best_f = max((lo, f(lo)), (hi, f(hi)), key=lambda probe: probe[1])
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d_pt = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d_pt)
-    while b - a > tol:
-        if fc > fd:
-            b, d_pt, fd = d_pt, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d_pt, fd
-            d_pt = a + _INVPHI * (b - a)
-            fd = f(d_pt)
-        for x, y in ((c, fc), (d_pt, fd)):
-            if y > best_f:
-                best_x, best_f = x, y
+    """Golden-section maximization; returns (best_x, best_f) over all probes.
+
+    f maps a list of points to their values. Each call takes every point the
+    next _GOLDEN_DEPTH iterations may probe, on both branches of each open
+    comparison, and the search walks the path those values choose, so its
+    probes and result are those of probing one point at a time.
+    """
+    known: dict[float, float] = {}
+
+    def evaluate(points: list[float]) -> None:
+        new = list(dict.fromkeys(x for x in points if x not in known))
+        known.update(zip(new, f(new)))
+
+    bracket = (lo, hi, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+    evaluate([*bracket, *_golden_probes(bracket, known, tol, _GOLDEN_DEPTH)])
+    best_x, best_f = max((lo, known[lo]), (hi, known[hi]), key=lambda probe: probe[1])
+    while bracket[1] - bracket[0] > tol:
+        narrowed = _golden_step(bracket, known[bracket[2]] > known[bracket[3]])
+        if not known.keys() >= set(narrowed[2:]):
+            evaluate(_golden_probes(bracket, known, tol, _GOLDEN_DEPTH))
+        bracket = narrowed
+        for x in bracket[2:]:
+            if known[x] > best_f:
+                best_x, best_f = x, known[x]
     return best_x, best_f
 
 
@@ -400,6 +436,28 @@ def _share_params(spec: ProtocolSpec, budget: FiniteKeyBudget) -> list[FreeParam
     for params in per_share:
         _check_budget(spec, budget, params)
     return per_share
+
+
+def _coarse_winner(spec: ProtocolSpec, q: float, budget: FiniteKeyBudget, mode: FluxMode) -> tuple[tuple, float]:
+    """Shares and p01 of the first coarse cell, in share-major order, with the
+    largest floored r_N, then the smallest p01, then (eps_PA, eps_PE, eps_bar)."""
+    shares_grid = _share_grid()
+    per_share = _share_params(spec, budget)
+    grid = np.maximum(_rates(spec, q, budget, per_share, _P01_GRID, mode)[0], 0.0)
+    columns = [
+        np.repeat([getattr(p, name) for p in per_share], len(_P01_GRID))
+        for name in ("eps_bar", "eps_pe", "eps_pa")
+    ]
+    # lexsort is stable and ranks by its last key first
+    order = np.lexsort(columns + [np.tile(_P01_GRID, len(shares_grid)), -grid.ravel()])
+    i, j = divmod(int(order[0]), len(_P01_GRID))
+    return shares_grid[i], _P01_GRID[j]
+
+
+def _rescaled(shares: tuple[float, ...], axis: int, factor: float) -> tuple[float, ...]:
+    scaled = [share * factor if i == axis else share for i, share in enumerate(shares)]
+    total = sum(scaled)
+    return tuple(share / total for share in scaled)
 
 
 def optimize_r_finite(
@@ -416,59 +474,58 @@ def optimize_r_finite(
     budget shares, 6,039 cells evaluated by `_rates` as one block and
     floored here. The winner's p01 is refined by golden section to 1e-4,
     then coordinate descent rescales one share at a time (renormalizing)
-    until the rate improves by less than 1e-9; these two phases call
-    `r_finite`, which is `_rates` at one cell, about a hundred times in
-    all, so every candidate's r_N comes from the same arithmetic. Ties
+    until the rate improves by less than 1e-9. These phases evaluate
+    `_rates` blocks too, the golden-section probes of _GOLDEN_DEPTH
+    iterations on every branch and the rest of a descent sweep's 18 shares,
+    and walk them in the order of one probe at a time, so they return what
+    the sequential search returns; `r_finite` builds only reports. Ties
     prefer the smallest p01, then the lexicographically smallest (eps_PA,
-    eps_PE, eps_bar). One call takes 10-150 ms for d <= 11.
+    eps_PE, eps_bar). At Q = 0.05 and N = 1e3..1e12 one call makes 7-60
+    `_rates` calls and takes 5-50 ms for d <= 11, 0.5 s at d = 31.
     """
     budget = FiniteKeyBudget(n_signals, eps, eps_ec)
 
     def evaluate(p01: float, shares: tuple[float, float, float]) -> FiniteRateReport:
         return r_finite(spec, q, budget, _params_from_shares(spec, budget, p01, shares), mode)
 
+    def block(candidates: list[tuple[float, float, float]], p01s: list[float]) -> np.ndarray:
+        """Floored r_N of every (shares, p01) cell, each checked as `r_finite` checks it."""
+        params = [_params_from_shares(spec, budget, p01, shares) for shares in candidates for p01 in p01s]
+        for p in params:
+            _check_budget(spec, budget, p)
+        return np.maximum(_rates(spec, q, budget, params[:: len(p01s)], p01s, mode)[0], 0.0)
+
     def sort_key(report: FiniteRateReport) -> tuple:
         p = report.params
         return (-report.r_n, p.p01, p.eps_pa, p.eps_pe, p.eps_bar)
 
-    # the coarse winner is the first cell, in share-major order, with the
-    # smallest sort_key; lexsort is stable and ranks by its last key first
-    shares_grid = _share_grid()
-    per_share = _share_params(spec, budget)
-    grid = np.maximum(_rates(spec, q, budget, per_share, _P01_GRID, mode)[0], 0.0)
-    columns = [
-        np.repeat([getattr(p, name) for p in per_share], len(_P01_GRID))
-        for name in ("eps_bar", "eps_pe", "eps_pa")
-    ]
-    order = np.lexsort(columns + [np.tile(_P01_GRID, len(shares_grid)), -grid.ravel()])
-    i, j = divmod(int(order[0]), len(_P01_GRID))
-    best_shares = shares_grid[i]
-    best = evaluate(_P01_GRID[j], best_shares)
+    best_shares, p01 = _coarse_winner(spec, q, budget, mode)
+    best = evaluate(p01, best_shares)
 
     def refine_p01(shares: tuple[float, float, float], center: float) -> FiniteRateReport:
         lo = max(center - 0.01, 1e-4)
         hi = min(center + 0.01, 1.0 - 1e-4)
-        x, _ = _golden_max(lambda p: evaluate(p, shares).r_n, lo, hi, _P01_TOL)
+        x, _ = _golden_max(lambda p01s: block([shares], p01s)[0], lo, hi, _P01_TOL)
         return evaluate(x, shares)
 
     refined = refine_p01(best_shares, best.params.p01)
     if sort_key(refined) < sort_key(best):
         best = refined
 
+    sweep = [(axis, factor) for axis in range(3) for factor in _DESCENT_FACTORS]
     for _ in range(60):
         improved = False
-        for axis in range(3):
-            for factor in _DESCENT_FACTORS:
-                shares = list(best_shares)
-                shares[axis] *= factor
-                total = sum(shares)
-                candidate_shares = (shares[0] / total, shares[1] / total, shares[2] / total)
-                candidate = evaluate(best.params.p01, candidate_shares)
-                if candidate.r_n > best.r_n + _DESCENT_TOL:
-                    candidate = refine_p01(candidate_shares, best.params.p01)
+        rest = sweep
+        while rest:
+            candidates = [_rescaled(best_shares, axis, factor) for axis, factor in rest]
+            values = block(candidates, [best.params.p01])[:, 0]
+            for k, (shares, value) in enumerate(zip(candidates, values)):
+                if value > best.r_n + _DESCENT_TOL:
+                    candidate = refine_p01(shares, best.params.p01)
                     if candidate.r_n > best.r_n + _DESCENT_TOL:
-                        best, best_shares = candidate, candidate_shares
-                        improved = True
+                        best, best_shares, improved = candidate, shares, True
+                        break
+            rest = rest[k + 1 :]
         if not improved:
             break
     return best

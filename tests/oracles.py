@@ -11,7 +11,8 @@ from quditkd.info_theory import depolarizing_vector, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
 from quditkd.qudit_algebra import Basis, Dim, WeylIndex, bell_matrix
 from quditkd.rates_asymptotic import adversary_information
-from quditkd.rates_finite import worst_case_vector, xi
+import quditkd.rates_finite as rates_finite
+from quditkd.rates_finite import FiniteKeyBudget, FiniteRateReport, r_finite, worst_case_vector, xi
 
 
 def _grid_simplex(d: int, step: float) -> np.ndarray:
@@ -135,3 +136,76 @@ def r_finite_reference(spec: ProtocolSpec, q: float, budget, params, mode) -> tu
     smooth_term = (2.0 * math.log2(d) + 3.0) * math.sqrt(math.log2(2.0 / params.eps_bar) / n)
     raw = n / n_signals * (math.log2(d) - i_e - shannon_entropy(nominal) - ec_term - pa_term - smooth_term)
     return max(raw, 0.0), i_e
+
+
+def golden_max_reference(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Golden-section maximization probing one point at a time with a scalar
+    f; returns (best_x, best_f) over all probes. The sequential form of
+    `rates_finite._golden_max`."""
+    invphi = rates_finite._INVPHI
+    best_x, best_f = max((lo, f(lo)), (hi, f(hi)), key=lambda probe: probe[1])
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d_pt = a + invphi * (b - a)
+    fc, fd = f(c), f(d_pt)
+    while b - a > tol:
+        if fc > fd:
+            b, d_pt, fd = d_pt, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d_pt, fd
+            d_pt = a + invphi * (b - a)
+            fd = f(d_pt)
+        for x, y in ((c, fc), (d_pt, fd)):
+            if y > best_f:
+                best_x, best_f = x, y
+    return best_x, best_f
+
+
+def optimize_reference(
+    spec: ProtocolSpec, q: float, n_signals: int, eps: float, eps_ec: float, mode
+) -> FiniteRateReport:
+    """`optimize_r_finite` with refine phases that make one `r_finite` call
+    per probe: golden section by `golden_max_reference`, and a descent that
+    evaluates each candidate share when the sweep reaches it. The coarse pass
+    is the module's own, whose cells are pinned against `r_finite_reference`."""
+    budget = FiniteKeyBudget(n_signals, eps, eps_ec)
+
+    def evaluate(p01, shares):
+        return r_finite(spec, q, budget, rates_finite._params_from_shares(spec, budget, p01, shares), mode)
+
+    def sort_key(report):
+        p = report.params
+        return (-report.r_n, p.p01, p.eps_pa, p.eps_pe, p.eps_bar)
+
+    best_shares, p01 = rates_finite._coarse_winner(spec, q, budget, mode)
+    best = evaluate(p01, best_shares)
+
+    def refine_p01(shares, center):
+        lo = max(center - 0.01, 1e-4)
+        hi = min(center + 0.01, 1.0 - 1e-4)
+        x, _ = golden_max_reference(lambda p: evaluate(p, shares).r_n, lo, hi, rates_finite._P01_TOL)
+        return evaluate(x, shares)
+
+    refined = refine_p01(best_shares, best.params.p01)
+    if sort_key(refined) < sort_key(best):
+        best = refined
+
+    for _ in range(60):
+        improved = False
+        for axis in range(3):
+            for factor in rates_finite._DESCENT_FACTORS:
+                shares = list(best_shares)
+                shares[axis] *= factor
+                total = sum(shares)
+                candidate_shares = (shares[0] / total, shares[1] / total, shares[2] / total)
+                candidate = evaluate(best.params.p01, candidate_shares)
+                if candidate.r_n > best.r_n + rates_finite._DESCENT_TOL:
+                    candidate = refine_p01(candidate_shares, best.params.p01)
+                    if candidate.r_n > best.r_n + rates_finite._DESCENT_TOL:
+                        best, best_shares = candidate, candidate_shares
+                        improved = True
+        if not improved:
+            break
+    return best

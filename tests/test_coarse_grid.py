@@ -1,17 +1,22 @@
-"""The coarse grid of the finite-key optimizer, evaluated in one array pass.
+"""The finite-key optimizer's array passes: the coarse grid and the refine
+phases' blocks.
 
 `_rates` on the 61 x 99 grid must give every cell exactly the r_N and worst-
 case I_E of the per-basis reference `oracles.r_finite_reference`, which never
 goes through `_rates`, and `optimize_r_finite` must keep returning the
 reports it returned when the coarse pass was a loop of scalar calls (the
-pins below were recorded then), so every comparison here is `==`.
+pins below were recorded then) and the reports of `oracles.optimize_reference`,
+whose refine phases probe one point at a time, so every comparison here is
+`==`.
 """
 
+import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import r_finite_reference
+from oracles import golden_max_reference, optimize_reference, r_finite_reference
 
 import quditkd.rates_finite as rates_finite
 from quditkd.channels import lambda_entries_from_q
@@ -140,7 +145,107 @@ def test_optimize_leaves_few_cells_to_scalar_r_finite(monkeypatch):
 
     monkeypatch.setattr(rates_finite, "r_finite", counting)
     optimize_r_finite(ProtocolSpec(DPLUS1, 5), 0.05, 10**7, 1e-5, 1e-10)
-    assert 0 < len(calls) <= 300
+    assert 0 < len(calls) <= 20
+
+
+def test_optimize_evaluates_in_few_rates_blocks(monkeypatch):
+    # one block per golden-section stretch of _GOLDEN_DEPTH iterations and
+    # per descent sweep (rebuilt after an accepted improvement); probing one
+    # point at a time took 72 calls here
+    calls = []
+    rates = rates_finite._rates
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return rates(*args, **kwargs)
+
+    monkeypatch.setattr(rates_finite, "_rates", counting)
+    optimize_r_finite(ProtocolSpec(DPLUS1, 5), 0.05, 10**7, 1e-5, 1e-10)
+    assert 0 < len(calls) <= 25
+
+
+@pytest.mark.parametrize("d", (2, 5, 11, 31))
+@pytest.mark.parametrize("n_signals", (10**3, 10**7, 10**12))
+def test_xi_table_equals_scalar_xi_on_the_coarse_grid(d, n_signals):
+    for family in (TWO_BASIS, DPLUS1):
+        spec = ProtocolSpec(family, d)
+        budget = FiniteKeyBudget(n_signals, 1e-5, 1e-10)
+        eps_pe = [p.eps_pe for p in rates_finite._share_params(spec, budget)]
+        # every sample size the grid evaluates, a degenerate one as one sample
+        sizes = [rates_finite._sample_sizes(spec, n_signals, p01) for p01 in rates_finite._P01_GRID]
+        ms = sorted({max(m, 1) for _, per_basis in sizes for m in per_basis})
+        table = rates_finite._xi_table(d, eps_pe, ms)
+        assert table.shape == (len(eps_pe), len(ms))
+        for i, e in enumerate(eps_pe):
+            assert table[i].tolist() == [xi(m, d, e) for m in ms], (family, e)
+
+
+def _plateaus(x):
+    return float(math.floor(x * 250.0))
+
+
+def _bump_of_plateaus(x):
+    return -float(math.floor(abs(x - 0.985) * 500.0))
+
+
+def _wavy(x):
+    return math.sin(x * 3000.0) + 0.1 * x
+
+
+# the refine intervals at both clipped ends of p01, an inner one, and one
+# already narrower than the tolerance
+@pytest.mark.parametrize("lo, hi", ((1e-4, 0.02), (0.98, 1.0 - 1e-4), (0.49, 0.51), (0.5, 0.50005)))
+@pytest.mark.parametrize(
+    "f", (lambda x: 0.0, _plateaus, _bump_of_plateaus, _wavy), ids=("zeros", "plateaus", "bump", "wavy")
+)
+def test_golden_blocks_walk_the_sequential_search(f, lo, hi):
+    probes, blocks = [], []
+
+    def scalar(x):
+        probes.append(x)
+        return f(x)
+
+    def block(points):
+        blocks.append(points)
+        return [f(x) for x in points]
+
+    tol = rates_finite._P01_TOL
+    assert rates_finite._golden_max(block, lo, hi, tol) == golden_max_reference(scalar, lo, hi, tol)
+    evaluated = [x for points in blocks for x in points]
+    assert set(probes) <= set(evaluated) and len(set(evaluated)) == len(evaluated)
+    iterations = len(probes) - 4
+    assert len(blocks) == max(1, math.ceil(iterations / rates_finite._GOLDEN_DEPTH))
+
+
+def _reference_configs():
+    # seeded draws over both families, every mode, d, Q and N, plus winners
+    # that are degenerate (N = 1e3), saturated (dplus1 single at Q = 0) and
+    # clipped at the top of p01
+    rng = random.Random(2010)
+    configs = [
+        (TWO_BASIS, EQUAL, 3, 0.05, 10**3),
+        (DPLUS1, SINGLE, 5, 0.0, 10**11),
+        (DPLUS1, SINGLE, 7, 0.0, 10**8),
+        (TWO_BASIS, BRUTE, 2, 0.0, 10**13),
+    ]
+    for i in range(20):
+        family = (TWO_BASIS, DPLUS1)[i % 2]
+        mode = (EQUAL, SINGLE, BRUTE)[i // 2 % 3]
+        configs.append((family, mode, rng.choice((2, 3, 5, 7, 11)), rng.choice((0.0, 0.05, 0.1)),
+                        int(10 ** rng.uniform(3, 13))))
+    return configs
+
+
+def test_optimize_equals_the_one_probe_at_a_time_search():
+    seen = {"positive": 0, "degenerate": 0, "saturated": 0}
+    for family, mode, d, q, n_signals in _reference_configs():
+        args = (ProtocolSpec(family, d), q, n_signals, 1e-5, 1e-10, mode)
+        report = optimize_r_finite(*args)
+        assert report == optimize_reference(*args), (family, mode, d, q, n_signals)
+        seen["positive"] += report.r_n > 0.0
+        seen["degenerate"] += report.degenerate
+        seen["saturated"] += report.saturated
+    assert all(count > 0 for count in seen.values()), seen
 
 
 def test_coarse_pass_memory_is_bounded_at_the_largest_dimension():
