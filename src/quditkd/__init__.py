@@ -10,7 +10,7 @@ from .channels import BellSpectrum, depolarizing_spectrum, lambda_from_q, q_from
 from .errors import QkdError
 from .info_theory import depolarizing_vector, shannon_entropy
 from .protocol import Family, ProtocolSpec
-from .qudit_algebra import Basis, Dim, WeylIndex, basis_for, weyl_operator
+from .qudit_algebra import Dim, WeylIndex, basis_for, weyl_operator
 from .rates_asymptotic import RateReport, critical_q, ie_depolarizing, r_infinity
 from .rates_finite import (
     FiniteKeyBudget,
@@ -19,7 +19,6 @@ from .rates_finite import (
     FreeParams,
     optimize_r_finite,
     r_finite,
-    worst_case_vector,
     xi,
 )
 from .simulator import SimConfig, SimResult, joint_outcome_distribution, run_simulation
@@ -28,7 +27,6 @@ from .verification import CheckResult, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "Basis",
     "BellSpectrum",
     "CheckResult",
     "Dim",
@@ -58,6 +56,5 @@ __all__ = [
     "run_suite",
     "shannon_entropy",
     "weyl_operator",
-    "worst_case_vector",
     "xi",
 ]

@@ -30,10 +30,8 @@ from .channels import depolarizing_spectrum
 from .errors import QkdError
 from .protocol import Family, ProtocolSpec
 from .rates_asymptotic import critical_q, r_infinity
-from .rates_finite import FluxMode, optimize_r_finite
+from .rates_finite import TERMS, FluxMode, optimize_r_finite
 from .simulator import SimConfig, SimResult, run_simulation, sifting_fraction
-
-_TERM_KEYS = ("holevo_worst", "h_ab", "ec_term", "pa_term", "smooth_term", "smooth_coefficient")
 
 MAX_DIM = 32  # verify builds a d^2 x d^2 complex Gram matrix (16 MB at the cap)
 MAX_SWEEP = 10_000  # Q values in one asymptotic sweep
@@ -82,14 +80,17 @@ def parse_q(text: str) -> float:
 
 
 def parse_count(text: str) -> int:
-    """An integer, also as '1e3' or '1E12'; `_n_grid` refuses counts below 1."""
+    """An integer in the float range, also as '1e3' or '1E12'; `_n_grid` refuses counts below 1."""
     try:
-        return int(text)
+        count = int(text)
     except ValueError:
         value = float(text)
-    if not value.is_integer():  # also rejects nan and inf
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(value)
+        if not value.is_integer():  # also rejects nan and inf
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        count = int(value)
+    if count > sys.float_info.max:  # the finite-key sample sizes are floats
+        raise argparse.ArgumentTypeError(f"count above the float range ({sys.float_info.max:.6g})")
+    return count
 
 
 def parse_probs(text: str) -> tuple[float, ...]:
@@ -203,7 +204,7 @@ def _n_grid(n_min: int, n_max: int, n_points: int) -> list[int]:
         raise QkdError(f"bad N grid: min={n_min} max={n_max} points={n_points} (at most {MAX_N_POINTS})")
     if n_points == 1:
         return [n_min]
-    grid = np.logspace(np.log10(n_min), np.log10(n_max), n_points)
+    grid = np.logspace(np.log10(float(n_min)), np.log10(float(n_max)), n_points)
     out: list[int] = []
     for value in grid:
         n = int(round(value))
@@ -222,7 +223,7 @@ def cmd_finite_key(args: argparse.Namespace) -> int:
             "d": args.dim, "family": spec.family.value, "n": n_signals, "r_n": rep.r_n,
             **asdict(rep.params),
         }
-        for key in _TERM_KEYS:
+        for key in TERMS:
             row[key] = float(rep.terms.get(key, 0.0))
         row["saturated"] = int(rep.saturated)
         row["degenerate"] = int(rep.degenerate)
@@ -238,7 +239,7 @@ def cmd_finite_key(args: argparse.Namespace) -> int:
             "flux_mode": mode.value,
         },
         ("d", "family", "n", "r_n", "p01", "eps_pa", "eps_pe", "eps_bar")
-        + _TERM_KEYS
+        + TERMS
         + ("saturated", "degenerate"),
         rows,
         args.format,

@@ -40,15 +40,10 @@ class DegenerateSample(QkdError):
     """A statistical bound was requested for an empty sample."""
 
 
-class SaturatedStatistics(QkdError):
-    """Worst-case fluctuations exceed the available probability mass; the
-    noise estimate is unusable and the key rate is zero by convention."""
-
-
 class InfeasibleParams(QkdError):
     """Free security parameters exceed the total failure-probability budget."""
 
 
 class DimensionTooLarge(QkdError):
-    """Exact joint-outcome tables are capped at small dimensions; use the
-    fast sampling path instead."""
+    """A dimension exceeds a fixed cap: the exact joint-outcome tables (use
+    the fast sampling path instead) or the simulator's chi-square table."""

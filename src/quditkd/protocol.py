@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+import numpy as np
+
 from .errors import NonPrimeDimension
-from .qudit_algebra import Basis, Dim, WeylIndex, basis_for
+from .qudit_algebra import Dim, WeylIndex, basis_for
 
 
 class Family(str, Enum):
@@ -52,6 +54,6 @@ class ProtocolSpec:
         return len(self.basis_indices)
 
 
-def protocol_bases(spec: ProtocolSpec) -> list[Basis]:
-    """Sender-side measurement bases, key basis first."""
+def protocol_bases(spec: ProtocolSpec) -> list[np.ndarray]:
+    """Sender-side measurement bases as `basis_for` arrays, key basis first."""
     return [basis_for(spec.dim, idx) for idx in spec.basis_indices]

@@ -105,22 +105,6 @@ def bell_matrix(dim: Dim, idx: WeylIndex) -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True)
-class Basis:
-    """Orthonormal measurement basis.
-
-    `vectors` holds one eigenvector per column; column a carries outcome
-    label a.
-    """
-
-    label: WeylIndex
-    vectors: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.vectors.shape[0]
-
-
 def _shift_family_phase(d: int, k: int) -> complex:
     """Global phase g with spectrum(U_{1k}) = g * {omega^a}.
 
@@ -133,8 +117,10 @@ def _shift_family_phase(d: int, k: int) -> complex:
     return complex(np.exp(1j * np.pi * k * (d - 1) / d))
 
 
-def basis_for(dim: Dim, idx: WeylIndex) -> Basis:
-    """Closed-form eigenbasis of a protocol operator U_{01} or U_{1k}.
+def basis_for(dim: Dim, idx: WeylIndex) -> np.ndarray:
+    """Closed-form eigenbasis of a protocol operator U_{01} or U_{1k}, as a
+    (d, d) array with one eigenvector per column; column a carries outcome
+    label a.
 
     The clock eigenbasis is the computational basis. For U_{1k} the
     eigenvector with label a has amplitudes
@@ -148,7 +134,7 @@ def basis_for(dim: Dim, idx: WeylIndex) -> Basis:
     j, k = _check_index(dim, idx)
     d = dim.d
     if (j, k) == (0, 1):
-        return Basis(WeylIndex(0, 1), np.eye(d, dtype=np.complex128))
+        return np.eye(d, dtype=np.complex128)
     if j != 1:
         raise ValueError(
             f"no closed-form labeled eigenbasis for U_{{{j}{k}}}; "
@@ -161,4 +147,4 @@ def basis_for(dim: Dim, idx: WeylIndex) -> Basis:
     g = _shift_family_phase(d, k)
     if g != 1.0:
         vectors = vectors * (np.conj(g) ** s)[:, None]
-    return Basis(WeylIndex(1, k), vectors)
+    return vectors

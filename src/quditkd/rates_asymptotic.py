@@ -13,8 +13,8 @@ constrained and maximizing over the compatible set gives I_E = H(q_10)
 (rows proportional to q_10 are feasible and Jensen's inequality makes them
 optimal, see the grid oracle in the tests). `adversary_information_rows` is
 the one kernel for both, on stacks of error statistics shaped like
-`q_from_lambda`'s output; `adversary_information` runs it on one array, and
-`ie_depolarizing` is its closed form on the depolarizing channel.
+`q_from_lambda`'s output, and `ie_depolarizing` is its closed form on the
+depolarizing channel.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import lambda_entries_from_q
-from .errors import NoRoot, OutOfRange, SaturatedStatistics
-from .info_theory import bell_holevo, depolarizing_vector, entropy_rows, masked_row_sums, shannon_entropy
+from .errors import NoRoot, OutOfRange
+from .info_theory import bell_holevo, depolarizing_vector, entropy_rows, entropy_unchecked, masked_row_sums
 from .protocol import Family, ProtocolSpec
 
 CLAMP_MASS_TOL = 1e-6  # reconstructed spectra may leave the simplex at large xi
@@ -66,21 +66,12 @@ def adversary_information_rows(spec: ProtocolSpec, stats: np.ndarray) -> tuple[n
     return info, saturated
 
 
-def adversary_information(spec: ProtocolSpec, stats: np.ndarray) -> float:
-    """I_E of one (n_bases, d) statistics array; SaturatedStatistics when the
-    reconstructed spectrum clamps more than CLAMP_MASS_TOL of mass."""
-    info, saturated = adversary_information_rows(spec, stats[None])
-    if saturated[0]:
-        raise SaturatedStatistics(f"reconstructed spectrum clamps more than {CLAMP_MASS_TOL} of probability mass")
-    return float(info[0])
-
-
 def ie_depolarizing(spec: ProtocolSpec, q: float) -> float:
     """Closed-form I_E(Q) on the depolarizing channel for either family."""
     d = spec.dim.d
     if spec.family is Family.TWO_BASIS:
         # identical to the entropy of the check-basis error vector
-        return shannon_entropy(depolarizing_vector(spec.dim, q))
+        return entropy_unchecked(depolarizing_vector(spec.dim, q))
     if not (0.0 <= q <= d / (d + 1) + 1e-12):
         raise OutOfRange(f"Q={q!r} outside [0, {d / (d + 1)}] for d={d}")
     if q == 0.0:
@@ -97,7 +88,8 @@ def ie_depolarizing(spec: ProtocolSpec, q: float) -> float:
 def r_infinity(spec: ProtocolSpec, q: float) -> RateReport:
     """Asymptotic rate report at depolarizing error rate Q."""
     i_e = ie_depolarizing(spec, q)
-    h_ab = shannon_entropy(depolarizing_vector(spec.dim, q))
+    # the two-basis I_E already is the entropy of the depolarizing vector
+    h_ab = i_e if spec.family is Family.TWO_BASIS else entropy_unchecked(depolarizing_vector(spec.dim, q))
     raw = math.log2(spec.dim.d) - h_ab - i_e
     return RateReport(q=q, i_e=i_e, h_ab=h_ab, r_inf=max(raw, 0.0), r_inf_raw=raw)
 

@@ -41,9 +41,7 @@ and m, the worst case once per distinct (eps_PE, m_key, m_check), and the
 rate terms by broadcasting. `r_finite` is that block at one cell, and the
 optimizer's coarse pass is the block of 61 budget shares x 99 values of
 p01, so every grid cell equals its scalar r_N exactly; its refine phases
-walk blocks of probes in the sequential order. `worst_case_vector` is the
-validated public entry point to the shift alone; it calls the shift with
-K = 1 and turns the mask into SaturatedStatistics.
+walk blocks of probes in the sequential order.
 """
 
 from __future__ import annotations
@@ -51,19 +49,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateSample, InfeasibleParams, OutOfRange, SaturatedStatistics
+from .errors import DegenerateSample, InfeasibleParams, OutOfRange
 from .info_theory import as_prob_vector, depolarizing_vector, entropy_unchecked
 from .protocol import Family, ProtocolSpec
 from .rates_asymptotic import adversary_information_rows
 
 SATURATION_TOL = 1e-12
 _CHUNK_ROWS = 256  # worst-case rows per array pass; bounds memory at any grid size
-_TERMS = ("holevo_worst", "h_ab", "ec_term", "pa_term", "smooth_term", "smooth_coefficient")
+TERMS = ("holevo_worst", "h_ab", "ec_term", "pa_term", "smooth_term", "smooth_coefficient")
 
 
 class FluxMode(str, Enum):
@@ -90,10 +89,17 @@ def _xi_table(d: int, eps_pe: list[float], ms: list[int]) -> np.ndarray:
 
 
 def _shift_rows(q: np.ndarray, xi_vals: np.ndarray, mode: FluxMode) -> tuple[np.ndarray, np.ndarray]:
-    """Corner shift of each row of q (K, d) by its own radius xi_vals[i].
+    """Corner shift of each row of q (K, d), rows on the simplex, by its own
+    radius xi_vals[i] >= 0: the shifted rows and a mask of the saturated
+    ones, whose rows are not meaningful.
 
-    Unchecked kernel behind `worst_case_vector`: returns the shifted rows and
-    a mask of the saturated ones, whose rows are not meaningful.
+    Error coordinates are raised (equal split: xi/(2(d-1)) each; single:
+    xi/2 on coordinate 1; brute: xi/2 on all) and the no-error coordinate
+    rebalances the total. If it would go negative the statistics are
+    saturated and no key can be certified. The shift stops where the
+    no-error probability meets the largest error probability: that is where
+    the entropy along the shift direction peaks, and pushing past it would
+    make the adversarial statistics look *less* random than they are.
     """
     k, d = q.shape
     # every mode shifts by at least xi/2 > 2 > q[0]; deciding here keeps the
@@ -128,24 +134,14 @@ def _shift_rows(q: np.ndarray, xi_vals: np.ndarray, mode: FluxMode) -> tuple[np.
 
 
 def worst_case_vector(q: np.ndarray, xi_val: float, mode: FluxMode = FluxMode.EQUAL) -> np.ndarray:
-    """Shift an error vector to the adversarial corner of its xi-ball.
-
-    Error coordinates are raised (equal split: xi/(2(d-1)) each; single:
-    xi/2 on coordinate 1; brute: xi/2 on all) and the no-error coordinate
-    rebalances the total. If it would go negative the statistics are
-    saturated and no key can be certified. `q` is validated here; the
-    result is a fresh array.
-
-    The shift stops at the point where the no-error probability meets the
-    largest error probability: that is where the entropy along the shift
-    direction peaks, and pushing past it would make the adversarial
-    statistics look *less* random than they are.
-    """
+    """`_shift_rows` for one validated vector; OutOfRange if xi < 0 or the
+    shift saturates. Nothing in the package calls it: it stays while
+    `bench/tracing.py` lists it among its traced targets."""
     if not xi_val >= 0.0:
         raise OutOfRange(f"xi must be nonnegative, got {xi_val!r}")
     bumped, saturated = _shift_rows(as_prob_vector(q)[None], np.array([xi_val]), mode)
     if saturated[0]:
-        raise SaturatedStatistics(f"xi={xi_val!r} drives q[0] below zero; noise estimate unusable")
+        raise OutOfRange(f"xi={xi_val!r} drives q[0] below zero; noise estimate unusable")
     return bumped[0]
 
 
@@ -162,8 +158,8 @@ class FiniteKeyBudget:
     eps_ec: float
 
     def __post_init__(self) -> None:
-        if not self.n_signals >= 1:
-            raise OutOfRange(f"need at least one signal, got {self.n_signals}")
+        if not 1 <= self.n_signals <= sys.float_info.max:  # the sample sizes are computed in floats
+            raise OutOfRange(f"need between 1 and {sys.float_info.max:.6g} signals, got {self.n_signals}")
         if not (0.0 < self.eps < 1.0):
             raise OutOfRange(f"eps={self.eps!r} outside (0, 1)")
         if not (0.0 < self.eps_ec < self.eps):
@@ -287,7 +283,7 @@ def _rates(
     degenerate = np.array([min(ms) == 0 for _, ms in sizes])
     if degenerate.all():  # the optimizer's refine phases hit this at small N
         raw = np.zeros((len(per_share), len(p01s)))
-        return raw, dict.fromkeys(_TERMS, raw), sizes, degenerate, np.zeros(raw.shape, dtype=bool)
+        return raw, dict.fromkeys(TERMS, raw), sizes, degenerate, np.zeros(raw.shape, dtype=bool)
     # a degenerate column is evaluated as if each basis kept one sample,
     # which keeps its arithmetic finite; its cells are masked at the end
     key = [max(n, 1) for n, _ in sizes]
@@ -316,7 +312,7 @@ def _rates(
     frac = np.array([k / budget.n_signals for k in key])
     rate = frac * (math.log2(d) - holevo_worst - h_ab - ec_term - pa_term - smooth_term)
     saturated = sat.take(cell) & ~degenerate
-    terms = dict(zip(_TERMS, (holevo_worst, h_ab, ec_term, pa_term, smooth_term, smooth_coefficient)))
+    terms = dict(zip(TERMS, (holevo_worst, h_ab, ec_term, pa_term, smooth_term, smooth_coefficient)))
     return np.where(saturated | degenerate, 0.0, rate), terms, sizes, degenerate, saturated
 
 

@@ -35,7 +35,7 @@ from .channels import BellSpectrum, q_from_lambda
 from .errors import DimensionTooLarge, InvalidDistribution
 from .info_theory import as_prob_vector
 from .protocol import ProtocolSpec, protocol_bases
-from .qudit_algebra import Basis, Dim, WeylIndex, bell_matrix
+from .qudit_algebra import Dim, WeylIndex, bell_matrix
 
 EXACT_DIM_CAP = 11
 CHI2_CONFIDENCE = 0.999
@@ -59,24 +59,23 @@ CHI2_THRESHOLDS = (
 _CHUNK = 1 << 16  # basis labels drawn per rng.random call
 
 
-def joint_outcome_distribution(dim: Dim, spectrum: BellSpectrum, basis: Basis) -> np.ndarray:
+def joint_outcome_distribution(dim: Dim, spectrum: BellSpectrum, basis: np.ndarray) -> np.ndarray:
     """Exact joint table P(a, b) for one sifted basis.
 
-    The sender measures `basis`, the receiver its conjugated partner; with
-    both columns stacked as E the amplitude of (a, b) on a Bell state with
-    matrix F is (E^dagger F E)[a, b].
+    The sender measures `basis`, the `basis_for` array E, the receiver its
+    conjugated partner; the amplitude of (a, b) on a Bell state with matrix
+    F is (E^dagger F E)[a, b].
     """
     d = dim.d
     if d > EXACT_DIM_CAP:
         raise DimensionTooLarge(f"exact joint tables are capped at d={EXACT_DIM_CAP}, got {d}")
-    if spectrum.d != d or basis.d != d:
+    if spectrum.d != d or basis.shape[0] != d:
         raise InvalidDistribution("dimension mismatch between spectrum and basis")
-    e = basis.vectors
     j, k = np.divmod(np.arange(d * d), d)
     # The error-vector formulas tie spectrum entry (j, k) to the Bell state
     # whose shift index is -j mod d; using the identity pairing instead flips
     # the sign of the difference statistic in every U_1k basis.
-    amp = e.conj().T @ bell_matrix(dim, WeylIndex(-j % d, k)) @ e
+    amp = basis.conj().T @ bell_matrix(dim, WeylIndex(-j % d, k)) @ basis
     return (spectrum.lam.reshape(-1, 1, 1) * (amp.real**2 + amp.imag**2)).sum(axis=0)
 
 

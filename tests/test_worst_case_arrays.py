@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import r_finite_reference
+from oracles import r_finite_reference, shift_one
 
 import quditkd.rates_finite as rates_finite
-from quditkd.errors import SaturatedStatistics
 from quditkd.info_theory import depolarizing_vector
 from quditkd.protocol import Family, ProtocolSpec
-from quditkd.rates_finite import FiniteKeyBudget, FluxMode, FreeParams, r_finite, worst_case_vector, xi
+from quditkd.rates_finite import FiniteKeyBudget, FluxMode, FreeParams, r_finite, xi
 
 TWO_BASIS, DPLUS1 = Family.TWO_BASIS, Family.DPLUS1
 EQUAL, SINGLE, BRUTE = FluxMode.EQUAL, FluxMode.SINGLE, FluxMode.BRUTE
@@ -115,9 +114,8 @@ def _simplex_vectors(draw):
     mode=st.sampled_from(FluxMode),
 )
 def test_worst_case_vector_stays_on_simplex(q, xi_val, mode):
-    try:
-        got = worst_case_vector(q, xi_val, mode)
-    except SaturatedStatistics:
+    got = shift_one(q, xi_val, mode)
+    if got is None:
         return
     assert got.shape == q.shape
     assert np.all(got >= 0.0) and np.all(got <= 1.0)
@@ -144,8 +142,8 @@ def test_r_finite_shifts_at_most_two_vectors(monkeypatch, family, d, n_signals, 
     assert sum(seen) == calls
 
 
-# worst_case_vector outputs at extreme xi, recorded before the overflow
-# guards; None marks SaturatedStatistics. Subnormal shifts either vanish or
+# one-row shift outputs at extreme xi, recorded before the overflow guards;
+# None marks saturated statistics. Subnormal shifts either vanish or
 # survive only as subnormal error entries, and q[0] is rebalanced.
 EXTREME_XI_PINS = (
     ([0.9, 0.1], 5e-324, {m: [0.9, 0.1] for m in FluxMode}),
@@ -166,11 +164,8 @@ EXTREME_XI_PINS = (
 def test_worst_case_vector_extreme_xi_is_silent_and_unchanged(q, xi_val, expected, mode):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            got = worst_case_vector(np.array(q), xi_val, mode).tolist()
-        except SaturatedStatistics:
-            got = None
-    assert got == expected[mode]
+        got = shift_one(np.array(q), xi_val, mode)
+    assert (None if got is None else got.tolist()) == expected[mode]
 
 
 @pytest.mark.parametrize("q", [0.01, 0.05, 0.1, 0.15])
