@@ -71,17 +71,28 @@ def _reconstruction_index(d: int) -> np.ndarray:
 def q_from_lambda(spec: ProtocolSpec, spectrum: BellSpectrum) -> np.ndarray:
     """Error statistics of `spec`: one row per basis, in protocol order.
 
-    Row 0 is q_01 (row sums of lam); row 1 + s is q_1s, gathered with the
-    reconstruction table read as idx[s, t, j] = (s*j - t) mod d. The table
-    is made contiguous so each row is summed in the same (pairwise) order
-    as a sum over one 1-d slice.
+    `q_entries_from_lambda` on a stack of one spectrum.
     """
     d = spec.dim.d
     if spectrum.d != d:
         raise InvalidDistribution(f"spectrum is {spectrum.d}-dimensional, protocol wants {d}")
-    lam = spectrum.lam
-    cols = np.ascontiguousarray(_reconstruction_index(d)[: spec.n_bases - 1].swapaxes(1, 2))
-    return np.vstack((lam.sum(axis=1), lam[np.arange(d), cols].sum(axis=-1)))
+    return q_entries_from_lambda(spectrum.lam[None], spec.n_bases)[0]
+
+
+def q_entries_from_lambda(lam: np.ndarray, n_bases: int) -> np.ndarray:
+    """Raw forward map on a stack: lam is (K, d, d), the result (K, n_bases, d).
+
+    Row 0 is q_01 (row sums of lam); row 1 + s is q_1s, gathered with the
+    reconstruction table read as idx[s, t, j] = (s*j - t) mod d. `np.take`
+    writes the gather C-contiguous, so each row is summed in the same
+    (pairwise) order as a sum over one 1-d slice; a fancy-indexed gather
+    can come out strided, and summing a strided axis moves the last bit.
+    """
+    k, d = lam.shape[:2]
+    cells = np.arange(0, d * d, d) + _reconstruction_index(d)[: n_bases - 1].swapaxes(1, 2)
+    q01 = lam.reshape(-1, d).sum(axis=1).reshape(k, 1, d)
+    q1 = np.take(lam.reshape(k, d * d), cells, axis=1).reshape(-1, d).sum(axis=1)
+    return np.concatenate((q01, q1.reshape(k, n_bases - 1, d)), axis=1)
 
 
 def lambda_entries_from_q(q01: np.ndarray, q1: np.ndarray) -> np.ndarray:

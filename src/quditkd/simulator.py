@@ -10,12 +10,16 @@ The exact path is capped at d = 11; beyond that a fast path samples the
 outcome difference directly from the analytic error vector (which the exact
 path is there to validate in the first place).
 
-A run reads one Philox stream keyed by the seed. The sender's and then the
-receiver's basis labels are drawn `_CHUNK` rounds at a time, with exactly
-the values one `Generator.choice` call over all rounds would give; only the
-sender's labels are kept, at one byte per round, and the receiver's chunks
-are matched against them as they arrive. Memory is that byte per round,
-the fixed chunks and the outcome draws of the sifted rounds.
+A run reads one Philox stream keyed by the seed. Every categorical draw,
+basis labels and outcomes alike, goes through one sampler that draws
+`_CHUNK` rounds at a time, with exactly the values one `Generator.choice`
+call would give. The sender's basis labels are kept, at one byte per round,
+and the receiver's chunks are matched against them as they arrive. The
+outcomes of a basis are counted chunk by chunk: exact cells straight into
+the (d, d) table, and on the fast path the differences t, kept at one byte
+per sifted round of that basis, then the sender outcomes in `_CHUNK`-sized
+`integers` calls. Memory is that byte per round plus fixed chunks; the
+outcome draws start after the sender's labels are freed and add nothing.
 
 The chi-square verdicts compare against `CHI2_THRESHOLDS`, a constant table
 of the 0.999 quantiles for 1 to 31 degrees of freedom copied from scipy
@@ -26,6 +30,7 @@ nothing beyond numpy.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -56,7 +61,8 @@ CHI2_THRESHOLDS = (
     58.301173489794905, 59.70306430442994, 61.098306081058126,
 )
 
-_CHUNK = 1 << 16  # basis labels drawn per rng.random call
+_CHUNK = 1 << 16  # labels or outcomes drawn per generator call
+_CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance
 
 
 def joint_outcome_distribution(dim: Dim, spectrum: BellSpectrum, basis: np.ndarray) -> np.ndarray:
@@ -158,13 +164,20 @@ def _chi_square_check(counts_t: np.ndarray, matched: int, q: np.ndarray) -> tupl
 
 
 def _label_chunks(rng: np.random.Generator, probs: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, labels) for `n` basis labels, `_CHUNK` at a time.
+    """Yield (start, labels) for `n` categorical labels, `_CHUNK` at a time:
+    basis labels, exact outcome cells or fast-path differences.
 
     The labels, concatenated, equal `rng.choice(len(probs), size=n, p=probs)`
     and leave `rng` in the same state: chunked `rng.random` calls return the
     stream of one long call, and counting the cdf entries <= u is what
-    `choice`'s `searchsorted(side="right")` does (u < 1.0 = cdf[-1]).
+    `choice`'s `searchsorted(side="right")` does (u < 1.0 = cdf[-1]). Like
+    `choice`, it refuses a negative entry or a sum more than sqrt(eps) from
+    1; labels are `uint8`, so at most 256 categories.
     """
+    if probs.size > 256:
+        raise InvalidDistribution(f"at most 256 categories, got {probs.size}")
+    if np.any(probs < 0.0) or not abs(math.fsum(probs) - 1.0) <= _CHOICE_SUM_TOL:  # NaN fails too
+        raise InvalidDistribution(f"not a probability vector: {probs!r}")
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     for start in range(0, n, _CHUNK):
@@ -197,8 +210,11 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     Deterministic for a fixed config: one Philox stream, draws in a fixed
     order (all sender bases, all receiver bases, then outcomes basis by
     basis). The basis labels come in chunks (`_label_chunks`) and reduce to
-    one matched count per basis (`_matched_counts`); each basis's (d, d)
-    table is one `bincount` over its sampled cells. Single-threaded on
+    one matched count per basis (`_matched_counts`). A basis's outcomes
+    come from the same sampler, each chunk added to its (d, d) table by one
+    `bincount`: Born-table cells on the exact path; on the fast path all
+    differences t first, then the sender outcomes a in chunks (chunked
+    `integers` calls give the stream of one call). Single-threaded on
     purpose.
     """
     spec = cfg.spec
@@ -214,18 +230,22 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     for i, idx in enumerate(spec.basis_indices):
         m = int(matched[i])
         sifted += m
-        if m == 0:
-            cells = np.empty(0, dtype=np.int64)
-        elif fast:
-            t = rng.choice(d, size=m, p=analytic[i])
-            a = rng.integers(0, d, size=m)
-            cells = a * d + (a - t) % d
+        counts = np.zeros(d * d, dtype=np.int64)
+        if fast:
+            t = np.empty(m, dtype=np.uint8)
+            for start, labels in _label_chunks(rng, analytic[i], m):
+                t[start : start + labels.size] = labels
+            for start in range(0, m, _CHUNK):
+                a = rng.integers(0, d, size=min(_CHUNK, m - start))
+                counts += np.bincount(a * d + (a - t[start : start + a.size]) % d, minlength=d * d)
+            del t
         else:
             table = joint_outcome_distribution(spec.dim, cfg.spectrum, bases[i])
             flat = table.reshape(-1)
             flat = flat / flat.sum()
-            cells = rng.choice(d * d, size=m, p=flat)
-        counts = np.bincount(cells, minlength=d * d).reshape(d, d)
+            for _, labels in _label_chunks(rng, flat, m):
+                counts += np.bincount(labels, minlength=d * d)
+        counts = counts.reshape(d, d)
         counts_t = difference_marginal(counts.astype(np.float64)).astype(np.int64)
         emp = counts_t / m if m > 0 else np.zeros(d)
         stat, dof, threshold, passed = _chi_square_check(counts_t, m, analytic[i])

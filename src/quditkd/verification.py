@@ -4,10 +4,14 @@ Each check sweeps one identity over a dimension and reports the worst
 deviation found. Enumeration is exhaustive up to FULL_ENUM_CAP and switches
 to seeded sampling above it, so the suite stays fast for d up to ~20.
 
-Each check builds its operators from index arrays as one (n, d, d) stack
-and runs one batched `@`, which multiplies each slice as a lone (d, d)
-product would, so max_err is bit for bit that of a per-index loop. |c| in
-the eigenstate check uses np.hypot: it rounds like the scalar abs(), where
+The operator checks walk their index arrays in batches: each batch's
+operators are one (b, d, d) stack of at most _BATCH_BYTES, so b follows
+from d, and one batched `@` multiplies each slice as a lone (d, d) product
+would; max_err is bit for bit that of a per-index loop, whatever the batch
+size. The orthonormality check keeps one Gram product, the suite's only
+d^4 temporary (16 MB at d = 32): splitting it into row blocks moves max_err.
+The roundtrip check runs its 20 random spectra as one stack. |c| in the
+eigenstate check uses np.hypot: it rounds like the scalar abs(), where
 numpy's vectorized complex abs can differ in the last bits."""
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import BellSpectrum, lambda_from_q, q_from_lambda
+from .channels import lambda_entries_from_q, q_entries_from_lambda
 from .protocol import Family, ProtocolSpec
 from .qudit_algebra import (
     Dim,
@@ -38,6 +42,8 @@ ORTHONORMALITY_TOL = 1e-10
 EIGENSTATE_TOL = 1e-10
 MUB_TOL = 1e-10
 ROUNDTRIP_TOL = 1e-12
+
+_BATCH_BYTES = 256 * 1024  # bound on one (batch, d, d) complex operand stack
 
 
 @dataclass(frozen=True)
@@ -65,27 +71,50 @@ def _index_pairs(d: int) -> tuple[WeylIndex, WeylIndex]:
     return WeylIndex(picks[:, 0], picks[:, 1]), WeylIndex(picks[:, 2], picks[:, 3])
 
 
+def _batched_max(err, d: int, *indices: WeylIndex) -> float:
+    """Largest `err(*batch)` over the index arrays, walked in batches small
+    enough that each (batch, d, d) complex operand stays within _BATCH_BYTES."""
+    step = max(1, _BATCH_BYTES // (16 * d * d))
+    return float(np.max([
+        err(*(WeylIndex(idx.j[lo : lo + step], idx.k[lo : lo + step]) for idx in indices))
+        for lo in range(0, len(indices[0].j), step)
+    ]))
+
+
 def check_unitarity(dim: Dim) -> CheckResult:
-    u = weyl_operator(dim, _all_indices(dim.d))
-    worst = float(np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(dim.d)).max())
+    def err(idx: WeylIndex) -> float:
+        u = weyl_operator(dim, idx)
+        return np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(dim.d)).max()
+
+    worst = _batched_max(err, dim.d, _all_indices(dim.d))
     return CheckResult("unitarity", dim.d, worst <= UNITARITY_TOL, worst)
 
 
 def check_commutation(dim: Dim) -> CheckResult:
     """U_a U_b must equal omega^phase U_b U_a with the closed-form phase."""
-    a, b = _index_pairs(dim.d)
-    ua, ub = weyl_operator(dim, a), weyl_operator(dim, b)
-    phase = np.exp(2j * np.pi / dim.d) ** commutator_phase(dim, a, b)
-    worst = float(np.abs(ua @ ub - phase[:, None, None] * (ub @ ua)).max())
+
+    def err(a: WeylIndex, b: WeylIndex) -> float:
+        ua, ub = weyl_operator(dim, a), weyl_operator(dim, b)
+        phase = np.exp(2j * np.pi / dim.d) ** commutator_phase(dim, a, b)
+        return np.abs(ua @ ub - phase[:, None, None] * (ub @ ua)).max()
+
+    worst = _batched_max(err, dim.d, *_index_pairs(dim.d))
     return CheckResult("commutation", dim.d, worst <= COMMUTATION_TOL, worst)
 
 
 def check_bell_orthonormality(dim: Dim) -> CheckResult:
-    d = dim.d
-    vecs = bell_matrix(dim, _all_indices(d)).reshape(d * d, d * d)
+    """The d^2 Bell vectors have Gram matrix 1, from one Gram product.
+
+    The product is the suite's one d^4 temporary; the diagonal 1 is taken
+    off in place, which rounds as `gram - np.eye(d * d)` does.
+    """
+    n = dim.d**2
+    vecs = bell_matrix(dim, _all_indices(dim.d)).reshape(n, n)
     gram = vecs.conj() @ vecs.T
-    worst = float(np.abs(gram - np.eye(d * d)).max())
-    return CheckResult("bell_orthonormality", d, worst <= ORTHONORMALITY_TOL, worst)
+    del vecs
+    gram.reshape(-1)[:: n + 1] -= 1.0
+    worst = float(np.abs(gram).max())
+    return CheckResult("bell_orthonormality", dim.d, worst <= ORTHONORMALITY_TOL, worst)
 
 
 def check_bell_eigenstates(dim: Dim) -> CheckResult:
@@ -94,16 +123,18 @@ def check_bell_eigenstates(dim: Dim) -> CheckResult:
     In amplitude-matrix form (A (x) B)|v_F> has matrix A F B^T, so the claim
     is U F U^dagger = c F with |c| = 1.
     """
-    d = dim.d
-    op_idx, state_idx = _index_pairs(d)
-    u, f = weyl_operator(dim, op_idx), bell_matrix(dim, state_idx)
-    rotated = u @ f @ u.conj().swapaxes(1, 2)
-    n = len(f)
-    anchor = (np.arange(n), np.abs(f).reshape(n, -1).argmax(axis=1))
-    c = rotated.reshape(n, -1)[anchor] / f.reshape(n, -1)[anchor]
-    worst = max(float(np.abs(np.hypot(c.real, c.imag) - 1.0).max()),
-                float(np.abs(rotated - c[:, None, None] * f).max()))
-    return CheckResult("bell_eigenstate", d, worst <= EIGENSTATE_TOL, worst)
+
+    def err(op_idx: WeylIndex, state_idx: WeylIndex) -> float:
+        u, f = weyl_operator(dim, op_idx), bell_matrix(dim, state_idx)
+        rotated = u @ f @ u.conj().swapaxes(1, 2)
+        n = len(f)
+        anchor = (np.arange(n), np.abs(f).reshape(n, -1).argmax(axis=1))
+        c = rotated.reshape(n, -1)[anchor] / f.reshape(n, -1)[anchor]
+        return np.maximum(np.abs(np.hypot(c.real, c.imag) - 1.0).max(),
+                          np.abs(rotated - c[:, None, None] * f).max())
+
+    worst = _batched_max(err, dim.d, *_index_pairs(dim.d))
+    return CheckResult("bell_eigenstate", dim.d, worst <= EIGENSTATE_TOL, worst)
 
 
 def check_mub_overlaps(dim: Dim) -> CheckResult:
@@ -125,15 +156,17 @@ def check_mub_overlaps(dim: Dim) -> CheckResult:
 
 
 def check_roundtrip(dim: Dim) -> CheckResult:
-    """lambda -> q -> lambda is the identity on random spectra (prime d)."""
+    """lambda -> q -> lambda is the identity on random spectra (prime d).
+
+    The 20 spectra are one stack: one `dirichlet` draw (the stream of 20
+    single draws), one forward and one inverse pass, clipped at 0 as
+    `lambda_from_q` clips."""
     d = dim.d
-    spec = ProtocolSpec(Family.DPLUS1, dim)
     rng = np.random.default_rng(SAMPLE_SEED + 7 * d)
-    worst = 0.0
-    for _ in range(20):
-        lam = BellSpectrum(rng.dirichlet(np.ones(d * d)).reshape(d, d))
-        back = lambda_from_q(dim, q_from_lambda(spec, lam))
-        worst = max(worst, float(np.abs(back.lam - lam.lam).max()))
+    lam = rng.dirichlet(np.ones(d * d), size=20).reshape(20, d, d)
+    q = q_entries_from_lambda(lam, d + 1)
+    back = np.clip(lambda_entries_from_q(q[:, 0], q[:, 1:]), 0.0, None)
+    worst = float(np.abs(back - lam).max())
     return CheckResult("lambda_q_roundtrip", d, worst <= ROUNDTRIP_TOL, worst)
 
 

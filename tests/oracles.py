@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 
-from quditkd.channels import BellSpectrum
+from quditkd.channels import BellSpectrum, lambda_from_q, q_from_lambda
 from quditkd.info_theory import depolarizing_vector, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
-from quditkd.qudit_algebra import Dim, WeylIndex, bell_matrix
+from quditkd.qudit_algebra import Dim, WeylIndex, basis_for, bell_matrix
 from quditkd.rates_asymptotic import adversary_information_rows
 import quditkd.rates_finite as rates_finite
+import quditkd.simulator as simulator
 from quditkd.rates_finite import FiniteKeyBudget, FiniteRateReport, FluxMode, r_finite, xi
+from quditkd.verification import SAMPLE_SEED
 
 
 def shift_one(q, xi_val: float, mode: FluxMode = FluxMode.EQUAL) -> np.ndarray | None:
@@ -104,6 +106,48 @@ def joint_table_per_state(dim: Dim, spectrum: BellSpectrum, basis: np.ndarray) -
             amp = basis.conj().T @ bell_matrix(dim, WeylIndex(-j % d, k)) @ basis
             table += spectrum.lam[j, k] * (amp.real**2 + amp.imag**2)
     return table
+
+
+def simulation_counts_reference(cfg: simulator.SimConfig) -> list[tuple[int, np.ndarray]]:
+    """(matched, (d, d) counts) of every basis of `run_simulation(cfg)`, with
+    the outcome draws of one `Generator.choice` call per basis: a categorical
+    cell per round on the exact path, and on the fast path a difference t
+    per round, then one `integers` call for the sender outcomes a."""
+    spec = cfg.spec
+    d = spec.dim.d
+    fast = cfg.fast if cfg.fast is not None else d > simulator.EXACT_DIM_CAP
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    matched = simulator._matched_counts(rng, np.asarray(cfg.basis_probs), cfg.rounds)
+    analytic = q_from_lambda(spec, cfg.spectrum)
+    out = []
+    for i, basis in enumerate(spec.basis_indices):
+        m = int(matched[i])
+        if m == 0:
+            cells = np.empty(0, dtype=np.int64)
+        elif fast:
+            t = rng.choice(d, size=m, p=analytic[i])
+            a = rng.integers(0, d, size=m)
+            cells = a * d + (a - t) % d
+        else:
+            table = simulator.joint_outcome_distribution(spec.dim, cfg.spectrum, basis_for(spec.dim, basis))
+            flat = table.reshape(-1)
+            cells = rng.choice(d * d, size=m, p=flat / flat.sum())
+        out.append((m, np.bincount(cells, minlength=d * d).reshape(d, d)))
+    return out
+
+
+def roundtrip_reference(dim: Dim) -> float:
+    """`verification.check_roundtrip`'s max_err, one spectrum at a time
+    through the validating `q_from_lambda` and `lambda_from_q`."""
+    d = dim.d
+    spec = ProtocolSpec(Family.DPLUS1, dim)
+    rng = np.random.default_rng(SAMPLE_SEED + 7 * d)
+    worst = 0.0
+    for _ in range(20):
+        lam = BellSpectrum(rng.dirichlet(np.ones(d * d)).reshape(d, d))
+        back = lambda_from_q(dim, q_from_lambda(spec, lam))
+        worst = max(worst, float(np.abs(back.lam - lam.lam).max()))
+    return worst
 
 
 def r_finite_reference(spec: ProtocolSpec, q: float, budget, params, mode) -> tuple[float, float | None]:

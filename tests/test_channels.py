@@ -9,6 +9,7 @@ from quditkd.channels import (
     BellSpectrum,
     depolarizing_spectrum,
     lambda_from_q,
+    q_entries_from_lambda,
     q_from_lambda,
 )
 from quditkd.errors import (
@@ -138,10 +139,12 @@ def test_depolarizing_spectrum_gives_depolarizing_vector_everywhere(d, family):
             assert np.abs(row - expect).max() <= 1e-12
 
 
-@pytest.mark.parametrize("family, dims", [(Family.TWO_BASIS, range(2, 24)),
-                                           (Family.DPLUS1, (2, 3, 5, 7, 11, 13, 17, 19, 23))])
+@pytest.mark.parametrize("family, dims", [(Family.TWO_BASIS, range(2, 33)),
+                                           (Family.DPLUS1, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))])
 def test_q_from_lambda_equals_per_basis_reference(family, dims):
-    # the one gather must reproduce the per-basis sums bit for bit
+    # the one gather must reproduce the per-basis sums bit for bit: for one
+    # spectrum, one stored transposed, and every slice of a stack (summing a
+    # strided gather moved the last bit for d >= 8)
     rng = np.random.default_rng(31)
     for d in dims:
         spec = ProtocolSpec(family, d)
@@ -150,6 +153,13 @@ def test_q_from_lambda_equals_per_basis_reference(family, dims):
             got = q_from_lambda(spec, lam)
             assert got.shape == (spec.n_bases, d)
             assert np.array_equal(got, q_from_lambda_per_basis(spec, lam.lam))
+        transposed = BellSpectrum(lam.lam.T)
+        assert np.array_equal(q_from_lambda(spec, transposed), q_from_lambda_per_basis(spec, lam.lam.T))
+        stack = rng.dirichlet(np.ones(d * d), size=20).reshape(20, d, d)
+        got = q_entries_from_lambda(stack, spec.n_bases)
+        assert got.shape == (20, spec.n_bases, d)
+        for i in range(20):
+            assert np.array_equal(got[i], q_from_lambda_per_basis(spec, stack[i]))
 
 
 @st.composite

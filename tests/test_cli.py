@@ -368,10 +368,11 @@ def test_verify_reports_and_exit_codes(capsys, monkeypatch):
 def test_verify_matches_its_golden_byte_for_byte(capsys):
     # a batched product that reordered one summation would move a printed
     # max_err by an ulp; this pins the whole report
-    golden = (GOLDEN / "readme-cli" / "verify-2-19.txt").read_text(encoding="utf-8")
-    code, out, _ = _run(capsys, ["verify", "--dims", "2..7,13,19"])
-    assert code == 0
-    assert out == golden
+    for golden, dims in (("readme-cli/verify-2-19.txt", "2..7,13,19"),
+                         ("simulate-verify/verify-2-23.txt", "2..7,13,19,23")):
+        code, out, _ = _run(capsys, ["verify", "--dims", dims])
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("request_", FINITE_KEY_REQUESTS, ids=lambda r: r.key)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import joint_table_per_state
+from oracles import joint_table_per_state, simulation_counts_reference
 
 from quditkd.channels import BellSpectrum, depolarizing_spectrum, q_from_lambda
 from quditkd.cli import MAX_DIM
@@ -120,7 +120,8 @@ def test_config_refuses_dimensions_beyond_the_threshold_table():
 @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
 @pytest.mark.parametrize(
     "probs",
-    [(0.0, 0.5, 0.25, 0.25), (0.3, 0.0, 0.7), (0.25, 0.25, 0.5, 0.0), (0.8, 0.2), tuple([1 / 12] * 12)],
+    [(0.0, 0.5, 0.25, 0.25), (0.3, 0.0, 0.7), (0.25, 0.25, 0.5, 0.0), (0.8, 0.2), tuple([1 / 12] * 12),
+     tuple([1 / 256] * 256)],
 )
 def test_label_chunks_equal_one_generator_choice(n, probs):
     # the streamed labels are the draws of one rng.choice call, and the
@@ -147,6 +148,71 @@ def test_run_memory_is_one_byte_per_round():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("probs", [(0.5, -0.1, 0.6), (0.5, 0.5 + 2e-8), (0.5, np.nan), tuple([1 / 257] * 257)])
+def test_label_chunks_refuse_what_choice_refuses(probs):
+    # a negative entry or a sum off by more than sqrt(eps) is refused as
+    # Generator.choice refuses it; more than 256 labels do not fit a uint8
+    rng = np.random.Generator(np.random.Philox(key=1))
+    with pytest.raises(InvalidDistribution):
+        next(_label_chunks(rng, np.asarray(probs), 10))
+    assert rng.random() == np.random.Generator(np.random.Philox(key=1)).random()
+
+
+def _config(family, d, rounds, seed, q=0.05, **kw):
+    spec = ProtocolSpec(family, d)
+    return SimConfig(spec, depolarizing_spectrum(spec.dim, q), rounds=rounds, seed=seed, **kw)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # Born tables with zero cells: a noiseless source and a pure off-diagonal state
+        _config(Family.DPLUS1, 3, 70001, 3, q=0.0),
+        SimConfig(ProtocolSpec(Family.DPLUS1, 5), _pure(5, 2, 3), rounds=50000, seed=4),
+        # basis weights with zeros leave bases with m = 0, on both paths
+        _config(Family.DPLUS1, 5, 300001, 6, basis_probs=(0.5, 0.0, 0.2, 0.0, 0.3, 0.0)),
+        _config(Family.DPLUS1, 5, 300001, 6, basis_probs=(0.5, 0.0, 0.2, 0.0, 0.3, 0.0), fast=True),
+        _config(Family.TWO_BASIS, 2, 7, 8, basis_probs=(1.0, 0.0)),
+        _config(Family.DPLUS1, 7, 3, 9),
+        # the fast path over several chunks that are not multiples of _CHUNK
+        _config(Family.TWO_BASIS, 13, 3 * _CHUNK + 12345, 10),
+        _config(Family.DPLUS1, 3, 5 * _CHUNK + 1, 11, q=0.0, fast=True),
+        _config(Family.TWO_BASIS, 32, 4 * _CHUNK + 7, 12),
+        _config(Family.DPLUS1, 11, 3 * _CHUNK + 5, 13),
+    ],
+    ids=lambda cfg: f"{cfg.spec.family.value}-d{cfg.spec.dim.d}-{cfg.rounds}-fast{cfg.fast}",
+)
+def test_run_counts_equal_the_per_round_sampler(cfg):
+    # the chunked outcome draws count the cells of the per-round
+    # Generator.choice draws, and leave the stream where they leave it
+    res = run_simulation(cfg)
+    reference = simulation_counts_reference(cfg)
+    assert [s.matched for s in res.per_basis] == [m for m, _ in reference]
+    for s, (_, counts) in zip(res.per_basis, reference):
+        assert s.counts.dtype == counts.dtype
+        assert np.array_equal(s.counts, counts)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _config(Family.TWO_BASIS, 2, 10**7, 7, q=0.04, basis_probs=(0.8, 0.2)),
+        _config(Family.TWO_BASIS, 13, 10**7, 7),
+    ],
+    ids=["two-basis-d2-exact", "two-basis-d13-fast"],
+)
+def test_sifted_outcomes_add_no_memory_per_round(cfg):
+    # two-basis runs sift about half the rounds; their outcomes are counted
+    # chunk by chunk, so the peak stays the sender's byte per round
+    tracemalloc.start()
+    try:
+        run_simulation(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_run_determinism():

@@ -1,9 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oracles import roundtrip_reference
+
 import quditkd.verification as verification
 from quditkd.qudit_algebra import Dim
-from quditkd.verification import CheckResult, check_bell_orthonormality, check_unitarity, run_suite
+from quditkd.verification import (
+    CheckResult,
+    check_bell_eigenstates,
+    check_bell_orthonormality,
+    check_commutation,
+    check_roundtrip,
+    check_unitarity,
+    run_suite,
+)
 
 
 def test_suite_passes_across_dimensions():
@@ -48,3 +60,33 @@ def test_fault_injection_is_caught(monkeypatch):
     result = check_bell_orthonormality(Dim(3))
     assert not result.passed
     assert result.max_err > 1e-7
+
+
+@pytest.mark.parametrize("check", [check_unitarity, check_commutation, check_bell_eigenstates])
+def test_operator_checks_work_in_bounded_batches(check):
+    # at d = 32 a check holds a few _BATCH_BYTES batches of operators, not
+    # all d^2 or 200 pairs at once
+    tracemalloc.start()
+    try:
+        result = check(Dim(32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("d", [2, 7, 13, 32])
+def test_batch_size_does_not_move_any_result(monkeypatch, d):
+    # each slice of a batched product is multiplied on its own, so one slice
+    # per batch and one batch for everything give the same bits
+    default = run_suite([d])
+    monkeypatch.setattr(verification, "_BATCH_BYTES", 1)
+    assert run_suite([d]) == default
+    monkeypatch.setattr(verification, "_BATCH_BYTES", 2**40)
+    assert run_suite([d]) == default
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_roundtrip_stack_equals_the_per_spectrum_loop(d):
+    assert check_roundtrip(Dim(d)).max_err == roundtrip_reference(Dim(d))
