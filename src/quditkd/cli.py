@@ -171,8 +171,8 @@ def _q_sweep(args: argparse.Namespace, d: int) -> list[float]:
         steps = (args.q_max - args.q_min) / args.q_step
         if steps >= MAX_SWEEP:
             raise QkdError(f"sweep of {steps + 1:.3g} Q values exceeds the cap of {MAX_SWEEP}")
-        count = int(round(steps)) + 1
-        values = [args.q_min + i * args.q_step for i in range(max(count, 0))]
+        # the last value may not pass q_max; 1e-9 absorbs the rounding of steps
+        values = [args.q_min + i * args.q_step for i in range(math.floor(steps + 1e-9) + 1)]
     limit = (d - 1) / d
     kept = [q for q in values if q <= limit + 1e-12]
     if not kept:

@@ -41,7 +41,7 @@ and m, the worst case once per distinct (eps_PE, m_key, m_check), and the
 rate terms by broadcasting. `r_finite` is that block at one cell, and the
 optimizer's coarse pass is the block of 61 budget shares x 99 values of
 p01, so every grid cell equals its scalar r_N exactly; its refine phases
-walk blocks of probes in the sequential order.
+walk blocks in the sequential order, and only the winner becomes a report.
 """
 
 from __future__ import annotations
@@ -426,19 +426,21 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return best_x, best_f
 
 
-def _share_params(spec: ProtocolSpec, budget: FiniteKeyBudget) -> list[FreeParams]:
-    """The budget split of each coarse-grid share, checked against eps once."""
-    per_share = [_params_from_shares(spec, budget, _P01_GRID[0], shares) for shares in _share_grid()]
+def _share_params(spec: ProtocolSpec, budget: FiniteKeyBudget, shares_list) -> list[FreeParams]:
+    """The budget split of each share triple, checked against eps once (`_rates` reads no p01 from it)."""
+    per_share = [_params_from_shares(spec, budget, _P01_GRID[0], shares) for shares in shares_list]
     for params in per_share:
         _check_budget(spec, budget, params)
     return per_share
 
 
-def _coarse_winner(spec: ProtocolSpec, q: float, budget: FiniteKeyBudget, mode: FluxMode) -> tuple[tuple, float]:
-    """Shares and p01 of the first coarse cell, in share-major order, with the
-    largest floored r_N, then the smallest p01, then (eps_PA, eps_PE, eps_bar)."""
+def _coarse_winner(
+    spec: ProtocolSpec, q: float, budget: FiniteKeyBudget, mode: FluxMode
+) -> tuple[tuple, float, float]:
+    """Shares, p01 and floored r_N of the first coarse cell, in share-major order,
+    with the largest floored r_N, then the smallest p01, then (eps_PA, eps_PE, eps_bar)."""
     shares_grid = _share_grid()
-    per_share = _share_params(spec, budget)
+    per_share = _share_params(spec, budget, shares_grid)
     grid = np.maximum(_rates(spec, q, budget, per_share, _P01_GRID, mode)[0], 0.0)
     columns = [
         np.repeat([getattr(p, name) for p in per_share], len(_P01_GRID))
@@ -447,7 +449,7 @@ def _coarse_winner(spec: ProtocolSpec, q: float, budget: FiniteKeyBudget, mode: 
     # lexsort is stable and ranks by its last key first
     order = np.lexsort(columns + [np.tile(_P01_GRID, len(shares_grid)), -grid.ravel()])
     i, j = divmod(int(order[0]), len(_P01_GRID))
-    return shares_grid[i], _P01_GRID[j]
+    return shares_grid[i], _P01_GRID[j], float(grid[i, j])
 
 
 def _rescaled(shares: tuple[float, ...], axis: int, factor: float) -> tuple[float, ...]:
@@ -474,39 +476,29 @@ def optimize_r_finite(
     `_rates` blocks too, the golden-section probes of _GOLDEN_DEPTH
     iterations on every branch and the rest of a descent sweep's 18 shares,
     and walk them in the order of one probe at a time, so they return what
-    the sequential search returns; `r_finite` builds only reports. Ties
-    prefer the smallest p01, then the lexicographically smallest (eps_PA,
-    eps_PE, eps_bar). At Q = 0.05 and N = 1e3..1e12 one call makes 7-60
-    `_rates` calls and takes 5-50 ms for d <= 11, 0.5 s at d = 31.
+    the sequential search returns; only the winner becomes an `r_finite`
+    report. Ties prefer the smallest p01, then the lexicographically
+    smallest (eps_PA, eps_PE, eps_bar). At Q = 0.05 and N = 1e3..1e12 one
+    call makes 6-53 `_rates` calls, 5-50 ms for d <= 11 and 0.5 s at d = 31.
     """
     budget = FiniteKeyBudget(n_signals, eps, eps_ec)
 
-    def evaluate(p01: float, shares: tuple[float, float, float]) -> FiniteRateReport:
-        return r_finite(spec, q, budget, _params_from_shares(spec, budget, p01, shares), mode)
-
     def block(candidates: list[tuple[float, float, float]], p01s: list[float]) -> np.ndarray:
-        """Floored r_N of every (shares, p01) cell, each checked as `r_finite` checks it."""
-        params = [_params_from_shares(spec, budget, p01, shares) for shares in candidates for p01 in p01s]
-        for p in params:
-            _check_budget(spec, budget, p)
-        return np.maximum(_rates(spec, q, budget, params[:: len(p01s)], p01s, mode)[0], 0.0)
+        """Floored r_N of every (shares, p01) cell. Every p01 probe lies in
+        [1e-4, 1 - 1e-4], and the final `r_finite` validates the winner's."""
+        return np.maximum(_rates(spec, q, budget, _share_params(spec, budget, candidates), p01s, mode)[0], 0.0)
 
-    def sort_key(report: FiniteRateReport) -> tuple:
-        p = report.params
-        return (-report.r_n, p.p01, p.eps_pa, p.eps_pe, p.eps_bar)
-
-    best_shares, p01 = _coarse_winner(spec, q, budget, mode)
-    best = evaluate(p01, best_shares)
-
-    def refine_p01(shares: tuple[float, float, float], center: float) -> FiniteRateReport:
+    def refine_p01(shares: tuple[float, float, float], center: float) -> tuple[float, float]:
         lo = max(center - 0.01, 1e-4)
         hi = min(center + 0.01, 1.0 - 1e-4)
-        x, _ = _golden_max(lambda p01s: block([shares], p01s)[0], lo, hi, _P01_TOL)
-        return evaluate(x, shares)
+        return _golden_max(lambda p01s: block([shares], p01s)[0], lo, hi, _P01_TOL)
 
-    refined = refine_p01(best_shares, best.params.p01)
-    if sort_key(refined) < sort_key(best):
-        best = refined
+    best_shares, p01, r_n = _coarse_winner(spec, q, budget, mode)
+    # the first refine keeps the coarse winner's shares, so of the tie-break
+    # (-r_N, p01, eps_PA, eps_PE, eps_bar) only (-r_N, p01) can differ
+    x, fx = refine_p01(best_shares, p01)
+    if (-fx, x) < (-r_n, p01):
+        p01, r_n = x, fx
 
     sweep = [(axis, factor) for axis in range(3) for factor in _DESCENT_FACTORS]
     for _ in range(60):
@@ -514,14 +506,14 @@ def optimize_r_finite(
         rest = sweep
         while rest:
             candidates = [_rescaled(best_shares, axis, factor) for axis, factor in rest]
-            values = block(candidates, [best.params.p01])[:, 0]
+            values = block(candidates, [p01])[:, 0]
             for k, (shares, value) in enumerate(zip(candidates, values)):
-                if value > best.r_n + _DESCENT_TOL:
-                    candidate = refine_p01(shares, best.params.p01)
-                    if candidate.r_n > best.r_n + _DESCENT_TOL:
-                        best, best_shares, improved = candidate, shares, True
+                if value > r_n + _DESCENT_TOL:
+                    x, fx = refine_p01(shares, p01)
+                    if fx > r_n + _DESCENT_TOL:
+                        p01, r_n, best_shares, improved = x, fx, shares, True
                         break
             rest = rest[k + 1 :]
         if not improved:
             break
-    return best
+    return r_finite(spec, q, budget, _params_from_shares(spec, budget, p01, best_shares), mode)

@@ -86,11 +86,11 @@ def joint_outcome_distribution(dim: Dim, spectrum: BellSpectrum, basis: np.ndarr
 
 
 def difference_marginal(table: np.ndarray) -> np.ndarray:
-    """Collapse a joint table onto t = (a - b) mod d."""
+    """Collapse a joint table onto t = (a - b) mod d, in the table's dtype."""
     d = table.shape[0]
     a = np.arange(d)
     t_of = (a[:, None] - a[None, :]) % d
-    out = np.zeros(d)
+    out = np.zeros(d, dtype=table.dtype)
     np.add.at(out, t_of, table)
     return out
 
@@ -246,7 +246,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
             for _, labels in _label_chunks(rng, flat, m):
                 counts += np.bincount(labels, minlength=d * d)
         counts = counts.reshape(d, d)
-        counts_t = difference_marginal(counts.astype(np.float64)).astype(np.int64)
+        counts_t = difference_marginal(counts)
         emp = counts_t / m if m > 0 else np.zeros(d)
         stat, dof, threshold, passed = _chi_square_check(counts_t, m, analytic[i])
         stats.append(

@@ -231,7 +231,7 @@ def optimize_reference(
         p = report.params
         return (-report.r_n, p.p01, p.eps_pa, p.eps_pe, p.eps_bar)
 
-    best_shares, p01 = rates_finite._coarse_winner(spec, q, budget, mode)
+    best_shares, p01, _ = rates_finite._coarse_winner(spec, q, budget, mode)
     best = evaluate(p01, best_shares)
 
     def refine_p01(shares, center):

@@ -147,6 +147,16 @@ def test_asymptotic_sweep_caps_at_depolarizing_limit(capsys):
     assert [float(r[2]) for r in rows] == [0.4, 0.5]
 
 
+def test_asymptotic_sweep_stops_at_q_max(capsys):
+    # 0.046 / 0.01 = 4.6 steps: the sweep ends at 0.04, not at the rounded 0.05
+    code, out, _ = _run(
+        capsys, ["asymptotic", "--dim", "2", "--q-min", "0", "--q-max", "0.046", "--q-step", "0.01"]
+    )
+    assert code == 0
+    _, rows = _rows(out)
+    assert [float(r[2]) for r in rows] == [0.0, 0.01, 0.02, 0.03, 0.04]
+
+
 def test_asymptotic_no_negative_zero(capsys):
     _, out, _ = _run(capsys, ["asymptotic", "--dim", "2", "--q", "0"])
     assert "-0" not in out

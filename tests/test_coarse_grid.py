@@ -62,7 +62,7 @@ def _clipped(spec, nominal, sizes, eps_pe, mode):
 def test_coarse_grid_equals_scalar_r_finite(family, mode, d, n_signals):
     spec = ProtocolSpec(family, d)
     budget = FiniteKeyBudget(n_signals, 1e-5, 1e-10)
-    per_share = rates_finite._share_params(spec, budget)
+    per_share = rates_finite._share_params(spec, budget, rates_finite._share_grid())
     raw, terms, sizes, degenerate, saturated = rates_finite._rates(
         spec, 0.05, budget, per_share, rates_finite._P01_GRID, mode
     )
@@ -134,7 +134,11 @@ def test_optimize_report_pins(config, expected):
     assert optimize_r_finite(ProtocolSpec(family, d), q, n_signals, 1e-5, 1e-10, mode) == expected
 
 
-def test_optimize_leaves_few_cells_to_scalar_r_finite(monkeypatch):
+@pytest.mark.parametrize(
+    "family, d, n_signals", ((DPLUS1, 5, 10**7), (TWO_BASIS, 2, 10**3), (TWO_BASIS, 11, 10**12))
+)
+def test_optimize_builds_one_report(monkeypatch, family, d, n_signals):
+    # the search runs on `_rates` values; only the winner becomes a report
     calls = []
 
     def counting(*args, **kwargs):
@@ -142,8 +146,8 @@ def test_optimize_leaves_few_cells_to_scalar_r_finite(monkeypatch):
         return r_finite(*args, **kwargs)
 
     monkeypatch.setattr(rates_finite, "r_finite", counting)
-    optimize_r_finite(ProtocolSpec(DPLUS1, 5), 0.05, 10**7, 1e-5, 1e-10)
-    assert 0 < len(calls) <= 20
+    report = optimize_r_finite(ProtocolSpec(family, d), 0.05, n_signals, 1e-5, 1e-10)
+    assert len(calls) == 1 and calls[0][3] == report.params
 
 
 def test_optimize_evaluates_in_few_rates_blocks(monkeypatch):
@@ -168,7 +172,7 @@ def test_xi_table_equals_scalar_xi_on_the_coarse_grid(d, n_signals):
     for family in (TWO_BASIS, DPLUS1):
         spec = ProtocolSpec(family, d)
         budget = FiniteKeyBudget(n_signals, 1e-5, 1e-10)
-        eps_pe = [p.eps_pe for p in rates_finite._share_params(spec, budget)]
+        eps_pe = [p.eps_pe for p in rates_finite._share_params(spec, budget, rates_finite._share_grid())]
         # every sample size the grid evaluates, a degenerate one as one sample
         sizes = [rates_finite._sample_sizes(spec, n_signals, p01) for p01 in rates_finite._P01_GRID]
         ms = sorted({max(m, 1) for _, per_basis in sizes for m in per_basis})
@@ -253,7 +257,7 @@ def test_coarse_pass_memory_is_bounded_at_the_largest_dimension():
     budget = FiniteKeyBudget(10**12, 1e-5, 1e-10)
     tracemalloc.start()
     try:
-        per_share = rates_finite._share_params(spec, budget)
+        per_share = rates_finite._share_params(spec, budget, rates_finite._share_grid())
         raw = rates_finite._rates(spec, 0.05, budget, per_share, rates_finite._P01_GRID, EQUAL)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
