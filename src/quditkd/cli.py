@@ -97,6 +97,14 @@ def parse_probs(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.split(",") if t.strip())
 
 
+def parse_fast(text: str) -> str:
+    """The `fast` setting, 'auto', 'on' or 'off' in any case, in lower case."""
+    fast = text.lower()
+    if fast not in ("auto", "on", "off"):
+        raise argparse.ArgumentTypeError(f"fast must be auto/on/off, got {text!r}")
+    return fast
+
+
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return f"{value + 0.0:.10g}"
@@ -105,9 +113,11 @@ def _fmt(value: Any) -> str:
 
 def _jnum(value: Any) -> Any:
     # floats squeezed through the same 10-significant-digit gate as CSV
-    if isinstance(value, float):
-        return float(f"{value + 0.0:.10g}")
-    return value
+    return float(_fmt(value)) if isinstance(value, float) else value
+
+
+def _json(command: str, **fields: Any) -> str:
+    return json.dumps({"schema_version": 1, "command": command, **fields}, indent=2) + "\n"
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -134,13 +144,11 @@ def _emit_table(
             writer.writerow([_fmt(row[c]) for c in columns])
         _write_output(buf.getvalue(), out)
     else:
-        obj = {
-            "schema_version": 1,
-            "command": command,
-            "params": {k: _jnum(v) for k, v in params.items()},
-            "rows": [{c: _jnum(row[c]) for c in columns} for row in rows],
-        }
-        _write_output(json.dumps(obj, indent=2) + "\n", out)
+        _write_output(_json(
+            command,
+            params={k: _jnum(v) for k, v in params.items()},
+            rows=[{c: _jnum(row[c]) for c in columns} for row in rows],
+        ), out)
 
 
 def cmd_critical_q(args: argparse.Namespace) -> int:
@@ -270,64 +278,48 @@ def _load_sim_config(path: str) -> dict[str, str]:
     return pairs
 
 
-_SIM_KEYS = {"dim", "family", "q", "rounds", "seed", "fast", "basis_probs"}
+# each simulate setting and the parser of its flag, which a config file's text goes through too
+_SIM_PARSERS = {
+    "dim": parse_dim, "family": Family, "q": parse_q, "rounds": int, "seed": int,
+    "fast": parse_fast, "basis_probs": parse_probs,
+}
 
 
 def _sim_config_from(args: argparse.Namespace) -> tuple[SimConfig, dict[str, Any]]:
-    values: dict[str, str] = {}
+    values: dict[str, Any] = {}
     if args.config is not None:
-        values = _load_sim_config(args.config)
-        unknown = set(values) - _SIM_KEYS
+        pairs = _load_sim_config(args.config)
+        unknown = set(pairs) - set(_SIM_PARSERS)
         if unknown:
             raise QkdError(f"unknown config keys: {sorted(unknown)}")
+        try:
+            values = {key: _SIM_PARSERS[key](text) for key, text in pairs.items()}
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise QkdError(f"bad config value: {exc}") from exc
     # flags override file values
-    for key in ("dim", "family", "q", "rounds", "seed"):
-        if getattr(args, key) is not None:
-            values[key] = str(getattr(args, key))
-    if args.fast != "auto":
-        values["fast"] = args.fast
-    if args.basis_probs is not None:
-        values["basis_probs"] = ",".join(repr(p) for p in args.basis_probs)
+    values.update((key, getattr(args, key)) for key in _SIM_PARSERS if getattr(args, key) is not None)
 
     missing = {"dim", "q", "rounds", "seed"} - set(values)
     if missing:
         raise QkdError(f"simulate needs {sorted(missing)} (via --config or flags)")
-    try:
-        dim = int(values["dim"])
-        q = parse_q(values["q"])
-        rounds = int(values["rounds"])
-        seed = int(values["seed"])
-        family = Family(values.get("family", Family.TWO_BASIS.value))
-        probs = parse_probs(values["basis_probs"]) if "basis_probs" in values else None
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise QkdError(f"bad config value: {exc}") from exc
-    if not 2 <= dim <= MAX_DIM or not 0 <= seed < 2**128:
-        raise QkdError(f"need dim in [2, {MAX_DIM}] and seed in [0, 2**128), got dim={dim} seed={seed}")
-    if rounds > MAX_ROUNDS:
-        raise QkdError(f"rounds={rounds} exceeds the cap of {MAX_ROUNDS}")
-    fast_text = values.get("fast", "auto").lower()
-    if fast_text not in ("auto", "on", "off"):
-        raise QkdError(f"fast must be auto/on/off, got {values['fast']!r}")
-    fast = {"auto": None, "on": True, "off": False}[fast_text]
+    if not 0 <= values["seed"] < 2**128:
+        raise QkdError(f"need seed in [0, 2**128), got seed={values['seed']}")
+    if values["rounds"] > MAX_ROUNDS:
+        raise QkdError(f"rounds={values['rounds']} exceeds the cap of {MAX_ROUNDS}")
+    values = {"family": Family.TWO_BASIS, "fast": "auto", "basis_probs": None} | values
 
-    spec = ProtocolSpec(family, dim)
+    spec = ProtocolSpec(values["family"], values["dim"])
     cfg = SimConfig(
         spec=spec,
-        spectrum=depolarizing_spectrum(spec.dim, q),
-        rounds=rounds,
-        seed=seed,
-        basis_probs=probs,
-        fast=fast,
+        spectrum=depolarizing_spectrum(spec.dim, values["q"]),
+        rounds=values["rounds"],
+        seed=values["seed"],
+        basis_probs=values["basis_probs"],
+        fast={"auto": None, "on": True, "off": False}[values["fast"]],
     )
-    echo = {
-        "dim": dim,
-        "family": family.value,
-        "q": q,
-        "rounds": rounds,
-        "seed": seed,
-        "fast": fast_text,
-        "basis_probs": list(cfg.basis_probs),
-    }
+    # every setting in table order, as the run uses it
+    echo = {key: values[key] for key in _SIM_PARSERS}
+    echo.update(family=spec.family.value, basis_probs=list(cfg.basis_probs))
     return cfg, echo
 
 
@@ -342,23 +334,21 @@ def _sim_result_json(result: SimResult, echo: dict[str, Any]) -> str:
                 "counts": st.counts.tolist(),
                 "empirical_q": [_jnum(float(v)) for v in st.empirical_q],
                 "analytic_q": [_jnum(float(v)) for v in st.analytic_q],
-                "chi_square": _jnum(st.chi_square) if st.chi_square is not None else None,
+                "chi_square": _jnum(st.chi_square),
                 "dof": st.chi_square_dof,
-                "threshold": _jnum(st.chi_square_threshold) if st.chi_square_threshold is not None else None,
+                "threshold": _jnum(st.chi_square_threshold),
                 "passed": st.passed,
             }
         )
-    obj = {
-        "schema_version": 1,
-        "command": "simulate",
-        "config": {k: _jnum(v) if isinstance(v, float) else v for k, v in echo.items()},
-        "sifted_count": result.sifted_count,
-        "expected_sift_fraction": _jnum(sifting_fraction(result.config)),
-        "fast": result.fast,
-        "all_passed": result.all_passed,
-        "per_basis": per_basis,
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    return _json(
+        "simulate",
+        config={k: _jnum(v) for k, v in echo.items()},
+        sifted_count=result.sifted_count,
+        expected_sift_fraction=_jnum(sifting_fraction(result.config)),
+        fast=result.fast,
+        all_passed=result.all_passed,
+        per_basis=per_basis,
+    )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -430,11 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo run against the analytic statistics")
     p.add_argument("--config", default=None, help="flat key=value file; flags override")
     p.add_argument("--dim", type=parse_dim, default=None)
-    p.add_argument("--family", choices=[f.value for f in Family], default=None)
+    p.add_argument("--family", type=Family, choices=[f.value for f in Family], default=None)
     p.add_argument("--q", type=parse_q, default=None, help="depolarizing noise (fraction or N%%)")
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--fast", choices=("auto", "on", "off"), default="auto",
+    p.add_argument("--fast", type=parse_fast, metavar="{auto,on,off}", default=None,
                    help="sample the difference distribution directly instead of exact projections")
     p.add_argument("--basis-probs", type=parse_probs, default=None, help="comma-separated basis weights")
     p.add_argument("--out", default=None, help="write JSON to this file instead of stdout")

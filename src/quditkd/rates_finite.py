@@ -36,12 +36,15 @@ The shift and the kernel work on stacks of K rows and report saturation as
 a mask. One function, `_worst_case_holevo_rows`, shifts the nominal rows
 and calls the kernel, in chunks of _CHUNK_ROWS rows. One function,
 `_rates`, evaluates r_N on a block of (budget share x p01) cells in one
-array pass: it takes xi's logarithms with `math` once per distinct eps_PE
-and m, the worst case once per distinct (eps_PE, m_key, m_check), and the
-rate terms by broadcasting. `r_finite` is that block at one cell, and the
-optimizer's coarse pass is the block of 61 budget shares x 99 values of
-p01, so every grid cell equals its scalar r_N exactly; its refine phases
-walk blocks in the sequential order, and only the winner becomes a report.
+array pass. Its budget split is one (S, 3) array of (eps_PA, eps_PE,
+eps_bar) rows, checked against eps once by `_checked_split`; `_share_split`
+builds those rows from the optimizer's share triples. `_rates` takes xi's
+logarithms with `math` once per distinct eps_PE and m, the worst case once
+per distinct (eps_PE, m_key, m_check), and the rate terms by broadcasting.
+`r_finite` is that block at one cell, and the optimizer's coarse pass is
+the block of 61 budget shares x 99 values of p01, so every grid cell equals
+its scalar r_N exactly; its refine phases walk blocks in the sequential
+order, and only the winner becomes a report.
 """
 
 from __future__ import annotations
@@ -194,13 +197,19 @@ class FiniteRateReport:
     degenerate: bool = False
 
 
-def _check_budget(spec: ProtocolSpec, budget: FiniteKeyBudget, params: FreeParams) -> None:
-    used = budget.eps_ec + params.eps_pa + spec.n_bases * params.eps_pe + params.eps_bar
-    if used > budget.eps * (1.0 + 1e-9):
-        raise InfeasibleParams(
-            f"failure budget {used!r} exceeds eps={budget.eps!r} "
-            f"(n_PE={spec.n_bases})"
-        )
+def _checked_split(spec: ProtocolSpec, budget: FiniteKeyBudget, split) -> np.ndarray:
+    """The budget split as an (S, 3) array of (eps_PA, eps_PE, eps_bar) rows,
+    InfeasibleParams if a row spends more than eps."""
+    split = np.asarray(split, dtype=float)
+    # Python floats, so `used` and its message keep the scalar float operations
+    for eps_pa, eps_pe, eps_bar in split.tolist():
+        used = budget.eps_ec + eps_pa + spec.n_bases * eps_pe + eps_bar
+        if used > budget.eps * (1.0 + 1e-9):
+            raise InfeasibleParams(
+                f"failure budget {used!r} exceeds eps={budget.eps!r} "
+                f"(n_PE={spec.n_bases})"
+            )
+    return split
 
 
 def _sample_sizes(spec: ProtocolSpec, n_signals: int, p01: float) -> tuple[int, tuple[int, ...]]:
@@ -258,15 +267,16 @@ def _distinct(values: list) -> tuple[list, np.ndarray]:
 
 
 def _rates(
-    spec: ProtocolSpec, q: float, budget: FiniteKeyBudget, per_share: list[FreeParams],
+    spec: ProtocolSpec, q: float, budget: FiniteKeyBudget, split: np.ndarray,
     p01s, mode: FluxMode,
 ) -> tuple[np.ndarray, dict, list, np.ndarray, np.ndarray]:
     """r_N of every (budget share i, p01 j) cell in one array pass.
 
-    Row i takes its failure budgets from per_share[i] (its p01 is not read)
-    and column j its sample sizes from p01s[j]. Returns, in order: the
-    unfloored r_N, shape (S, P); its terms, each broadcasting to (S, P);
-    the (n, m_per_basis) of each p01; a (P,) mask of the degenerate columns,
+    Row i takes its failure budgets from split[i], one (eps_PA, eps_PE,
+    eps_bar) row of a `_checked_split` array of shape (S, 3), and column j
+    its sample sizes from p01s[j]. Returns, in order: the unfloored r_N,
+    shape (S, P); its terms, each broadcasting to (S, P); the
+    (n, m_per_basis) of each p01; a (P,) mask of the degenerate columns,
     where some basis keeps no sample; and an (S, P) mask of the saturated
     cells. A cell with either flag has no rate: its r_N reads 0 and its
     terms carry no meaning.
@@ -282,7 +292,7 @@ def _rates(
     # m_per_basis starts with n, so this also catches an empty key basis
     degenerate = np.array([min(ms) == 0 for _, ms in sizes])
     if degenerate.all():  # the optimizer's refine phases hit this at small N
-        raw = np.zeros((len(per_share), len(p01s)))
+        raw = np.zeros((len(split), len(p01s)))
         return raw, dict.fromkeys(TERMS, raw), sizes, degenerate, np.zeros(raw.shape, dtype=bool)
     # a degenerate column is evaluated as if each basis kept one sample,
     # which keeps its arithmetic finite; its cells are masked at the end
@@ -292,7 +302,8 @@ def _rates(
 
     # a cell's worst case depends on its share through eps_PE and on its
     # p01 through the sample sizes: evaluate each distinct combination once
-    eps_pe, eps_of = _distinct([p.eps_pe for p in per_share])
+    eps_pa, eps_pe_rows, eps_bar = split.T.tolist()
+    eps_pe, eps_of = _distinct(eps_pe_rows)
     # only the (d+1)-basis bound reads the key sample size
     pairs, pair_of = _distinct([(k if dplus1 else 0, c) for k, c in zip(key, check)])
 
@@ -306,9 +317,9 @@ def _rates(
     holevo_worst = info.take(cell)
     h_ab = entropy_unchecked(nominal)
     ec_term = math.log2(2.0 / budget.eps_ec) / n
-    pa_term = 2.0 * np.array([[math.log2(1.0 / p.eps_pa)] for p in per_share]) / n
+    pa_term = 2.0 * np.array([[math.log2(1.0 / e)] for e in eps_pa]) / n
     smooth_coefficient = 2.0 * math.log2(d) + 3.0
-    smooth_term = smooth_coefficient * np.sqrt(np.array([[math.log2(2.0 / p.eps_bar)] for p in per_share]) / n)
+    smooth_term = smooth_coefficient * np.sqrt(np.array([[math.log2(2.0 / e)] for e in eps_bar]) / n)
     frac = np.array([k / budget.n_signals for k in key])
     rate = frac * (math.log2(d) - holevo_worst - h_ab - ec_term - pa_term - smooth_term)
     saturated = sat.take(cell) & ~degenerate
@@ -331,8 +342,8 @@ def r_finite(
     saturated statistics yield r_N = 0 with the matching flag and an empty
     term breakdown.
     """
-    _check_budget(spec, budget, params)
-    raw, terms, sizes, degenerate, saturated = _rates(spec, q, budget, [params], [params.p01], mode)
+    split = _checked_split(spec, budget, [[params.eps_pa, params.eps_pe, params.eps_bar]])
+    raw, terms, sizes, degenerate, saturated = _rates(spec, q, budget, split, [params.p01], mode)
     n, ms = sizes[0]
     has_rate = not (degenerate[0] or saturated[0, 0])
     return FiniteRateReport(
@@ -366,16 +377,13 @@ def _share_grid() -> tuple[tuple[float, float, float], ...]:
     return tuple(seen.values())
 
 
-def _params_from_shares(
-    spec: ProtocolSpec, budget: FiniteKeyBudget, p01: float, shares: tuple[float, float, float]
-) -> FreeParams:
-    remaining = (budget.eps - budget.eps_ec) * _BUDGET_FILL
-    return FreeParams(
-        p01=p01,
-        eps_pa=shares[0] * remaining,
-        eps_pe=shares[1] * remaining / spec.n_bases,
-        eps_bar=shares[2] * remaining,
-    )
+def _share_split(spec: ProtocolSpec, budget: FiniteKeyBudget, shares_list) -> np.ndarray:
+    """The checked budget split of each share triple: eps_PA and eps_bar
+    take their shares of the budget left after eps_EC, and eps_PE its share
+    divided among the n_PE bases."""
+    split = np.array(shares_list, dtype=float) * ((budget.eps - budget.eps_ec) * _BUDGET_FILL)
+    split[:, 1] /= spec.n_bases
+    return _checked_split(spec, budget, split)
 
 
 def _golden_step(bracket: tuple, left: bool) -> tuple:
@@ -426,28 +434,17 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return best_x, best_f
 
 
-def _share_params(spec: ProtocolSpec, budget: FiniteKeyBudget, shares_list) -> list[FreeParams]:
-    """The budget split of each share triple, checked against eps once (`_rates` reads no p01 from it)."""
-    per_share = [_params_from_shares(spec, budget, _P01_GRID[0], shares) for shares in shares_list]
-    for params in per_share:
-        _check_budget(spec, budget, params)
-    return per_share
-
-
 def _coarse_winner(
     spec: ProtocolSpec, q: float, budget: FiniteKeyBudget, mode: FluxMode
 ) -> tuple[tuple, float, float]:
     """Shares, p01 and floored r_N of the first coarse cell, in share-major order,
     with the largest floored r_N, then the smallest p01, then (eps_PA, eps_PE, eps_bar)."""
     shares_grid = _share_grid()
-    per_share = _share_params(spec, budget, shares_grid)
-    grid = np.maximum(_rates(spec, q, budget, per_share, _P01_GRID, mode)[0], 0.0)
-    columns = [
-        np.repeat([getattr(p, name) for p in per_share], len(_P01_GRID))
-        for name in ("eps_bar", "eps_pe", "eps_pa")
-    ]
+    split = _share_split(spec, budget, shares_grid)
+    grid = np.maximum(_rates(spec, q, budget, split, _P01_GRID, mode)[0], 0.0)
+    cells = np.repeat(split, len(_P01_GRID), axis=0)
     # lexsort is stable and ranks by its last key first
-    order = np.lexsort(columns + [np.tile(_P01_GRID, len(shares_grid)), -grid.ravel()])
+    order = np.lexsort((*cells.T[::-1], np.tile(_P01_GRID, len(shares_grid)), -grid.ravel()))
     i, j = divmod(int(order[0]), len(_P01_GRID))
     return shares_grid[i], _P01_GRID[j], float(grid[i, j])
 
@@ -486,7 +483,7 @@ def optimize_r_finite(
     def block(candidates: list[tuple[float, float, float]], p01s: list[float]) -> np.ndarray:
         """Floored r_N of every (shares, p01) cell. Every p01 probe lies in
         [1e-4, 1 - 1e-4], and the final `r_finite` validates the winner's."""
-        return np.maximum(_rates(spec, q, budget, _share_params(spec, budget, candidates), p01s, mode)[0], 0.0)
+        return np.maximum(_rates(spec, q, budget, _share_split(spec, budget, candidates), p01s, mode)[0], 0.0)
 
     def refine_p01(shares: tuple[float, float, float], center: float) -> tuple[float, float]:
         lo = max(center - 0.01, 1e-4)
@@ -516,4 +513,4 @@ def optimize_r_finite(
             rest = rest[k + 1 :]
         if not improved:
             break
-    return r_finite(spec, q, budget, _params_from_shares(spec, budget, p01, best_shares), mode)
+    return r_finite(spec, q, budget, FreeParams(p01, *_share_split(spec, budget, [best_shares])[0].tolist()), mode)

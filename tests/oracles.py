@@ -12,7 +12,7 @@ from quditkd.qudit_algebra import Dim, WeylIndex, basis_for, bell_matrix
 from quditkd.rates_asymptotic import adversary_information_rows
 import quditkd.rates_finite as rates_finite
 import quditkd.simulator as simulator
-from quditkd.rates_finite import FiniteKeyBudget, FiniteRateReport, FluxMode, r_finite, xi
+from quditkd.rates_finite import FiniteKeyBudget, FiniteRateReport, FluxMode, FreeParams, r_finite, xi
 from quditkd.verification import SAMPLE_SEED
 
 
@@ -190,6 +190,20 @@ def r_finite_reference(spec: ProtocolSpec, q: float, budget, params, mode) -> tu
     return max(raw, 0.0), i_e
 
 
+def params_from_shares_reference(spec: ProtocolSpec, budget, p01: float, shares) -> FreeParams:
+    """The `FreeParams` of one share triple, one scalar at a time: eps_PA and
+    eps_bar take their shares of the budget left after eps_EC, and eps_PE
+    its share divided among the n_PE bases. The scalar form of
+    `rates_finite._share_split`."""
+    remaining = (budget.eps - budget.eps_ec) * rates_finite._BUDGET_FILL
+    return FreeParams(
+        p01=p01,
+        eps_pa=shares[0] * remaining,
+        eps_pe=shares[1] * remaining / spec.n_bases,
+        eps_bar=shares[2] * remaining,
+    )
+
+
 def golden_max_reference(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Golden-section maximization probing one point at a time with a scalar
     f; returns (best_x, best_f) over all probes. The sequential form of
@@ -225,7 +239,7 @@ def optimize_reference(
     budget = FiniteKeyBudget(n_signals, eps, eps_ec)
 
     def evaluate(p01, shares):
-        return r_finite(spec, q, budget, rates_finite._params_from_shares(spec, budget, p01, shares), mode)
+        return r_finite(spec, q, budget, params_from_shares_reference(spec, budget, p01, shares), mode)
 
     def sort_key(report):
         p = report.params

@@ -10,8 +10,10 @@ import pytest
 
 import quditkd.verification
 from quditkd.cli import (
-    MAX_CONFIG_BYTES, MAX_DIM, MAX_N_POINTS, MAX_ROUNDS, _n_grid, main, parse_count, parse_dims, parse_q,
+    _SIM_PARSERS, MAX_CONFIG_BYTES, MAX_DIM, MAX_N_POINTS, MAX_ROUNDS, _n_grid, build_parser, main, parse_count,
+    parse_dims, parse_q,
 )
+from quditkd.protocol import Family
 from quditkd.verification import CheckResult
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -239,6 +241,39 @@ def test_simulate_config_file(capsys, tmp_path):
     # flags override the file
     code, out, _ = _run(capsys, ["simulate", "--config", str(cfg), "--seed", "14"])
     assert json.loads(out)["config"]["seed"] == 14
+
+
+def test_simulate_fast_flag_overrides_the_file_in_any_case(capsys, tmp_path):
+    cfg = tmp_path / "fast_on.cfg"
+    cfg.write_text("dim = 3\nq = 0.05\nrounds = 4000\nseed = 5\nfast = on\n", encoding="utf-8")
+    base = ["simulate", "--config", str(cfg)]
+    code, out, _ = _run(capsys, base)
+    obj = json.loads(out)
+    assert code == 0 and obj["config"]["fast"] == "on" and obj["fast"] is True
+    # --fast auto is a flag like any other and wins over the file: d = 3 samples exactly
+    code, out, _ = _run(capsys, base + ["--fast", "auto"])
+    obj = json.loads(out)
+    assert code == 0 and obj["config"]["fast"] == "auto" and obj["fast"] is False
+    # the flag takes any case, as the file does
+    for text, fast in (("ON", True), ("Off", False)):
+        code, out, _ = _run(capsys, ["simulate", "--dim", "3", "--q", "0.05", "--rounds", "4000",
+                                     "--seed", "5", "--fast", text])
+        obj = json.loads(out)
+        assert code == 0 and obj["config"]["fast"] == text.lower() and obj["fast"] is fast
+
+
+def test_simulate_flags_and_config_keys_share_their_parsers():
+    # a config value goes through the parser of its flag; a new flag needs
+    # a table entry, and a changed parser must change both
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {
+        a.dest: a for a in sub.choices["simulate"]._actions
+        if not isinstance(a, argparse._HelpAction) and a.dest not in ("config", "out")
+    }
+    assert set(actions) == set(_SIM_PARSERS)
+    for dest, action in actions.items():
+        assert action.type is _SIM_PARSERS[dest] and action.default is None, dest
+    assert actions["family"].choices == [f.value for f in Family]
 
 
 def test_domain_errors_exit_2(capsys):

@@ -16,7 +16,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import golden_max_reference, optimize_reference, r_finite_reference, shift_one
+from oracles import (
+    golden_max_reference,
+    optimize_reference,
+    params_from_shares_reference,
+    r_finite_reference,
+    shift_one,
+)
 
 import quditkd.rates_finite as rates_finite
 from quditkd.channels import lambda_entries_from_q
@@ -62,9 +68,9 @@ def _clipped(spec, nominal, sizes, eps_pe, mode):
 def test_coarse_grid_equals_scalar_r_finite(family, mode, d, n_signals):
     spec = ProtocolSpec(family, d)
     budget = FiniteKeyBudget(n_signals, 1e-5, 1e-10)
-    per_share = rates_finite._share_params(spec, budget, rates_finite._share_grid())
+    split = rates_finite._share_split(spec, budget, rates_finite._share_grid())
     raw, terms, sizes, degenerate, saturated = rates_finite._rates(
-        spec, 0.05, budget, per_share, rates_finite._P01_GRID, mode
+        spec, 0.05, budget, split, rates_finite._P01_GRID, mode
     )
     grid = np.maximum(raw, 0.0)
     nominal = depolarizing_vector(spec.dim, 0.05)
@@ -72,7 +78,7 @@ def test_coarse_grid_equals_scalar_r_finite(family, mode, d, n_signals):
     seen = {"positive": 0, "clipped": 0}
     for i, shares in enumerate(rates_finite._share_grid()):
         for j, p01 in enumerate(rates_finite._P01_GRID):
-            params = rates_finite._params_from_shares(spec, budget, p01, shares)
+            params = params_from_shares_reference(spec, budget, p01, shares)
             no_rate = degenerate[j] or saturated[i, j]
             cell = (grid[i, j], None if no_rate else terms["holevo_worst"][i, j])
             assert cell == r_finite_reference(spec, 0.05, budget, params, mode), (shares, p01)
@@ -172,7 +178,7 @@ def test_xi_table_equals_scalar_xi_on_the_coarse_grid(d, n_signals):
     for family in (TWO_BASIS, DPLUS1):
         spec = ProtocolSpec(family, d)
         budget = FiniteKeyBudget(n_signals, 1e-5, 1e-10)
-        eps_pe = [p.eps_pe for p in rates_finite._share_params(spec, budget, rates_finite._share_grid())]
+        eps_pe = rates_finite._share_split(spec, budget, rates_finite._share_grid())[:, 1].tolist()
         # every sample size the grid evaluates, a degenerate one as one sample
         sizes = [rates_finite._sample_sizes(spec, n_signals, p01) for p01 in rates_finite._P01_GRID]
         ms = sorted({max(m, 1) for _, per_basis in sizes for m in per_basis})
@@ -180,6 +186,26 @@ def test_xi_table_equals_scalar_xi_on_the_coarse_grid(d, n_signals):
         assert table.shape == (len(eps_pe), len(ms))
         for i, e in enumerate(eps_pe):
             assert table[i].tolist() == [xi(m, d, e) for m in ms], (family, e)
+
+
+@pytest.mark.parametrize("family, d", ((TWO_BASIS, 6), (DPLUS1, 5)))
+@pytest.mark.parametrize("eps, eps_ec", ((1e-5, 1e-10), (1e-3, 4e-4)))
+def test_share_split_equals_the_scalar_budget_split(family, d, eps, eps_ec):
+    # the coarse grid's share triples and every rescaling a descent sweep
+    # makes of them, bit for bit
+    spec = ProtocolSpec(family, d)
+    budget = FiniteKeyBudget(10**7, eps, eps_ec)
+    grid = rates_finite._share_grid()
+    rescaled = [
+        rates_finite._rescaled(shares, axis, factor)
+        for shares in grid for axis in range(3) for factor in rates_finite._DESCENT_FACTORS
+    ]
+    for shares_list in (grid, rescaled):
+        expected = []
+        for shares in shares_list:
+            params = params_from_shares_reference(spec, budget, 0.5, shares)
+            expected.append([params.eps_pa, params.eps_pe, params.eps_bar])
+        assert rates_finite._share_split(spec, budget, shares_list).tolist() == expected
 
 
 def _plateaus(x):
@@ -257,8 +283,8 @@ def test_coarse_pass_memory_is_bounded_at_the_largest_dimension():
     budget = FiniteKeyBudget(10**12, 1e-5, 1e-10)
     tracemalloc.start()
     try:
-        per_share = rates_finite._share_params(spec, budget, rates_finite._share_grid())
-        raw = rates_finite._rates(spec, 0.05, budget, per_share, rates_finite._P01_GRID, EQUAL)[0]
+        split = rates_finite._share_split(spec, budget, rates_finite._share_grid())
+        raw = rates_finite._rates(spec, 0.05, budget, split, rates_finite._P01_GRID, EQUAL)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -106,8 +106,9 @@ def test_budget_feasibility_enforced():
     spec = ProtocolSpec(Family.TWO_BASIS, 2)
     budget = FiniteKeyBudget(10**6, 1e-5, 1e-10)
     bad = FreeParams(p01=0.8, eps_pa=5e-6, eps_pe=2e-6, eps_bar=2e-6)  # sums past eps
-    with pytest.raises(InfeasibleParams):
+    with pytest.raises(InfeasibleParams) as raised:
         r_finite(spec, 0.05, budget, bad)
+    assert str(raised.value) == "failure budget 1.10001e-05 exceeds eps=1e-05 (n_PE=2)"
     with pytest.raises(OutOfRange):
         FiniteKeyBudget(10**6, 1e-5, 2e-5)  # eps_EC above eps
     with pytest.raises(OutOfRange):
