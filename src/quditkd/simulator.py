@@ -13,13 +13,15 @@ path is there to validate in the first place).
 A run reads one Philox stream keyed by the seed. Every categorical draw,
 basis labels and outcomes alike, goes through one sampler that draws
 `_CHUNK` rounds at a time, with exactly the values one `Generator.choice`
-call would give. The sender's basis labels are kept, at one byte per round,
-and the receiver's chunks are matched against them as they arrive. The
-outcomes of a basis are counted chunk by chunk: exact cells straight into
-the (d, d) table, and on the fast path the differences t, kept at one byte
-per sifted round of that basis, then the sender outcomes in `_CHUNK`-sized
-`integers` calls. Memory is that byte per round plus fixed chunks; the
-outcome draws start after the sender's labels are freed and add nothing.
+call would give. The sender's basis labels are the stream's first `rounds`
+words and the receiver's the next `rounds`; two generators read the two
+stretches side by side, the receiver's a copy of the sender's advanced by
+`rounds` words, so each sender chunk meets its receiver chunk at once and
+no label is kept. The outcomes continue on the receiver's generator and
+are counted chunk by chunk: exact cells straight into the (d, d) table,
+and on the fast path the differences t, kept at one byte per sifted round
+of that basis, then the sender outcomes in `_CHUNK`-sized `integers`
+calls. The exact path's memory is fixed chunks, whatever the rounds.
 
 The chi-square verdicts compare against `CHI2_THRESHOLDS`, a constant table
 of the 0.999 quantiles for 1 to 31 degrees of freedom copied from scipy
@@ -30,6 +32,7 @@ nothing beyond numpy.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -188,20 +191,24 @@ def _label_chunks(rng: np.random.Generator, probs: np.ndarray, n: int) -> Iterat
         yield start, labels
 
 
-def _matched_counts(rng: np.random.Generator, probs: np.ndarray, rounds: int) -> np.ndarray:
-    """Rounds in which sender and receiver both drew basis b, for every b.
+def _matched_counts(rng: np.random.Generator, probs: np.ndarray, rounds: int) -> tuple[np.ndarray, np.random.Generator]:
+    """Rounds in which sender and receiver both drew basis b, for every b,
+    and the generator that continues the stream after both parties' labels.
 
-    All sender labels come first, then all receiver labels, one byte per
-    round for the sender's and one chunk at a time for the receiver's.
+    `rng` is a fresh Philox generator. The sender's labels are its first
+    `rounds` draws, the receiver's the next `rounds`, read by a copy of it
+    advanced by `rounds` words: `advance(rounds // 4)` (one counter step is
+    four 64-bit words, and a fresh generator buffers none), then the
+    remaining `rounds % 4` words. The two are drawn a chunk at a time, side
+    by side, so the stream is that of one sequential pass.
     """
-    sender = np.empty(rounds, dtype=np.uint8)
-    for start, labels in _label_chunks(rng, probs, rounds):
-        sender[start : start + labels.size] = labels
+    receiver = copy.deepcopy(rng)
+    receiver.bit_generator.advance(rounds // 4)
+    receiver.bit_generator.random_raw(rounds % 4)
     matched = np.zeros(probs.size, dtype=np.int64)
-    for start, labels in _label_chunks(rng, probs, rounds):
-        s = sender[start : start + labels.size]
-        matched += np.bincount(s[s == labels], minlength=probs.size)
-    return matched
+    for (_, s), (_, r) in zip(_label_chunks(rng, probs, rounds), _label_chunks(receiver, probs, rounds)):
+        matched += np.bincount(s[s == r], minlength=probs.size)
+    return matched, receiver
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
@@ -209,19 +216,20 @@ def run_simulation(cfg: SimConfig) -> SimResult:
 
     Deterministic for a fixed config: one Philox stream, draws in a fixed
     order (all sender bases, all receiver bases, then outcomes basis by
-    basis). The basis labels come in chunks (`_label_chunks`) and reduce to
-    one matched count per basis (`_matched_counts`). A basis's outcomes
-    come from the same sampler, each chunk added to its (d, d) table by one
-    `bincount`: Born-table cells on the exact path; on the fast path all
-    differences t first, then the sender outcomes a in chunks (chunked
-    `integers` calls give the stream of one call). Single-threaded on
-    purpose.
+    basis). The two parties' basis labels are drawn side by side by two
+    generators on that stream and reduce to one matched count per basis
+    (`_matched_counts`); the outcomes continue on the receiver's generator.
+    A basis's outcomes come from the same sampler (`_label_chunks`), each
+    chunk added to its (d, d) table by one `bincount`: Born-table cells on
+    the exact path; on the fast path all differences t first, then the
+    sender outcomes a in chunks (chunked `integers` calls give the stream
+    of one call). Single-threaded on purpose.
     """
     spec = cfg.spec
     d = spec.dim.d
     fast = cfg.fast if cfg.fast is not None else d > EXACT_DIM_CAP
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    matched = _matched_counts(rng, np.asarray(cfg.basis_probs), cfg.rounds)
+    matched, rng = _matched_counts(rng, np.asarray(cfg.basis_probs), cfg.rounds)
 
     analytic = q_from_lambda(spec, cfg.spectrum)
     bases = None if fast else protocol_bases(spec)

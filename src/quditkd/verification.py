@@ -8,11 +8,14 @@ The operator checks walk their index arrays in batches: each batch's
 operators are one (b, d, d) stack of at most _BATCH_BYTES, so b follows
 from d, and one batched `@` multiplies each slice as a lone (d, d) product
 would; max_err is bit for bit that of a per-index loop, whatever the batch
-size. The orthonormality check keeps one Gram product, the suite's only
-d^4 temporary (16 MB at d = 32): splitting it into row blocks moves max_err.
-The roundtrip check runs its 20 random spectra as one stack. |c| in the
-eigenstate check uses np.hypot: it rounds like the scalar abs(), where
-numpy's vectorized complex abs can differ in the last bits."""
+size. The orthonormality check takes its Gram product in blocks of about
+n/8 of its n = d^2 rows, so the d^4 Bell matrix is its one array of that
+size. No block has one row: BLAS sends a one-row product down its
+matrix-vector path, which rounds differently, while blocks of two or more
+rows give the entries of the one whole product bit for bit. The roundtrip
+check runs its 20 random spectra as one stack. |c| in the eigenstate check
+uses np.hypot: it rounds like the scalar abs(), where numpy's vectorized
+complex abs can differ in the last bits."""
 
 from __future__ import annotations
 
@@ -102,18 +105,30 @@ def check_commutation(dim: Dim) -> CheckResult:
     return CheckResult("commutation", dim.d, worst <= COMMUTATION_TOL, worst)
 
 
-def check_bell_orthonormality(dim: Dim) -> CheckResult:
-    """The d^2 Bell vectors have Gram matrix 1, from one Gram product.
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """(lo, hi) blocks of about n/8 of n rows, none of them one row: a
+    one-row tail joins the block before it."""
+    starts = list(range(0, n, max(2, -(-n // 8))))
+    if n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
-    The product is the suite's one d^4 temporary; the diagonal 1 is taken
-    off in place, which rounds as `gram - np.eye(d * d)` does.
+
+def check_bell_orthonormality(dim: Dim) -> CheckResult:
+    """The d^2 Bell vectors have Gram matrix 1, one block of rows at a time.
+
+    Each block's diagonal 1 is taken off in place (flat offset lo, stride
+    n + 1), which rounds as `gram - np.eye(d * d)` does.
     """
     n = dim.d**2
     vecs = bell_matrix(dim, _all_indices(dim.d)).reshape(n, n)
-    gram = vecs.conj() @ vecs.T
-    del vecs
-    gram.reshape(-1)[:: n + 1] -= 1.0
-    worst = float(np.abs(gram).max())
+
+    def block_err(lo: int, hi: int) -> float:
+        gram = vecs[lo:hi].conj() @ vecs.T
+        gram.reshape(-1)[lo :: n + 1] -= 1.0
+        return np.abs(gram).max()
+
+    worst = float(np.max([block_err(lo, hi) for lo, hi in _row_blocks(n)]))
     return CheckResult("bell_orthonormality", dim.d, worst <= ORTHONORMALITY_TOL, worst)
 
 

@@ -109,15 +109,20 @@ def joint_table_per_state(dim: Dim, spectrum: BellSpectrum, basis: np.ndarray) -
 
 
 def simulation_counts_reference(cfg: simulator.SimConfig) -> list[tuple[int, np.ndarray]]:
-    """(matched, (d, d) counts) of every basis of `run_simulation(cfg)`, with
-    the outcome draws of one `Generator.choice` call per basis: a categorical
-    cell per round on the exact path, and on the fast path a difference t
-    per round, then one `integers` call for the sender outcomes a."""
+    """(matched, (d, d) counts) of every basis of `run_simulation(cfg)`, from
+    one sequential stream: the sender's and then the receiver's basis labels
+    as two `Generator.choice` calls, the matches counted here, then the
+    outcome draws of one `choice` call per basis: a categorical cell per
+    round on the exact path, and on the fast path a difference t per round,
+    then one `integers` call for the sender outcomes a."""
     spec = cfg.spec
     d = spec.dim.d
     fast = cfg.fast if cfg.fast is not None else d > simulator.EXACT_DIM_CAP
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    matched = simulator._matched_counts(rng, np.asarray(cfg.basis_probs), cfg.rounds)
+    nb = spec.n_bases
+    sender = rng.choice(nb, size=cfg.rounds, p=cfg.basis_probs)
+    receiver = rng.choice(nb, size=cfg.rounds, p=cfg.basis_probs)
+    matched = np.bincount(sender[sender == receiver], minlength=nb)
     analytic = q_from_lambda(spec, cfg.spectrum)
     out = []
     for i, basis in enumerate(spec.basis_indices):
@@ -148,6 +153,16 @@ def roundtrip_reference(dim: Dim) -> float:
         back = lambda_from_q(dim, q_from_lambda(spec, lam))
         worst = max(worst, float(np.abs(back.lam - lam.lam).max()))
     return worst
+
+
+def bell_orthonormality_reference(dim: Dim) -> float:
+    """`verification.check_bell_orthonormality`'s max_err from one whole
+    Gram product, with the diagonal 1 taken off in place."""
+    n = dim.d**2
+    vecs = bell_matrix(dim, WeylIndex(*np.divmod(np.arange(n), dim.d))).reshape(n, n)
+    gram = vecs.conj() @ vecs.T
+    gram.reshape(-1)[:: n + 1] -= 1.0
+    return float(np.abs(gram).max())
 
 
 def r_finite_reference(spec: ProtocolSpec, q: float, budget, params, mode) -> tuple[float, float | None]:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import roundtrip_reference
+from oracles import bell_orthonormality_reference, roundtrip_reference
 
 import quditkd.verification as verification
 from quditkd.qudit_algebra import Dim
@@ -15,6 +15,7 @@ from quditkd.verification import (
     check_roundtrip,
     check_unitarity,
     run_suite,
+    _row_blocks,
 )
 
 
@@ -74,6 +75,37 @@ def test_operator_checks_work_in_bounded_batches(check):
         tracemalloc.stop()
     assert result.passed
     assert peak <= 4 * 2**20
+
+
+def test_orthonormality_works_in_row_blocks():
+    # at d = 32 the check holds the 16 MiB Bell matrix and one block of
+    # about n/8 Gram rows, not a whole d^4 Gram product and its operand copy
+    tracemalloc.start()
+    try:
+        result = check_bell_orthonormality(Dim(32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize("d", range(2, 33))
+def test_row_blocks_equal_the_one_gram_product(d):
+    # blocks of two or more rows give the whole product's entries bit for bit
+    assert check_bell_orthonormality(Dim(d)).max_err == bell_orthonormality_reference(Dim(d))
+
+
+def test_no_row_block_has_one_row():
+    # a one-row product takes BLAS's matrix-vector path and rounds
+    # differently; at d = 3, n = 9 rows in steps of 2 would leave one
+    assert _row_blocks(9) == [(0, 2), (2, 4), (4, 6), (6, 9)]
+    for d in range(2, 33):
+        n = d * d
+        blocks = _row_blocks(n)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        assert all(hi - lo >= 2 for lo, hi in blocks)
 
 
 @pytest.mark.parametrize("d", [2, 7, 13, 32])
