@@ -82,17 +82,18 @@ def q_from_lambda(spec: ProtocolSpec, spectrum: BellSpectrum) -> np.ndarray:
 def q_entries_from_lambda(lam: np.ndarray, n_bases: int) -> np.ndarray:
     """Raw forward map on a stack: lam is (K, d, d), the result (K, n_bases, d).
 
-    Row 0 is q_01 (row sums of lam); row 1 + s is q_1s, gathered with the
-    reconstruction table read as idx[s, t, j] = (s*j - t) mod d. `np.take`
-    writes the gather C-contiguous, so each row is summed in the same
-    (pairwise) order as a sum over one 1-d slice; a fancy-indexed gather
-    can come out strided, and summing a strided axis moves the last bit.
+    Row 0 is q_01 (row sums of lam); row 1 + s is q_1s, gathered one basis
+    at a time (K d^2 floats) with the table idx[s, t, j] = (s*j - t) mod d.
+    `np.take` writes each gather C-contiguous, so each row is summed in the
+    same (pairwise) order as a sum over one 1-d slice; a strided gather
+    (fancy indexing can give one) would move the last bit.
     """
     k, d = lam.shape[:2]
-    cells = np.arange(0, d * d, d) + _reconstruction_index(d)[: n_bases - 1].swapaxes(1, 2)
-    q01 = lam.reshape(-1, d).sum(axis=1).reshape(k, 1, d)
-    q1 = np.take(lam.reshape(k, d * d), cells, axis=1).reshape(-1, d).sum(axis=1)
-    return np.concatenate((q01, q1.reshape(k, n_bases - 1, d)), axis=1)
+    flat, q = lam.reshape(k, d * d), np.empty((k, n_bases, d))
+    q[:, 0] = lam.reshape(-1, d).sum(axis=1).reshape(k, d)
+    for s, idx in enumerate(_reconstruction_index(d)[: n_bases - 1]):
+        q[:, 1 + s] = np.take(flat, np.arange(0, d * d, d) + idx.T, axis=1).sum(axis=2)
+    return q
 
 
 def lambda_entries_from_q(q01: np.ndarray, q1: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from .rates_asymptotic import critical_q, r_infinity
 from .rates_finite import TERMS, FluxMode, optimize_r_finite
 from .simulator import SimConfig, SimResult, run_simulation, sifting_fraction
 
-MAX_DIM = 32  # verify builds the d^2 x d^2 complex Bell matrix, its one d^4 array (16 MB at the cap)
+MAX_DIM = 32  # verify's largest arrays are O(d^3): one shift's window of Bell vectors (under 1 MB at the cap)
 MAX_SWEEP = 10_000  # Q values in one asymptotic sweep
 MAX_N_POINTS = 50  # finite-key N values; each is one optimizer run (about 0.5 s at d = 31)
 MAX_ROUNDS = 10**7  # simulate rounds; bounds run time, which grows linearly with rounds (exact-path memory does not)

@@ -200,15 +200,18 @@ def _matched_counts(rng: np.random.Generator, probs: np.ndarray, rounds: int) ->
     advanced by `rounds` words: `advance(rounds // 4)` (one counter step is
     four 64-bit words, and a fresh generator buffers none), then the
     remaining `rounds % 4` words. The two are drawn a chunk at a time, side
-    by side, so the stream is that of one sequential pass.
+    by side, so the stream is that of one sequential pass, and counted by
+    one `bincount` of the joint code s*K + r, read on its diagonal.
     """
     receiver = copy.deepcopy(rng)
     receiver.bit_generator.advance(rounds // 4)
     receiver.bit_generator.random_raw(rounds % 4)
-    matched = np.zeros(probs.size, dtype=np.int64)
+    k = probs.size
+    code = np.uint16 if k * k > 256 else np.uint8
+    joint = np.zeros(k * k, dtype=np.int64)
     for (_, s), (_, r) in zip(_label_chunks(rng, probs, rounds), _label_chunks(receiver, probs, rounds)):
-        matched += np.bincount(s[s == r], minlength=probs.size)
-    return matched, receiver
+        joint += np.bincount(s.astype(code, copy=False) * k + r, minlength=k * k)
+    return joint[:: k + 1], receiver
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
