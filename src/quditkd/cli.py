@@ -124,8 +124,11 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise QkdError(f"cannot write {out}: {exc}") from exc
 
 
 def _emit_table(

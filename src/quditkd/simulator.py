@@ -11,17 +11,21 @@ outcome difference directly from the analytic error vector (which the exact
 path is there to validate in the first place).
 
 A run reads one Philox stream keyed by the seed. Every categorical draw,
-basis labels and outcomes alike, goes through one sampler that draws
-`_CHUNK` rounds at a time, with exactly the values one `Generator.choice`
-call would give. The sender's basis labels are the stream's first `rounds`
-words and the receiver's the next `rounds`; two generators read the two
-stretches side by side, the receiver's a copy of the sender's advanced by
-`rounds` words, so each sender chunk meets its receiver chunk at once and
-no label is kept. The outcomes continue on the receiver's generator and
-are counted chunk by chunk: exact cells straight into the (d, d) table,
-and on the fast path the differences t, kept at one byte per sifted round
-of that basis, then the sender outcomes in `_CHUNK`-sized `integers`
-calls. The exact path's memory is fixed chunks, whatever the rounds.
+basis labels and outcomes alike, goes through one sampler that reads
+`_CHUNK` raw 64-bit words at a time and gives exactly the labels one
+`Generator.choice` call would give: `choice` labels a word w by its
+uniform (w >> 11) * 2**-53, and a guide table indexed by w's top bits
+gives that label for every word outside the few table buckets that hold a
+cut, whose words are labelled from their uniform. The sender's basis
+labels are the stream's first `rounds` words and the receiver's the next
+`rounds`; two generators read the two stretches side by side, the
+receiver's a copy of the sender's advanced by `rounds` words, so each
+sender chunk meets its receiver chunk at once and no label is kept. The
+outcomes continue on the receiver's generator and are counted chunk by
+chunk: exact cells straight into the (d, d) table, and on the fast path
+the differences t, kept at one byte per sifted round of that basis, then
+the sender outcomes in `_CHUNK`-sized `integers` calls. The exact path's
+memory is fixed chunks, whatever the rounds.
 
 The chi-square verdicts compare against `CHI2_THRESHOLDS`, a constant table
 of the 0.999 quantiles for 1 to 31 degrees of freedom copied from scipy
@@ -66,6 +70,11 @@ CHI2_THRESHOLDS = (
 
 _CHUNK = 1 << 16  # labels or outcomes drawn per generator call
 _CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance
+_GUIDE_BITS = 12  # a label's guide table has one entry per value of a word's top 12 bits
+_AMBIGUOUS = 255  # guide entry of a bucket holding a cut: its words are labelled exactly
+# most bases whose matched rounds are counted by one compare per basis; the
+# two ways of counting a 64K chunk pair cost about the same at K = 12 to 13
+_COMPARE_MAX_K = 12
 
 
 def joint_outcome_distribution(dim: Dim, spectrum: BellSpectrum, basis: np.ndarray) -> np.ndarray:
@@ -166,16 +175,29 @@ def _chi_square_check(counts_t: np.ndarray, matched: int, q: np.ndarray) -> tupl
     return stat, dof, threshold, stat <= threshold
 
 
-def _label_chunks(rng: np.random.Generator, probs: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+def _label_chunks(
+    rng: np.random.Generator, probs: np.ndarray, n: int, scratch: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, labels) for `n` categorical labels, `_CHUNK` at a time:
-    basis labels, exact outcome cells or fast-path differences.
+    basis labels, exact outcome cells or fast-path differences. `scratch`,
+    `uint64` and at least min(n, `_CHUNK`) long, takes each chunk's buckets;
+    samplers advanced in turn can share one.
 
     The labels, concatenated, equal `rng.choice(len(probs), size=n, p=probs)`
-    and leave `rng` in the same state: chunked `rng.random` calls return the
-    stream of one long call, and counting the cdf entries <= u is what
-    `choice`'s `searchsorted(side="right")` does (u < 1.0 = cdf[-1]). Like
-    `choice`, it refuses a negative entry or a sum more than sqrt(eps) from
-    1; labels are `uint8`, so at most 256 categories.
+    and leave `rng` in the same state. `choice` draws `random(n)`, which on
+    Philox is u = (w >> 11) * 2**-53 of the next n words w, and labels u
+    by `searchsorted(cdf, u, side="right")`: the number of cuts
+    cdf[:-1] <= u (u < 1.0 = cdf[-1]). Here the same n words come from
+    `random_raw`. The label is monotone in u, so the words sharing their
+    top `_GUIDE_BITS` bits, the bucket u in [j, j + 1) * 2**-12, share it
+    when it agrees at the bucket's first and last uniforms, j * 2**-12 and
+    (j + 1) * 2**-12 - 2**-53. The guide table (Chen & Asau 1974) holds
+    that label per bucket, or `_AMBIGUOUS` for the at most K - 1 buckets
+    where it does not; a word whose entry is `_AMBIGUOUS` is labelled by
+    `searchsorted` of its u (with 256 categories that includes the words
+    labelled 255, still exactly). Like `choice`, it refuses a negative
+    entry or a sum more than sqrt(eps) from 1; labels are `uint8`, so at
+    most 256 categories.
     """
     if probs.size > 256:
         raise InvalidDistribution(f"at most 256 categories, got {probs.size}")
@@ -183,12 +205,28 @@ def _label_chunks(rng: np.random.Generator, probs: np.ndarray, n: int) -> Iterat
         raise InvalidDistribution(f"not a probability vector: {probs!r}")
     cdf = probs.cumsum()
     cdf /= cdf[-1]
+    cuts = cdf[:-1]
+    first = np.arange(1 << _GUIDE_BITS) * 2.0**-_GUIDE_BITS
+    low = cuts.searchsorted(first, side="right")
+    high = cuts.searchsorted(first + (2.0**-_GUIDE_BITS - 2.0**-53), side="right")
+    guide = np.where(low == high, low, _AMBIGUOUS).astype(np.uint8)
+    draw = rng.bit_generator.random_raw
+    # every chunk's buckets go to one buffer: a fresh 512 KiB array per chunk
+    # made the heap shrink and grow again, and its pages fault anew
+    if scratch is None:
+        scratch = np.empty(min(n, _CHUNK), dtype=np.uint64)
     for start in range(0, n, _CHUNK):
-        u = rng.random(min(_CHUNK, n - start))
-        labels = np.zeros(u.size, dtype=np.uint8)
-        for c in cdf[:-1]:
-            labels += u >= c
-        yield start, labels
+        yield start, _guide_labels(draw(min(_CHUNK, n - start)), guide, cuts, scratch)
+
+
+def _guide_labels(words: np.ndarray, guide: np.ndarray, cuts: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """`uint8` labels of raw Philox words through `_label_chunks`' guide
+    table; `scratch` (at least as long as `words`) takes their buckets."""
+    bucket = np.right_shift(words, np.uint64(64 - _GUIDE_BITS), out=scratch[: words.size])
+    labels = guide.take(bucket.view(np.int64))
+    exact = np.flatnonzero(labels == _AMBIGUOUS)
+    labels[exact] = cuts.searchsorted((words[exact] >> 11) * 2.0**-53, side="right")
+    return labels
 
 
 def _matched_counts(rng: np.random.Generator, probs: np.ndarray, rounds: int) -> tuple[np.ndarray, np.random.Generator]:
@@ -200,18 +238,29 @@ def _matched_counts(rng: np.random.Generator, probs: np.ndarray, rounds: int) ->
     advanced by `rounds` words: `advance(rounds // 4)` (one counter step is
     four 64-bit words, and a fresh generator buffers none), then the
     remaining `rounds % 4` words. The two are drawn a chunk at a time, side
-    by side, so the stream is that of one sequential pass, and counted by
-    one `bincount` of the joint code s*K + r, read on its diagonal.
+    by side, so the stream is that of one sequential pass. With K <=
+    `_COMPARE_MAX_K` bases each chunk pair's joint code s*K + r (a `uint8`)
+    is compared once with each diagonal code b*K + b; with more, the
+    matched sender labels, a share sum(p**2) of the rounds, are picked out
+    and counted by one `bincount`. The first costs one pass per basis, the
+    second grows with the matched share, 1/K at equal weights.
     """
     receiver = copy.deepcopy(rng)
     receiver.bit_generator.advance(rounds // 4)
     receiver.bit_generator.random_raw(rounds % 4)
     k = probs.size
-    code = np.uint16 if k * k > 256 else np.uint8
-    joint = np.zeros(k * k, dtype=np.int64)
-    for (_, s), (_, r) in zip(_label_chunks(rng, probs, rounds), _label_chunks(receiver, probs, rounds)):
-        joint += np.bincount(s.astype(code, copy=False) * k + r, minlength=k * k)
-    return joint[:: k + 1], receiver
+    matched = np.zeros(k, dtype=np.int64)
+    diagonal = range(0, k * k, k + 1)
+    scratch = np.empty(min(rounds, _CHUNK), dtype=np.uint64)  # the two samplers alternate
+    sender_labels = _label_chunks(rng, probs, rounds, scratch)
+    for (_, s), (_, r) in zip(sender_labels, _label_chunks(receiver, probs, rounds, scratch)):
+        if k <= _COMPARE_MAX_K:
+            code = s * np.uint8(k)
+            code += r
+            matched += [np.count_nonzero(code == c) for c in diagonal]
+        else:
+            matched += np.bincount(s.take(np.flatnonzero(s == r)), minlength=k)
+    return matched, receiver
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:

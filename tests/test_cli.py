@@ -203,6 +203,21 @@ def test_out_flag_matches_stdout(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == stdout_text
 
 
+@pytest.mark.parametrize("target", ["missing-dir/out.txt", "."], ids=["missing-directory", "directory"])
+def test_unwritable_out_exits_2_with_one_line(capsys, tmp_path, target):
+    path = str(tmp_path / target)
+    for argv in (
+        ["critical-q", "--dims", "2"],
+        ["asymptotic", "--dim", "3", "--q", "0.05"],
+        ["finite-key", "--dim", "2", "--n-min", "1000", "--n-max", "1000"],
+        ["simulate", "--dim", "2", "--q", "0.1", "--rounds", "100", "--seed", "1"],
+        ["verify", "--dims", "2"],
+    ):
+        code, out, err = _run(capsys, argv + ["--out", path])
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, argv
+
+
 def test_simulate_json_output(capsys):
     code, out, _ = _run(
         capsys, ["simulate", "--dim", "2", "--q", "0.1", "--rounds", "20000", "--seed", "42"]

@@ -137,6 +137,88 @@ def test_label_chunks_equal_one_generator_choice(n, probs):
     assert streamed.random() == reference.random()
 
 
+def test_philox_uniforms_are_the_top_53_bits_of_the_raw_words():
+    # _label_chunks labels raw words through the conversion random() applies;
+    # a numpy release that changed it would fail here, not only in the goldens
+    for key, n in ((0, 1), (2024, 1000), (2**100 + 3, 3 * _CHUNK + 5)):
+        uniforms = np.random.Generator(np.random.Philox(key=key)).random(n)
+        words = np.random.Philox(key=key).random_raw(n)
+        assert np.array_equal(uniforms, (words >> 11) * 2.0**-53)
+
+
+def _with_words(words: np.ndarray) -> np.random.Generator:
+    """A Philox generator whose next draws (at most 4) are `words`: they are
+    put at the end of its 4-word output buffer."""
+    bit_generator = np.random.Philox(key=99)
+    state = bit_generator.state
+    state["buffer"][4 - words.size :] = words
+    state["buffer_pos"] = 4 - words.size
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+def _words_at(uniforms) -> np.ndarray:
+    """Raw words whose uniform (w >> 11) * 2**-53 is each of `uniforms`,
+    with their 11 discarded low bits alternately all ones and zeros."""
+    top = (np.asarray(uniforms, dtype=np.float64) * 2.0**53).astype(np.uint64) << np.uint64(11)
+    return top | (np.arange(top.size, dtype=np.uint64) % 2 * np.uint64(0x7FF))
+
+
+_ULP = 2.0**-53  # spacing of the uniforms
+
+
+def _below(probs: np.ndarray) -> np.ndarray:
+    """The largest uniform below each cut of `probs`, as choice computes the cuts."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return np.ceil(cdf[:-1] / _ULP) * _ULP - _ULP
+
+
+_EDGE = 3000 * 2.0**-12  # a bucket edge of the guide table, in [0.5, 1) so 1 - cut is exact
+_P256 = np.random.default_rng(256).dirichlet(np.ones(256))
+_CROWDED = np.r_[np.full(199, 1e-5), 1.0 - 199e-5]  # 199 cuts inside the first 9 buckets
+_EDGE_CASES = {
+    # (probabilities, uniforms of hand-placed words)
+    "cut-on-a-bucket-edge": ([_EDGE, 1.0 - _EDGE], [_EDGE - _ULP, _EDGE, _EDGE + _ULP, _EDGE - 2.0**-12]),
+    "cut-one-ulp-below-an-edge": ([_EDGE - _ULP, 1.0 - _EDGE + _ULP], [_EDGE - 2 * _ULP, _EDGE - _ULP, _EDGE]),
+    "cut-one-ulp-above-an-edge": ([_EDGE + _ULP, 1.0 - _EDGE - _ULP], [_EDGE, _EDGE + _ULP, _EDGE + 2 * _ULP]),
+    "cut-at-the-last-uniform": ([1.0 - _ULP, _ULP], [0.0, 1.0 - 2.0**-12, 1.0 - 2 * _ULP, 1.0 - _ULP]),
+    "subnormal-first": ([1e-320, 1.0], [0.0, _ULP, 2.0**-12]),
+    "subnormal-in-the-middle": ([0.5, 1e-320, 0.5], [0.5 - _ULP, 0.5, 0.5 + _ULP]),
+    "zero-first": ([0.0, 0.5, 0.5], [0.0, 0.5 - _ULP, 0.5, 1.0 - _ULP]),
+    "zero-in-the-middle": ([0.5, 0.0, 0.5], [0.0, 0.5 - _ULP, 0.5, 1.0 - _ULP]),
+    "zero-last": ([0.5, 0.5, 0.0], [0.0, 0.5 - _ULP, 0.5, 1.0 - _ULP]),
+    # the uniforms just below and at or above every cut, and the largest
+    # uniform, which is labelled 255
+    "256-categories": (_P256, np.r_[np.clip(_below(_P256)[:, None] + [0.0, _ULP], 0.0, None).ravel(), 1.0 - _ULP]),
+    # words spread over the crowded buckets: nearly all are labelled exactly
+    "crowded-cuts": (_CROWDED, np.random.default_rng(9).integers(0, 0.0021 * 2**53, 400) * _ULP),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_label_chunks_equal_choice_at_the_guide_table_edges(case):
+    # hand-placed words at and beside the cuts and the guide table's bucket
+    # edges, four at a time, then a long stream, each against rng.choice and
+    # the generator state it leaves
+    probs, uniforms = _EDGE_CASES[case]
+    p = np.asarray(probs, dtype=np.float64)
+    words = _words_at(np.ravel(uniforms))
+    assert np.array_equal((words >> 11) * _ULP, np.ravel(uniforms))
+    for start in range(0, words.size, 4):
+        group = words[start : start + 4]
+        streamed, reference = _with_words(group), _with_words(group)
+        (_, labels), = _label_chunks(streamed, p, group.size)
+        assert np.array_equal(labels, reference.choice(p.size, size=group.size, p=p))
+        assert streamed.bit_generator.random_raw(5).tolist() == reference.bit_generator.random_raw(5).tolist()
+    streamed = np.random.Generator(np.random.Philox(key=2025))
+    reference = np.random.Generator(np.random.Philox(key=2025))
+    n = 2 * _CHUNK + 3
+    labels = np.concatenate([lab for _, lab in _label_chunks(streamed, p, n)])
+    assert np.array_equal(labels, reference.choice(p.size, size=n, p=p))
+    assert streamed.random() == reference.random()
+
+
 def _traced_peak(cfg: SimConfig) -> int:
     tracemalloc.start()
     try:
@@ -194,6 +276,9 @@ def _config(family, d, rounds, seed, q=0.05, **kw):
         # into a Philox counter block
         *(_config(Family.DPLUS1, 3, rounds, 20 + rounds) for rounds in (1, 2, 3, 4, 5)),
         _config(Family.TWO_BASIS, 2, 4 * _CHUNK + 3, 14, basis_probs=(0.8, 0.2)),
+        # more than _COMPARE_MAX_K bases: matched labels picked out and counted
+        _config(Family.DPLUS1, 17, 3 * _CHUNK + 9, 15),
+        _config(Family.DPLUS1, 31, 2 * _CHUNK + 3, 16),
     ],
     ids=lambda cfg: f"{cfg.spec.family.value}-d{cfg.spec.dim.d}-{cfg.rounds}-fast{cfg.fast}",
 )
