@@ -9,7 +9,7 @@ inputs and seed.
 Exit codes: 0 success, 2 usage or domain error (one `error:` line on
 stderr), 3 verification or statistical failure. Inputs that would make a
 command run or allocate without bound are refused against the MAX_* caps
-below, before any work.
+below, before any work, and so is an `--out` path that cannot be opened.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from typing import Any, NoReturn, Sequence
@@ -97,14 +98,6 @@ def parse_probs(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.split(",") if t.strip())
 
 
-def parse_fast(text: str) -> str:
-    """The `fast` setting, 'auto', 'on' or 'off' in any case, in lower case."""
-    fast = text.lower()
-    if fast not in ("auto", "on", "off"):
-        raise argparse.ArgumentTypeError(f"fast must be auto/on/off, got {text!r}")
-    return fast
-
-
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return f"{value + 0.0:.10g}"
@@ -120,12 +113,12 @@ def _json(command: str, **fields: Any) -> str:
     return json.dumps({"schema_version": 1, "command": command, **fields}, indent=2) + "\n"
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(text: str, out: str | None, mode: str = "w") -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
+            with open(out, mode, encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
             raise QkdError(f"cannot write {out}: {exc}") from exc
@@ -283,8 +276,8 @@ def _load_sim_config(path: str) -> dict[str, str]:
 
 # each simulate setting and the parser of its flag, which a config file's text goes through too
 _SIM_PARSERS = {
-    "dim": parse_dim, "family": Family, "q": parse_q, "rounds": int, "seed": int,
-    "fast": parse_fast, "basis_probs": parse_probs,
+    "dim": parse_dim, "family": Family, "q": parse_q, "rounds": parse_count, "seed": int,
+    "basis_probs": parse_probs,
 }
 
 
@@ -305,11 +298,9 @@ def _sim_config_from(args: argparse.Namespace) -> tuple[SimConfig, dict[str, Any
     missing = {"dim", "q", "rounds", "seed"} - set(values)
     if missing:
         raise QkdError(f"simulate needs {sorted(missing)} (via --config or flags)")
-    if not 0 <= values["seed"] < 2**128:
-        raise QkdError(f"need seed in [0, 2**128), got seed={values['seed']}")
     if values["rounds"] > MAX_ROUNDS:
         raise QkdError(f"rounds={values['rounds']} exceeds the cap of {MAX_ROUNDS}")
-    values = {"family": Family.TWO_BASIS, "fast": "auto", "basis_probs": None} | values
+    values = {"family": Family.TWO_BASIS, "basis_probs": None} | values
 
     spec = ProtocolSpec(values["family"], values["dim"])
     cfg = SimConfig(
@@ -318,11 +309,11 @@ def _sim_config_from(args: argparse.Namespace) -> tuple[SimConfig, dict[str, Any
         rounds=values["rounds"],
         seed=values["seed"],
         basis_probs=values["basis_probs"],
-        fast={"auto": None, "on": True, "off": False}[values["fast"]],
     )
-    # every setting in table order, as the run uses it
-    echo = {key: values[key] for key in _SIM_PARSERS}
-    echo.update(family=spec.family.value, basis_probs=list(cfg.basis_probs))
+    # every setting as the run uses it; JSON schema 1 holds "fast": "auto"
+    # after the seed (the path taken is the top-level "fast")
+    echo = {key: values[key] for key in ("dim", "family", "q", "rounds", "seed")}
+    echo.update(family=spec.family.value, fast="auto", basis_probs=list(cfg.basis_probs))
     return cfg, echo
 
 
@@ -425,10 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=parse_dim, default=None)
     p.add_argument("--family", type=Family, choices=[f.value for f in Family], default=None)
     p.add_argument("--q", type=parse_q, default=None, help="depolarizing noise (fraction or N%%)")
-    p.add_argument("--rounds", type=int, default=None)
+    p.add_argument("--rounds", type=parse_count, default=None, help="e.g. 1000000 or 1e6")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--fast", type=parse_fast, metavar="{auto,on,off}", default=None,
-                   help="sample the difference distribution directly instead of exact projections")
     p.add_argument("--basis-probs", type=parse_probs, default=None, help="comma-separated basis weights")
     p.add_argument("--out", default=None, help="write JSON to this file instead of stdout")
     p.set_defaults(func=cmd_simulate)
@@ -444,9 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    new_out = args.out is not None and not os.path.lexists(args.out)
     try:
+        if args.out is not None:  # appending nothing refuses an unwritable path before any work
+            _write_output("", args.out, mode="a")
         return args.func(args)
     except QkdError as exc:
+        if new_out and os.path.lexists(args.out):  # a failed command leaves no file behind
+            os.remove(args.out)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

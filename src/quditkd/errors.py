@@ -45,5 +45,5 @@ class InfeasibleParams(QkdError):
 
 
 class DimensionTooLarge(QkdError):
-    """A dimension exceeds a fixed cap: the exact joint-outcome tables (use
-    the fast sampling path instead) or the simulator's chi-square table."""
+    """A dimension exceeds a fixed cap: the exact joint-outcome tables
+    (d <= 11, `EXACT_DIM_CAP`) or the simulator's chi-square table."""

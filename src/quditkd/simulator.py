@@ -6,9 +6,9 @@ basis, and only matching rounds are kept (sifting). Outcome tables come
 from exact Born-rule projections, so the empirical difference statistics
 can be tested against the analytic error vectors of `channels`.
 
-The exact path is capped at d = 11; beyond that a fast path samples the
-outcome difference directly from the analytic error vector (which the exact
-path is there to validate in the first place).
+The dimension alone picks the path: exact up to d = 11, and beyond it a fast
+path that samples the outcome difference directly from the analytic error
+vector (which the exact path is there to validate in the first place).
 
 A run reads one Philox stream keyed by the seed. Every categorical draw,
 basis labels and outcomes alike, goes through one sampler that reads
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import BellSpectrum, q_from_lambda
-from .errors import DimensionTooLarge, InvalidDistribution
+from .errors import DimensionTooLarge, InvalidDistribution, OutOfRange
 from .info_theory import as_prob_vector
 from .protocol import ProtocolSpec, protocol_bases
 from .qudit_algebra import Dim, WeylIndex, bell_matrix
@@ -114,11 +114,12 @@ class SimConfig:
     rounds: int
     seed: int
     basis_probs: tuple[float, ...] | None = None
-    fast: bool | None = None  # None = auto (exact up to d=11)
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise InvalidDistribution(f"rounds must be >= 1, got {self.rounds}")
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**128:
+            raise OutOfRange(f"need seed in [0, 2**128), got seed={self.seed}")
         d = self.spec.dim.d
         if d - 1 > len(CHI2_THRESHOLDS):
             raise DimensionTooLarge(
@@ -279,7 +280,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     """
     spec = cfg.spec
     d = spec.dim.d
-    fast = cfg.fast if cfg.fast is not None else d > EXACT_DIM_CAP
+    fast = d > EXACT_DIM_CAP
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     matched, rng = _matched_counts(rng, np.asarray(cfg.basis_probs), cfg.rounds)
 

@@ -117,7 +117,7 @@ def simulation_counts_reference(cfg: simulator.SimConfig) -> list[tuple[int, np.
     then one `integers` call for the sender outcomes a."""
     spec = cfg.spec
     d = spec.dim.d
-    fast = cfg.fast if cfg.fast is not None else d > simulator.EXACT_DIM_CAP
+    fast = d > simulator.EXACT_DIM_CAP
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     nb = spec.n_bases
     sender = rng.choice(nb, size=cfg.rounds, p=cfg.basis_probs)

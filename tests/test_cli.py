@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import quditkd.cli
 import quditkd.verification
 from quditkd.cli import (
     _SIM_PARSERS, MAX_CONFIG_BYTES, MAX_DIM, MAX_N_POINTS, MAX_ROUNDS, _n_grid, build_parser, main, parse_count,
@@ -204,18 +205,37 @@ def test_out_flag_matches_stdout(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("target", ["missing-dir/out.txt", "."], ids=["missing-directory", "directory"])
-def test_unwritable_out_exits_2_with_one_line(capsys, tmp_path, target):
+def test_unwritable_out_exits_2_with_one_line(capsys, monkeypatch, tmp_path, target):
+    # the path is refused before any work: no command reaches its computation
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran before its --out path was checked")
+
+    for name in ("critical_q", "r_infinity", "optimize_r_finite", "run_simulation"):
+        monkeypatch.setattr(quditkd.cli, name, refuse)
+    monkeypatch.setattr(quditkd.verification, "run_suite", refuse)
     path = str(tmp_path / target)
     for argv in (
         ["critical-q", "--dims", "2"],
         ["asymptotic", "--dim", "3", "--q", "0.05"],
         ["finite-key", "--dim", "2", "--n-min", "1000", "--n-max", "1000"],
-        ["simulate", "--dim", "2", "--q", "0.1", "--rounds", "100", "--seed", "1"],
+        ["simulate", "--dim", "13", "--family", "dplus1", "--q", "0.1", "--rounds", "1e7", "--seed", "1"],
         ["verify", "--dims", "2"],
     ):
         code, out, err = _run(capsys, argv + ["--out", path])
         assert code == 2 and out == "", argv
         assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, argv
+
+
+def test_failed_command_leaves_the_out_path_as_it_was(capsys, tmp_path):
+    existing = tmp_path / "existing.json"
+    existing.write_bytes(b"earlier output\n")
+    absent = tmp_path / "absent.json"
+    no_seed = ["simulate", "--dim", "2", "--q", "0.1", "--rounds", "100"]
+    for target in (existing, absent):
+        code, out, err = _run(capsys, no_seed + ["--out", str(target)])
+        assert code == 2 and out == "" and err.startswith("error:")
+    assert existing.read_bytes() == b"earlier output\n"
+    assert not absent.exists()
 
 
 def test_simulate_json_output(capsys):
@@ -258,23 +278,14 @@ def test_simulate_config_file(capsys, tmp_path):
     assert json.loads(out)["config"]["seed"] == 14
 
 
-def test_simulate_fast_flag_overrides_the_file_in_any_case(capsys, tmp_path):
-    cfg = tmp_path / "fast_on.cfg"
-    cfg.write_text("dim = 3\nq = 0.05\nrounds = 4000\nseed = 5\nfast = on\n", encoding="utf-8")
-    base = ["simulate", "--config", str(cfg)]
-    code, out, _ = _run(capsys, base)
-    obj = json.loads(out)
-    assert code == 0 and obj["config"]["fast"] == "on" and obj["fast"] is True
-    # --fast auto is a flag like any other and wins over the file: d = 3 samples exactly
-    code, out, _ = _run(capsys, base + ["--fast", "auto"])
-    obj = json.loads(out)
-    assert code == 0 and obj["config"]["fast"] == "auto" and obj["fast"] is False
-    # the flag takes any case, as the file does
-    for text, fast in (("ON", True), ("Off", False)):
-        code, out, _ = _run(capsys, ["simulate", "--dim", "3", "--q", "0.05", "--rounds", "4000",
-                                     "--seed", "5", "--fast", text])
-        obj = json.loads(out)
-        assert code == 0 and obj["config"]["fast"] == text.lower() and obj["fast"] is fast
+def test_simulate_rounds_accept_scientific_notation(capsys, tmp_path):
+    base = ["simulate", "--dim", "3", "--q", "0.05", "--seed", "5"]
+    code, plain, _ = _run(capsys, base + ["--rounds", "10000"])
+    assert code == 0
+    assert _run(capsys, base + ["--rounds", "1e4"]) == (0, plain, "")
+    cfg = tmp_path / "sci.cfg"
+    cfg.write_text("dim = 3\nq = 0.05\nrounds = 1E4\nseed = 5\n", encoding="utf-8")
+    assert _run(capsys, ["simulate", "--config", str(cfg)]) == (0, plain, "")
 
 
 def test_simulate_flags_and_config_keys_share_their_parsers():
@@ -327,6 +338,8 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
     bad_probs.write_text("dim=2\nq=0.1\nrounds=100\nseed=1\nbasis_probs=a,b\n", encoding="utf-8")
     bad_family = tmp_path / "bad_family.cfg"
     bad_family.write_text("dim=2\nq=0.1\nrounds=100\nseed=1\nfamily=bogus\n", encoding="utf-8")
+    fast_on = tmp_path / "fast_on.cfg"
+    fast_on.write_text("dim=2\nq=0.1\nrounds=100\nseed=1\nfast=on\n", encoding="utf-8")
     cases = [
         ["critical-q", "--dims", "1"],
         ["verify", "--dims", "0"],
@@ -347,6 +360,9 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
         ["simulate", "--config", str(bad_probs)],
         ["simulate", "--config", str(bad_family)],
         sim + ["--dim", "2", "--seed", "1", "--basis-probs", "nan,0.5"],
+        # the dimension alone picks the sampling path: there is no fast setting
+        sim + ["--dim", "2", "--seed", "1", "--fast", "on"],
+        ["simulate", "--config", str(fast_on)],
         # resource caps, refused before any work
         ["asymptotic", "--dim", "3", "--q-step", "1e-12"],
         ["asymptotic", "--dim", "3", "--q-min", "0.3", "--q-max", "0.1"],

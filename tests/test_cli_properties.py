@@ -100,7 +100,6 @@ VALUES = {
     "--flux-mode": ["equal", "single", "brute", "x"],
     "--rounds": ["100", "0", "-1", "1e3", "20000000", "x"],
     "--seed": ["1", "-1", str(2**128), "x"],
-    "--fast": ["auto", "on", "off", "x"],
     "--basis-probs": ["0.5,0.5", "1,0", "0,0", "x"],
     "--format": ["csv", "json", "xml"],
 }
@@ -113,7 +112,7 @@ COMMANDS = {
         ["--dim", "--family", "--q", "--eps", "--eps-ec", "--n-min", "--n-max", "--n-points",
          "--flux-mode", "--format"], ["--dim", "2"]),
     "simulate": (
-        ["--dim", "--family", "--q", "--rounds", "--seed", "--fast", "--basis-probs"],
+        ["--dim", "--family", "--q", "--rounds", "--seed", "--basis-probs"],
         ["--dim", "2", "--q", "0.05", "--rounds", "100", "--seed", "1"]),
     "verify": (["--dims"], ["--dims", "2"]),
     "keygen": ([], []),

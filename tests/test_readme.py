@@ -1,0 +1,53 @@
+"""The README's command-line examples, run through `cli.main`.
+
+Every command of the "Command line" block must run and exit 0, and every
+`$ quditkd ...` example elsewhere must print exactly the output shown under
+it, so a renamed flag or a moved digit in the README fails here.
+"""
+
+import shlex
+from pathlib import Path
+
+import pytest
+
+from quditkd.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _text_blocks(markdown):
+    """The bodies of the ```text fences, in order."""
+    return [part.split("\n```", 1)[0] for part in markdown.split("```text\n")[1:]]
+
+
+COMMANDS = [
+    shlex.split(line)[1:]
+    for line in _text_blocks(README.split("## Command line", 1)[1])[0].splitlines()
+    if line.startswith("quditkd ")
+]
+# (argv, the output shown under it) of each `$ quditkd` example
+EXAMPLES = [
+    pytest.param(shlex.split(first)[2:], "".join(line + "\n" for line in rest), id=first[len("$ quditkd "):])
+    for block in _text_blocks(README)
+    for example in block.split("\n\n")
+    if example.startswith("$ quditkd ")
+    for first, *rest in [example.splitlines()]
+]
+
+
+def test_readme_has_its_examples():
+    assert [argv[0] for argv in COMMANDS] == ["critical-q", "asymptotic", "asymptotic", "finite-key", "simulate", "verify"]
+    assert [p.values[0][0] for p in EXAMPLES] == ["critical-q", "critical-q", "asymptotic"]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv))
+def test_readme_command_runs(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
+
+
+@pytest.mark.parametrize("argv, shown", EXAMPLES)
+def test_readme_example_prints_what_it_shows(capsys, argv, shown):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == shown

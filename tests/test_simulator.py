@@ -7,7 +7,7 @@ from oracles import joint_table_per_state, simulation_counts_reference
 
 from quditkd.channels import BellSpectrum, depolarizing_spectrum, q_from_lambda
 from quditkd.cli import MAX_DIM
-from quditkd.errors import DimensionTooLarge, InvalidDistribution
+from quditkd.errors import DimensionTooLarge, InvalidDistribution, OutOfRange
 from quditkd.protocol import Family, ProtocolSpec, protocol_bases
 from quditkd.qudit_algebra import Dim, basis_for
 from quditkd.simulator import (
@@ -105,6 +105,11 @@ def test_config_validation():
         SimConfig(spec, _pure(2), rounds=10, seed=1, basis_probs=(3.0, 1.0))
     cfg = SimConfig(spec, _pure(2), rounds=10, seed=1, basis_probs=(0.75, 0.25))
     assert cfg.basis_probs == (0.75, 0.25)
+    # the seed keys a Philox stream: an integer in [0, 2**128)
+    for seed in (-1, 2**128, 1.5, "1"):
+        with pytest.raises(OutOfRange, match=r"need seed in \[0, 2\*\*128\)"):
+            SimConfig(spec, _pure(2), rounds=10, seed=seed)
+    assert run_simulation(SimConfig(spec, _pure(2), rounds=10, seed=2**128 - 1)).all_passed
 
 
 def test_config_refuses_dimensions_beyond_the_threshold_table():
@@ -264,12 +269,12 @@ def _config(family, d, rounds, seed, q=0.05, **kw):
         SimConfig(ProtocolSpec(Family.DPLUS1, 5), _pure(5, 2, 3), rounds=50000, seed=4),
         # basis weights with zeros leave bases with m = 0, on both paths
         _config(Family.DPLUS1, 5, 300001, 6, basis_probs=(0.5, 0.0, 0.2, 0.0, 0.3, 0.0)),
-        _config(Family.DPLUS1, 5, 300001, 6, basis_probs=(0.5, 0.0, 0.2, 0.0, 0.3, 0.0), fast=True),
+        _config(Family.DPLUS1, 13, 300001, 6, basis_probs=(0.5, 0.0, 0.2, 0.0, 0.3) + (0.0,) * 9),
         _config(Family.TWO_BASIS, 2, 7, 8, basis_probs=(1.0, 0.0)),
         _config(Family.DPLUS1, 7, 3, 9),
         # the fast path over several chunks that are not multiples of _CHUNK
         _config(Family.TWO_BASIS, 13, 3 * _CHUNK + 12345, 10),
-        _config(Family.DPLUS1, 3, 5 * _CHUNK + 1, 11, q=0.0, fast=True),
+        _config(Family.DPLUS1, 13, 5 * _CHUNK + 1, 11, q=0.0),
         _config(Family.TWO_BASIS, 32, 4 * _CHUNK + 7, 12),
         _config(Family.DPLUS1, 11, 3 * _CHUNK + 5, 13),
         # every rounds % 4: the receiver's labels start that many words
@@ -280,7 +285,8 @@ def _config(family, d, rounds, seed, q=0.05, **kw):
         _config(Family.DPLUS1, 17, 3 * _CHUNK + 9, 15),
         _config(Family.DPLUS1, 31, 2 * _CHUNK + 3, 16),
     ],
-    ids=lambda cfg: f"{cfg.spec.family.value}-d{cfg.spec.dim.d}-{cfg.rounds}-fast{cfg.fast}",
+    # the "-fastNone" suffix keeps each case's id as the suite has long reported it
+    ids=lambda cfg: f"{cfg.spec.family.value}-d{cfg.spec.dim.d}-{cfg.rounds}-fastNone",
 )
 def test_run_counts_equal_the_per_round_sampler(cfg):
     # the chunked outcome draws count the cells of the per-round
@@ -356,19 +362,6 @@ def test_fast_path_beyond_exact_cap():
     assert res.sifted_count == again.sifted_count
     for sa, sb in zip(res.per_basis, again.per_basis):
         assert np.array_equal(sa.counts, sb.counts)
-
-
-def test_fast_and_exact_paths_agree_statistically():
-    # force-sampling from the analytic vector must be indistinguishable from
-    # Born-rule cells as far as the chi-square difference test is concerned
-    spec = ProtocolSpec(Family.TWO_BASIS, 3)
-    spectrum = depolarizing_spectrum(spec.dim, 0.1)
-    for fast in (False, True):
-        res = run_simulation(SimConfig(spec, spectrum, rounds=100000, seed=5, fast=fast))
-        assert res.fast == fast
-        assert res.all_passed
-        for s in res.per_basis:
-            assert np.allclose(s.empirical_q, s.analytic_q, atol=0.01)
 
 
 @pytest.mark.parametrize("dof", range(1, 32))
