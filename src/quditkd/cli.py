@@ -2,9 +2,11 @@
 
 Subcommands compute critical-noise tables, asymptotic and finite-key rate
 sweeps, Monte Carlo validation runs, and the algebraic self-check suite.
-Table output is CSV (default) or JSON; numbers are emitted at 10 significant
-digits so files round-trip exactly. All commands are deterministic for fixed
-inputs and seed.
+Each `cmd_*` returns its output text and exit code, and `main` writes the
+text once, to stdout or to the `--out` file that every subcommand takes.
+Table output is CSV (default) or JSON, its columns the keys of the rows;
+numbers are emitted at 10 significant digits so files round-trip exactly.
+All commands are deterministic for fixed inputs and seed.
 
 Exit codes: 0 success, 2 usage or domain error (one `error:` line on
 stderr), 3 verification or statistical failure. Inputs that would make a
@@ -124,44 +126,29 @@ def _write_output(text: str, out: str | None, mode: str = "w") -> None:
             raise QkdError(f"cannot write {out}: {exc}") from exc
 
 
-def _emit_table(
-    command: str,
-    params: dict[str, Any],
-    columns: Sequence[str],
-    rows: list[dict[str, Any]],
-    fmt: str,
-    out: str | None,
-) -> None:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
-        _write_output(buf.getvalue(), out)
-    else:
-        _write_output(_json(
+def _table(command: str, params: dict[str, Any], rows: list[dict[str, Any]], fmt: str) -> str:
+    """CSV or JSON text of a table; the columns are the keys of its first row."""
+    columns = list(rows[0])
+    if fmt == "json":
+        return _json(
             command,
             params={k: _jnum(v) for k, v in params.items()},
             rows=[{c: _jnum(row[c]) for c in columns} for row in rows],
-        ), out)
+        )
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+    return buf.getvalue()
 
 
-def cmd_critical_q(args: argparse.Namespace) -> int:
+def cmd_critical_q(args: argparse.Namespace) -> tuple[str, int]:
     family = Family(args.family)
-    rows = []
-    for d in args.dims:
-        spec = ProtocolSpec(family, d)
-        rows.append({"d": d, "family": family.value, "q_crit_percent": 100.0 * critical_q(spec)})
-    _emit_table(
-        "critical-q",
-        {"dims": args.dims, "family": family.value},
-        ("d", "family", "q_crit_percent"),
-        rows,
-        args.format,
-        args.out,
-    )
-    return 0
+    rows = [
+        {"d": d, "family": family.value, "q_crit_percent": 100.0 * critical_q(ProtocolSpec(family, d))}
+        for d in args.dims
+    ]
+    return _table("critical-q", {"dims": args.dims, "family": family.value}, rows, args.format), 0
 
 
 def _q_sweep(args: argparse.Namespace, d: int) -> list[float]:
@@ -186,21 +173,13 @@ def _q_sweep(args: argparse.Namespace, d: int) -> list[float]:
     return kept
 
 
-def cmd_asymptotic(args: argparse.Namespace) -> int:
+def cmd_asymptotic(args: argparse.Namespace) -> tuple[str, int]:
     spec = ProtocolSpec(Family(args.family), args.dim)
-    rows = []
-    for q in _q_sweep(args, args.dim):
-        rep = r_infinity(spec, q)
-        rows.append({"d": args.dim, "family": spec.family.value, **asdict(rep)})
-    _emit_table(
-        "asymptotic",
-        {"dim": args.dim, "family": spec.family.value},
-        ("d", "family", "q", "i_e", "h_ab", "r_inf", "r_inf_raw"),
-        rows,
-        args.format,
-        args.out,
-    )
-    return 0
+    rows = [
+        {"d": args.dim, "family": spec.family.value, **asdict(r_infinity(spec, q))}
+        for q in _q_sweep(args, args.dim)
+    ]
+    return _table("asymptotic", {"dim": args.dim, "family": spec.family.value}, rows, args.format), 0
 
 
 def _n_grid(n_min: int, n_max: int, n_points: int) -> list[int]:
@@ -217,39 +196,28 @@ def _n_grid(n_min: int, n_max: int, n_points: int) -> list[int]:
     return out
 
 
-def cmd_finite_key(args: argparse.Namespace) -> int:
+def cmd_finite_key(args: argparse.Namespace) -> tuple[str, int]:
     spec = ProtocolSpec(Family(args.family), args.dim)
     mode = FluxMode(args.flux_mode)
     rows = []
     for n_signals in _n_grid(args.n_min, args.n_max, args.n_points):
         rep = optimize_r_finite(spec, args.q, n_signals, args.eps, args.eps_ec, mode=mode)
-        row: dict[str, Any] = {
+        rows.append({
             "d": args.dim, "family": spec.family.value, "n": n_signals, "r_n": rep.r_n,
             **asdict(rep.params),
-        }
-        for key in TERMS:
-            row[key] = float(rep.terms.get(key, 0.0))
-        row["saturated"] = int(rep.saturated)
-        row["degenerate"] = int(rep.degenerate)
-        rows.append(row)
-    _emit_table(
-        "finite-key",
-        {
-            "dim": args.dim,
-            "family": spec.family.value,
-            "q": args.q,
-            "eps": args.eps,
-            "eps_ec": args.eps_ec,
-            "flux_mode": mode.value,
-        },
-        ("d", "family", "n", "r_n", "p01", "eps_pa", "eps_pe", "eps_bar")
-        + TERMS
-        + ("saturated", "degenerate"),
-        rows,
-        args.format,
-        args.out,
-    )
-    return 0
+            **{key: float(rep.terms.get(key, 0.0)) for key in TERMS},
+            "saturated": int(rep.saturated),
+            "degenerate": int(rep.degenerate),
+        })
+    params = {
+        "dim": args.dim,
+        "family": spec.family.value,
+        "q": args.q,
+        "eps": args.eps,
+        "eps_ec": args.eps_ec,
+        "flux_mode": mode.value,
+    }
+    return _table("finite-key", params, rows, args.format), 0
 
 
 def _load_sim_config(path: str) -> dict[str, str]:
@@ -345,25 +313,23 @@ def _sim_result_json(result: SimResult, echo: dict[str, Any]) -> str:
     )
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
     cfg, echo = _sim_config_from(args)
     result = run_simulation(cfg)
-    _write_output(_sim_result_json(result, echo), args.out)
-    return 0 if result.all_passed else 3
+    return _sim_result_json(result, echo), 0 if result.all_passed else 3
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     results = verification.run_suite(args.dims)
-    lines = [r.line() for r in results]
     failures = sum(not r.passed for r in results)
-    lines.append(f"{len(results)} checks, {failures} failures")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0 if failures == 0 else 3
+    lines = [r.line() for r in results] + [f"{len(results)} checks, {failures} failures"]
+    return "\n".join(lines) + "\n", 0 if failures == 0 else 3
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+def _add_output_flags(parser: argparse.ArgumentParser, table: bool) -> None:
     parser.add_argument("--out", default=None, help="write output to this file instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
+    if table:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -385,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical-q", help="noise threshold where the asymptotic rate hits zero")
     p.add_argument("--dims", type=parse_dims, required=True, help="e.g. 2,3,5 or 2..7")
     p.add_argument("--family", choices=[f.value for f in Family], default=Family.TWO_BASIS.value)
-    _add_output_flags(p)
+    _add_output_flags(p, table=True)
     p.set_defaults(func=cmd_critical_q)
 
     p = sub.add_parser("asymptotic", help="asymptotic rate at one noise value or over a sweep")
@@ -395,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-min", type=parse_q, default=0.0)
     p.add_argument("--q-max", type=parse_q, default=0.25)
     p.add_argument("--q-step", type=parse_q, default=0.01)
-    _add_output_flags(p)
+    _add_output_flags(p, table=True)
     p.set_defaults(func=cmd_asymptotic)
 
     p = sub.add_parser("finite-key", help="optimized finite-size rate over a log-spaced N grid")
@@ -408,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=parse_count, default=10**8)
     p.add_argument("--n-points", type=int, default=11)
     p.add_argument("--flux-mode", choices=[m.value for m in FluxMode], default=FluxMode.EQUAL.value)
-    _add_output_flags(p)
+    _add_output_flags(p, table=True)
     p.set_defaults(func=cmd_finite_key)
 
     p = sub.add_parser("simulate", help="Monte Carlo run against the analytic statistics")
@@ -419,12 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=parse_count, default=None, help="e.g. 1000000 or 1e6")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--basis-probs", type=parse_probs, default=None, help="comma-separated basis weights")
-    p.add_argument("--out", default=None, help="write JSON to this file instead of stdout")
+    _add_output_flags(p, table=False)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the operator-algebra and statistics self-checks")
     p.add_argument("--dims", type=parse_dims, required=True, help="e.g. 2..7 or 2,3,13")
-    p.add_argument("--out", default=None, help="write the report to this file instead of stdout")
+    _add_output_flags(p, table=False)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -437,7 +403,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.out is not None:  # appending nothing refuses an unwritable path before any work
             _write_output("", args.out, mode="a")
-        return args.func(args)
+        text, code = args.func(args)
+        _write_output(text, args.out)
+        return code
     except QkdError as exc:
         if new_out and os.path.lexists(args.out):  # a failed command leaves no file behind
             os.remove(args.out)

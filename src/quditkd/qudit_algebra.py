@@ -94,15 +94,9 @@ def commutator_phase(dim: Dim, a: WeylIndex, b: WeylIndex) -> int | np.ndarray:
 
 
 def bell_matrix(dim: Dim, idx: WeylIndex) -> np.ndarray:
-    """|Phi_{jk}> reshaped to (*S, d, d): entry [a, b] is the amplitude of |a>|b>."""
-    j, k = _check_index(dim, idx)
-    d = dim.d
-    s = np.arange(d)
-    cols = np.add.outer(j, s) % d
-    f = np.zeros(cols.shape + (d,), dtype=np.complex128)
-    values = _omega_pow(d, np.multiply.outer(k, s)) / np.sqrt(d)
-    np.put_along_axis(f, cols[..., None], values[..., None], axis=-1)
-    return f
+    """|Phi_{jk}> reshaped to (*S, d, d): entry [a, b] is the amplitude of
+    |a>|b>, which is U_{jk}^T / sqrt(d), written C-contiguous for BLAS."""
+    return np.divide(weyl_operator(dim, idx).swapaxes(-1, -2), np.sqrt(dim.d), order="C")
 
 
 def _shift_family_phase(d: int, k: int) -> complex:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import lambda_entries_from_q
 from .errors import NoRoot, OutOfRange
-from .info_theory import bell_holevo, depolarizing_vector, entropy_rows, entropy_unchecked, masked_row_sums
+from .info_theory import ENTRY_SLACK, bell_holevo, depolarizing_vector, entropy_rows, entropy_unchecked, masked_row_sums
 from .protocol import Family, ProtocolSpec
 
 CLAMP_MASS_TOL = 1e-6  # reconstructed spectra may leave the simplex at large xi
@@ -72,9 +72,9 @@ def ie_depolarizing(spec: ProtocolSpec, q: float) -> float:
     if spec.family is Family.TWO_BASIS:
         # identical to the entropy of the check-basis error vector
         return entropy_unchecked(depolarizing_vector(spec.dim, q))
-    if not (0.0 <= q <= d / (d + 1) + 1e-12):
+    if not (-ENTRY_SLACK <= q <= d / (d + 1) + 1e-12):
         raise OutOfRange(f"Q={q!r} outside [0, {d / (d + 1)}] for d={d}")
-    if q == 0.0:
+    if q <= 0.0:  # Q in [-ENTRY_SLACK, 0] is Q = 0, as in depolarizing_vector
         return 0.0
     lam00 = 1.0 - (d + 1) * q / d
     log_1mq = math.log2(1.0 - q)

@@ -109,15 +109,11 @@ def _shift_rows(q: np.ndarray, xi_vals: np.ndarray, mode: FluxMode) -> tuple[np.
     # sums below from overflowing near the float maximum
     saturated = xi_vals > 4.0
     xi_vals = np.where(saturated, 0.0, xi_vals)
+    raised = slice(1, 2) if mode is FluxMode.SINGLE else slice(1, d)
+    delta = xi_vals / (2.0 * (d - 1)) if mode is FluxMode.EQUAL else xi_vals / 2.0
     deltas = np.zeros((k, d))
-    if mode is FluxMode.SINGLE:
-        delta = xi_vals / 2.0
-        deltas[:, 1] = delta
-        largest = q[:, 1]
-    else:
-        delta = xi_vals / (2.0 * (d - 1)) if mode is FluxMode.EQUAL else xi_vals / 2.0
-        deltas[:, 1:] = delta[:, None]
-        largest = q[:, 1:].max(axis=1)
+    deltas[:, raised] = delta[:, None]
+    largest = q[:, raised].max(axis=1)
     added = deltas.sum(axis=1)
     # saturation is judged on the raw corner: once the requested shift
     # exceeds all of q[0], the noise estimate certifies nothing

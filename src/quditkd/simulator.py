@@ -116,6 +116,8 @@ class SimConfig:
     basis_probs: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.rounds, (int, np.integer)):
+            raise InvalidDistribution(f"rounds must be an integer, got {self.rounds!r}")
         if self.rounds < 1:
             raise InvalidDistribution(f"rounds must be >= 1, got {self.rounds}")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**128:

@@ -427,7 +427,7 @@ def test_bad_config_files_exit_2(capsys, tmp_path):
     assert code == 2 and "cannot read config" in err
 
 
-def test_verify_reports_and_exit_codes(capsys, monkeypatch):
+def test_verify_reports_and_exit_codes(capsys, monkeypatch, tmp_path):
     code, out, _ = _run(capsys, ["verify", "--dims", "2,3"])
     assert code == 0
     assert "0 failures" in out.strip().splitlines()[-1]
@@ -439,6 +439,11 @@ def test_verify_reports_and_exit_codes(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["verify", "--dims", "2"])
     assert code == 3
     assert "FAIL" in out and "1 failures" in out
+    # a failing suite still writes its whole report to --out
+    report = tmp_path / "report.txt"
+    code, stdout, _ = _run(capsys, ["verify", "--dims", "2", "--out", str(report)])
+    assert code == 3 and stdout == ""
+    assert report.read_text(encoding="utf-8") == out
 
 
 def test_verify_matches_its_golden_byte_for_byte(capsys):

@@ -102,6 +102,14 @@ def test_ie_depolarizing_zero_noise_and_domain():
         ie_depolarizing(ProtocolSpec(Family.DPLUS1, 2), 2 / 3 + 1e-6)
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_q_just_below_zero_is_q_zero_for_both_families(family):
+    # Q down to -ENTRY_SLACK is rounding noise, clamped to 0 as depolarizing_vector does
+    spec = ProtocolSpec(family, 3)
+    below, zero = r_infinity(spec, -1e-13), r_infinity(spec, 0.0)
+    assert (below.i_e, below.h_ab, below.r_inf, below.r_inf_raw) == (zero.i_e, zero.h_ab, zero.r_inf, zero.r_inf_raw)
+
+
 def test_ie_depolarizing_table_thresholds():
     r2 = r_infinity(ProtocolSpec(Family.DPLUS1, 2), 0.1262)
     assert abs(r2.r_inf_raw) < 5e-4

@@ -1,6 +1,7 @@
 """The README's command-line examples, run through `cli.main`.
 
-Every command of the "Command line" block must run and exit 0, and every
+Every command of the "Command line" block must run and exit 0, also with
+`--out FILE`, which must hold exactly what stdout got, and every
 `$ quditkd ...` example elsewhere must print exactly the output shown under
 it, so a renamed flag or a moved digit in the README fails here.
 """
@@ -41,10 +42,15 @@ def test_readme_has_its_examples():
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv))
-def test_readme_command_runs(capsys, argv):
+def test_readme_command_runs(capsys, tmp_path, argv):
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.out and captured.err == ""
+    # --out takes the same text off stdout, byte for byte
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == captured.out.encode("utf-8")
 
 
 @pytest.mark.parametrize("argv, shown", EXAMPLES)

@@ -97,8 +97,10 @@ def test_exact_path_dimension_cap():
 
 def test_config_validation():
     spec = ProtocolSpec(Family.TWO_BASIS, 2)
-    with pytest.raises(InvalidDistribution):
-        SimConfig(spec, _pure(2), rounds=0, seed=1)
+    # rounds is an integer of at least 1; a float would reach the Philox advance
+    for rounds in (0, 1000.5, 1e3, "100"):
+        with pytest.raises(InvalidDistribution, match="rounds must be"):
+            SimConfig(spec, _pure(2), rounds=rounds, seed=1)
     with pytest.raises(InvalidDistribution):
         SimConfig(spec, _pure(2), rounds=10, seed=1, basis_probs=(0.2, 0.3, 0.5))
     with pytest.raises(InvalidDistribution):
