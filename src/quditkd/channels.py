@@ -68,14 +68,18 @@ def _reconstruction_index(d: int) -> np.ndarray:
     return (s[:, None, None] * s[None, :, None] - s[None, None, :]) % d
 
 
+def check_spectrum_dim(spec: ProtocolSpec, spectrum: BellSpectrum) -> None:
+    """InvalidDistribution unless the spectrum has the protocol's dimension."""
+    if spectrum.d != spec.dim.d:
+        raise InvalidDistribution(f"spectrum is {spectrum.d}-dimensional, protocol wants {spec.dim.d}")
+
+
 def q_from_lambda(spec: ProtocolSpec, spectrum: BellSpectrum) -> np.ndarray:
     """Error statistics of `spec`: one row per basis, in protocol order.
 
     `q_entries_from_lambda` on a stack of one spectrum.
     """
-    d = spec.dim.d
-    if spectrum.d != d:
-        raise InvalidDistribution(f"spectrum is {spectrum.d}-dimensional, protocol wants {d}")
+    check_spectrum_dim(spec, spectrum)
     return q_entries_from_lambda(spectrum.lam[None], spec.n_bases)[0]
 
 

@@ -58,17 +58,11 @@ def parse_dims(text: str) -> list[int]:
         token = token.strip()
         if not token:
             continue
-        if ".." in token:
-            lo_s, hi_s = token.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise argparse.ArgumentTypeError(f"empty range {token!r}")
-            if lo < 2 or hi > MAX_DIM:
-                raise argparse.ArgumentTypeError(f"range {token!r} leaves [2, {MAX_DIM}]")
-            dims.extend(range(lo, hi + 1))
-        else:
-            dims.append(int(token))
-    if not dims or not 2 <= min(dims) <= max(dims) <= MAX_DIM:
+        ends = [parse_dim(end) for end in token.split("..", 1)]  # one dimension, or a range's two ends
+        if ends[-1] < ends[0]:
+            raise argparse.ArgumentTypeError(f"empty range {token!r}")
+        dims.extend(range(ends[0], ends[-1] + 1))
+    if not dims:
         raise argparse.ArgumentTypeError(f"need one or more dimensions in [2, {MAX_DIM}], got {text!r}")
     return dims
 

@@ -15,6 +15,14 @@ optimal, see the grid oracle in the tests). `adversary_information_rows` is
 the one kernel for both, on stacks of error statistics shaped like
 `q_from_lambda`'s output, and `ie_depolarizing` is its closed form on the
 depolarizing channel.
+
+Bell-diagonal sources suffice: twirling a state by a random U_jk (x)
+conj(U_jk) keeps every basis's statistics of t = (a - b) mod d, leaves the
+state's Bell-diagonal part and cannot raise H(Z_A|E), since Eve may hold the
+twirl's label, given which the key is the original one shifted. So every
+state with statistics q has H(Z_A|E) >= log2(d) - I_E(q), with equality on
+the Bell-diagonal states that attain I_E (all of them for the (d+1)-basis
+family, the product spectra lam = a (x) b for the two-basis family).
 """
 
 from __future__ import annotations

@@ -37,8 +37,9 @@ a mask. One function, `_worst_case_holevo_rows`, shifts the nominal rows
 and calls the kernel, in chunks of _CHUNK_ROWS rows. One function,
 `_rates`, evaluates r_N on a block of (budget share x p01) cells in one
 array pass. Its budget split is one (S, 3) array of (eps_PA, eps_PE,
-eps_bar) rows, checked against eps once by `_checked_split`; `_share_split`
-builds those rows from the optimizer's share triples. `_rates` takes xi's
+eps_bar) rows: `r_finite` checks the one row it is given against eps, and
+`_share_split` builds the optimizer's rows from share triples, which leave a
+sliver of eps unspent and so need no check. `_rates` takes xi's
 logarithms with `math` once per distinct eps_PE and m, the worst case once
 per distinct (eps_PE, m_key, m_check), and the rate terms by broadcasting.
 `r_finite` is that block at one cell, and the optimizer's coarse pass is
@@ -75,12 +76,12 @@ class FluxMode(str, Enum):
 
 
 def xi(m: int, spec_dim_d: int, eps_pe: float) -> float:
-    """Fluctuation radius of an error vector estimated from m samples."""
+    """Fluctuation radius of an error vector from m samples: `_xi_table` at one cell."""
     if m < 1:
         raise DegenerateSample(f"fluctuation bound needs m >= 1, got {m}")
     if not (0.0 < eps_pe < 1.0):
         raise OutOfRange(f"eps_PE={eps_pe!r} outside (0, 1)")
-    return math.sqrt((2.0 * math.log(1.0 / eps_pe) + 2.0 * spec_dim_d * math.log(m + 1.0)) / m)
+    return float(_xi_table(spec_dim_d, [eps_pe], [m])[0, 0])
 
 
 def _xi_table(d: int, eps_pe: list[float], ms: list[int]) -> np.ndarray:
@@ -157,6 +158,8 @@ class FiniteKeyBudget:
     eps_ec: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_signals, (int, np.integer)):
+            raise OutOfRange(f"n_signals must be an integer, got {self.n_signals!r}")
         if not 1 <= self.n_signals <= sys.float_info.max:  # the sample sizes are computed in floats
             raise OutOfRange(f"need between 1 and {sys.float_info.max:.6g} signals, got {self.n_signals}")
         if not (0.0 < self.eps < 1.0):
@@ -191,21 +194,6 @@ class FiniteRateReport:
     terms: dict[str, float] = field(default_factory=dict)
     saturated: bool = False
     degenerate: bool = False
-
-
-def _checked_split(spec: ProtocolSpec, budget: FiniteKeyBudget, split) -> np.ndarray:
-    """The budget split as an (S, 3) array of (eps_PA, eps_PE, eps_bar) rows,
-    InfeasibleParams if a row spends more than eps."""
-    split = np.asarray(split, dtype=float)
-    # Python floats, so `used` and its message keep the scalar float operations
-    for eps_pa, eps_pe, eps_bar in split.tolist():
-        used = budget.eps_ec + eps_pa + spec.n_bases * eps_pe + eps_bar
-        if used > budget.eps * (1.0 + 1e-9):
-            raise InfeasibleParams(
-                f"failure budget {used!r} exceeds eps={budget.eps!r} "
-                f"(n_PE={spec.n_bases})"
-            )
-    return split
 
 
 def _sample_sizes(spec: ProtocolSpec, n_signals: int, p01: float) -> tuple[int, tuple[int, ...]]:
@@ -269,8 +257,8 @@ def _rates(
     """r_N of every (budget share i, p01 j) cell in one array pass.
 
     Row i takes its failure budgets from split[i], one (eps_PA, eps_PE,
-    eps_bar) row of a `_checked_split` array of shape (S, 3), and column j
-    its sample sizes from p01s[j]. Returns, in order: the unfloored r_N,
+    eps_bar) row of an (S, 3) array whose rows spend at most eps, and
+    column j its sample sizes from p01s[j]. Returns, in order: the unfloored r_N,
     shape (S, P); its terms, each broadcasting to (S, P); the
     (n, m_per_basis) of each p01; a (P,) mask of the degenerate columns,
     where some basis keeps no sample; and an (S, P) mask of the saturated
@@ -338,7 +326,12 @@ def r_finite(
     saturated statistics yield r_N = 0 with the matching flag and an empty
     term breakdown.
     """
-    split = _checked_split(spec, budget, [[params.eps_pa, params.eps_pe, params.eps_bar]])
+    used = budget.eps_ec + params.eps_pa + spec.n_bases * params.eps_pe + params.eps_bar
+    if used > budget.eps * (1.0 + 1e-9):
+        raise InfeasibleParams(
+            f"failure budget {used!r} exceeds eps={budget.eps!r} (n_PE={spec.n_bases})"
+        )
+    split = np.array([[params.eps_pa, params.eps_pe, params.eps_bar]])
     raw, terms, sizes, degenerate, saturated = _rates(spec, q, budget, split, [params.p01], mode)
     n, ms = sizes[0]
     has_rate = not (degenerate[0] or saturated[0, 0])
@@ -374,12 +367,12 @@ def _share_grid() -> tuple[tuple[float, float, float], ...]:
 
 
 def _share_split(spec: ProtocolSpec, budget: FiniteKeyBudget, shares_list) -> np.ndarray:
-    """The checked budget split of each share triple: eps_PA and eps_bar
-    take their shares of the budget left after eps_EC, and eps_PE its share
-    divided among the n_PE bases."""
+    """The budget split of each share triple: eps_PA and eps_bar take their
+    shares of the budget left after eps_EC, and eps_PE its share divided
+    among the n_PE bases. _BUDGET_FILL keeps every row below eps."""
     split = np.array(shares_list, dtype=float) * ((budget.eps - budget.eps_ec) * _BUDGET_FILL)
     split[:, 1] /= spec.n_bases
-    return _checked_split(spec, budget, split)
+    return split
 
 
 def _golden_step(bracket: tuple, left: bool) -> tuple:

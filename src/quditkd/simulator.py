@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import BellSpectrum, q_from_lambda
+from .channels import BellSpectrum, check_spectrum_dim, q_from_lambda
 from .errors import DimensionTooLarge, InvalidDistribution, OutOfRange
 from .info_theory import as_prob_vector
 from .protocol import ProtocolSpec, protocol_bases
@@ -51,7 +51,6 @@ from .qudit_algebra import Dim, WeylIndex, bell_matrix
 
 EXACT_DIM_CAP = 11
 CHI2_CONFIDENCE = 0.999
-MARGINAL_TOL = 1e-10
 
 # CHI2_THRESHOLDS[k - 1] is the CHI2_CONFIDENCE quantile of the chi-square
 # law with k degrees of freedom, 2 * scipy.special.gammaincinv(k / 2, 0.999)
@@ -122,6 +121,7 @@ class SimConfig:
             raise InvalidDistribution(f"rounds must be >= 1, got {self.rounds}")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**128:
             raise OutOfRange(f"need seed in [0, 2**128), got seed={self.seed}")
+        check_spectrum_dim(self.spec, self.spectrum)
         d = self.spec.dim.d
         if d - 1 > len(CHI2_THRESHOLDS):
             raise DimensionTooLarge(

@@ -24,11 +24,10 @@ from typing import Iterable
 import numpy as np
 
 from .channels import lambda_entries_from_q, q_entries_from_lambda
-from .protocol import Family, ProtocolSpec
+from .protocol import Family, ProtocolSpec, protocol_bases
 from .qudit_algebra import (
     Dim,
     WeylIndex,
-    basis_for,
     bell_matrix,
     commutator_phase,
     weyl_operator,
@@ -171,8 +170,7 @@ def check_mub_overlaps(dim: Dim) -> CheckResult:
     """
     d = dim.d
     family = Family.DPLUS1 if dim.prime else Family.TWO_BASIS
-    spec = ProtocolSpec(family, dim)
-    mats = [basis_for(dim, idx) for idx in spec.basis_indices]
+    mats = protocol_bases(ProtocolSpec(family, dim))
     worst = 0.0
     for i, e in enumerate(mats):
         for f in mats[i + 1 :]:

@@ -7,12 +7,12 @@ import numpy as np
 
 from quditkd.channels import BellSpectrum, lambda_from_q, q_from_lambda
 from quditkd.info_theory import depolarizing_vector, shannon_entropy
-from quditkd.protocol import Family, ProtocolSpec
+from quditkd.protocol import Family, ProtocolSpec, protocol_bases
 from quditkd.qudit_algebra import Dim, WeylIndex, basis_for, bell_matrix
 from quditkd.rates_asymptotic import adversary_information_rows
 import quditkd.rates_finite as rates_finite
 import quditkd.simulator as simulator
-from quditkd.rates_finite import FiniteKeyBudget, FiniteRateReport, FluxMode, FreeParams, r_finite, xi
+from quditkd.rates_finite import FiniteKeyBudget, FiniteRateReport, FluxMode, FreeParams, r_finite
 from quditkd.verification import SAMPLE_SEED
 
 
@@ -95,6 +95,44 @@ def q_from_lambda_per_basis(spec: ProtocolSpec, lam: np.ndarray) -> np.ndarray:
     return np.stack(out)
 
 
+def stats_of_state(spec: ProtocolSpec, rho: np.ndarray) -> np.ndarray:
+    """Error statistics of each two-qudit density matrix in a stack rho of
+    shape (K, d^2, d^2), row-major in |a>|b> (sender first): the (K, n_bases,
+    d) array whose row i is the distribution of t = (a - b) mod d when the
+    sender measures the columns of protocol basis E_i and the receiver those
+    of conj(E_i), as `simulator.joint_outcome_distribution` measures."""
+    d = spec.dim.d
+    t_of = (np.arange(d)[:, None] - np.arange(d)[None, :]) % d
+    to_t = (t_of.reshape(-1, 1) == np.arange(d)).astype(float)  # cell a*d + b -> its t
+    rows = []
+    for basis in protocol_bases(spec):
+        outcomes = np.kron(basis, basis.conj())  # column a*d + b is e_a (x) conj(e_b)
+        joint = np.einsum("ia,kij,ja->ka", outcomes.conj(), rho, outcomes).real
+        rows.append(joint @ to_t)
+    return np.stack(rows, axis=1)
+
+
+def _von_neumann_bits(mats: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each Hermitian PSD matrix in a stack; eigenvalues
+    that rounding leaves below zero count as zero."""
+    ev = np.clip(np.linalg.eigvalsh(mats), 0.0, None)
+    return -(ev * np.log2(np.where(ev > 0.0, ev, 1.0))).sum(axis=-1)
+
+
+def key_entropy_given_eve(key_basis: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """H(Z_A|E) in bits for each state of a stack rho (K, d^2, d^2), where
+    the sender measures the columns of key_basis and E holds a purification:
+    H(p_z) + sum_z p_z S(rho_B^z) - S(rho_AB). E's share of the pure state
+    after outcome z has the entropy of B's, and S(E) = S(rho_AB)."""
+    k, d = rho.shape[0], key_basis.shape[0]
+    # p_z rho_B^z = Tr_A[(|e_z><e_z| (x) 1) rho]
+    weighted = np.einsum("xz,kxyXY,Xz->kzyY", key_basis.conj(), rho.reshape(k, d, d, d, d), key_basis)
+    p = np.einsum("kzyy->kz", weighted).real
+    conditional = weighted / np.where(p > 0.0, p, 1.0)[:, :, None, None]
+    h_z = -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=1)
+    return h_z + (p * _von_neumann_bits(conditional)).sum(axis=1) - _von_neumann_bits(rho)
+
+
 def joint_table_per_state(dim: Dim, spectrum: BellSpectrum, basis: np.ndarray) -> np.ndarray:
     """Exact joint table P(a, b) of one `basis_for` array, summed one Bell
     state at a time in spectrum order; spectrum entry (j, k) weighs the state
@@ -165,6 +203,11 @@ def bell_orthonormality_reference(dim: Dim) -> float:
     return float(np.abs(gram).max())
 
 
+def xi_reference(m: int, d: int, eps_pe: float) -> float:
+    """The fluctuation radius of `rates_finite.xi`, one scalar at a time with `math`."""
+    return math.sqrt((2.0 * math.log(1.0 / eps_pe) + 2.0 * d * math.log(m + 1.0)) / m)
+
+
 def r_finite_reference(spec: ProtocolSpec, q: float, budget, params, mode) -> tuple[float, float | None]:
     """r_N and the worst-case I_E (None when degenerate or saturated) of one
     finite-key configuration, built from the kernels on one row at a time.
@@ -188,10 +231,10 @@ def r_finite_reference(spec: ProtocolSpec, q: float, budget, params, mode) -> tu
     if n == 0 or min(checks) == 0:
         return 0.0, None
     nominal = depolarizing_vector(spec.dim, q)
-    rows = [shift_one(nominal, xi(m, d, params.eps_pe), mode) for m in checks]
+    rows = [shift_one(nominal, xi_reference(m, d, params.eps_pe), mode) for m in checks]
     key = nominal
     if spec.family is Family.DPLUS1:
-        key = shift_one(nominal, xi(n, d, params.eps_pe), mode)
+        key = shift_one(nominal, xi_reference(n, d, params.eps_pe), mode)
     if key is None or any(row is None for row in rows):
         return 0.0, None
     info, saturated = adversary_information_rows(spec, np.stack([key] + rows)[None])

@@ -22,6 +22,7 @@ from oracles import (
     params_from_shares_reference,
     r_finite_reference,
     shift_one,
+    xi_reference,
 )
 
 import quditkd.rates_finite as rates_finite
@@ -185,7 +186,7 @@ def test_xi_table_equals_scalar_xi_on_the_coarse_grid(d, n_signals):
         table = rates_finite._xi_table(d, eps_pe, ms)
         assert table.shape == (len(eps_pe), len(ms))
         for i, e in enumerate(eps_pe):
-            assert table[i].tolist() == [xi(m, d, e) for m in ms], (family, e)
+            assert table[i].tolist() == [xi(m, d, e) for m in ms] == [xi_reference(m, d, e) for m in ms], (family, e)
 
 
 @pytest.mark.parametrize("family, d", ((TWO_BASIS, 6), (DPLUS1, 5)))

@@ -102,6 +102,16 @@ def test_free_params_and_budget_reject_nan(field):
             FiniteKeyBudget(*budget)
 
 
+@pytest.mark.parametrize("n_signals", (1000.5, 1e3))
+def test_budget_refuses_a_non_integer_signal_count(n_signals):
+    # a float count is refused whatever its value, as SimConfig refuses float rounds
+    with pytest.raises(OutOfRange, match="n_signals must be an integer"):
+        FiniteKeyBudget(n_signals, 1e-5, 1e-10)
+    with pytest.raises(OutOfRange, match="n_signals must be an integer"):
+        optimize_r_finite(ProtocolSpec(Family.TWO_BASIS, 2), 0.05, n_signals, 1e-5, 1e-10)
+    assert FiniteKeyBudget(np.int64(1000), 1e-5, 1e-10).n_signals == 1000
+
+
 def test_budget_feasibility_enforced():
     spec = ProtocolSpec(Family.TWO_BASIS, 2)
     budget = FiniteKeyBudget(10**6, 1e-5, 1e-10)

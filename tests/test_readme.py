@@ -3,7 +3,9 @@
 Every command of the "Command line" block must run and exit 0, also with
 `--out FILE`, which must hold exactly what stdout got, and every
 `$ quditkd ...` example elsewhere must print exactly the output shown under
-it, so a renamed flag or a moved digit in the README fails here.
+it, so a renamed flag or a moved digit in the README fails here. The
+"Library" snippet runs too, and each number it prints must start with the
+digits its `# 0.2594...` comment shows.
 """
 
 import shlex
@@ -57,3 +59,15 @@ def test_readme_command_runs(capsys, tmp_path, argv):
 def test_readme_example_prints_what_it_shows(capsys, argv, shown):
     assert main(argv) == 0
     assert capsys.readouterr().out == shown
+
+
+def test_readme_library_snippet_prints_the_digits_it_shows(capsys):
+    code = README.split("```python\n", 1)[1].split("\n```", 1)[0]
+    shown = [line.split("# ", 1)[1].split() for line in code.splitlines() if line.startswith("print(")]
+    exec(code, {})
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert len(printed) == len(shown) == 3
+    for values, prefixes in zip(printed, shown):
+        assert len(values) == len(prefixes)
+        for value, prefix in zip(values, prefixes):
+            assert prefix.endswith("...") and value.startswith(prefix[: -len("...")]), (value, prefix)

@@ -114,6 +114,17 @@ def test_config_validation():
     assert run_simulation(SimConfig(spec, _pure(2), rounds=10, seed=2**128 - 1)).all_passed
 
 
+def test_config_refuses_a_spectrum_of_another_dimension():
+    # refused when built, before a run draws any basis label, with q_from_lambda's message
+    spec = ProtocolSpec(Family.TWO_BASIS, 3)
+    spectrum = depolarizing_spectrum(Dim(2), 0.1)
+    with pytest.raises(InvalidDistribution) as from_map:
+        q_from_lambda(spec, spectrum)
+    with pytest.raises(InvalidDistribution) as from_config:
+        SimConfig(spec, spectrum, rounds=10**6, seed=1)
+    assert str(from_config.value) == str(from_map.value) == "spectrum is 2-dimensional, protocol wants 3"
+
+
 def test_config_refuses_dimensions_beyond_the_threshold_table():
     # a basis has up to d - 1 degrees of freedom; the table ends at the CLI's cap
     assert len(CHI2_THRESHOLDS) + 1 == MAX_DIM
