@@ -39,7 +39,7 @@ from .simulator import SimConfig, SimResult, run_simulation, sifting_fraction
 MAX_DIM = 32  # verify's largest arrays are O(d^3): one shift's window of Bell vectors (under 1 MB at the cap)
 MAX_SWEEP = 10_000  # Q values in one asymptotic sweep
 MAX_N_POINTS = 50  # finite-key N values; each is one optimizer run (about 0.5 s at d = 31)
-MAX_ROUNDS = 10**7  # simulate rounds; bounds run time, which grows linearly with rounds (exact-path memory does not)
+MAX_ROUNDS = 10**7  # simulate rounds; bounds run time, which grows linearly with rounds (memory does not, on either path)
 MAX_CONFIG_BYTES = 65536  # simulate --config file; a real config is under 1 KB
 
 

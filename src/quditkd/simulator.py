@@ -19,13 +19,14 @@ gives that label for every word outside the few table buckets that hold a
 cut, whose words are labelled from their uniform. The sender's basis
 labels are the stream's first `rounds` words and the receiver's the next
 `rounds`; two generators read the two stretches side by side, the
-receiver's a copy of the sender's advanced by `rounds` words, so each
-sender chunk meets its receiver chunk at once and no label is kept. The
-outcomes continue on the receiver's generator and are counted chunk by
-chunk: exact cells straight into the (d, d) table, and on the fast path
-the differences t, kept at one byte per sifted round of that basis, then
-the sender outcomes in `_CHUNK`-sized `integers` calls. The exact path's
-memory is fixed chunks, whatever the rounds.
+receiver's a copy of the sender's put `rounds` words ahead (`_skipped`),
+so each sender chunk meets its receiver chunk at once and no label is
+kept. The outcomes continue on the receiver's generator and are counted
+chunk by chunk: exact cells straight into the (d, d) table; on the fast
+path a basis's m differences t come first in the stream and its sender
+outcomes a after them, so a copy put m words ahead draws each a chunk
+beside its t chunk, and that copy continues the stream. On both paths the
+working memory is a few fixed chunks, whatever the rounds.
 
 The chi-square verdicts compare against `CHI2_THRESHOLDS`, a constant table
 of the 0.999 quantiles for 1 to 31 degrees of freedom copied from scipy
@@ -67,12 +68,12 @@ CHI2_THRESHOLDS = (
     58.301173489794905, 59.70306430442994, 61.098306081058126,
 )
 
-_CHUNK = 1 << 16  # labels or outcomes drawn per generator call
+_CHUNK = 1 << 14  # labels or outcomes drawn per generator call
 _CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance
 _GUIDE_BITS = 12  # a label's guide table has one entry per value of a word's top 12 bits
 _AMBIGUOUS = 255  # guide entry of a bucket holding a cut: its words are labelled exactly
 # most bases whose matched rounds are counted by one compare per basis; the
-# two ways of counting a 64K chunk pair cost about the same at K = 12 to 13
+# two ways of counting a chunk pair cost about the same at K = 12 to 13
 _COMPARE_MAX_K = 12
 
 
@@ -180,8 +181,8 @@ def _chi_square_check(counts_t: np.ndarray, matched: int, q: np.ndarray) -> tupl
 
 def _label_chunks(
     rng: np.random.Generator, probs: np.ndarray, n: int, scratch: np.ndarray | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, labels) for `n` categorical labels, `_CHUNK` at a time:
+) -> Iterator[np.ndarray]:
+    """Yield the labels of `n` categorical draws, `_CHUNK` at a time:
     basis labels, exact outcome cells or fast-path differences. `scratch`,
     `uint64` and at least min(n, `_CHUNK`) long, takes each chunk's buckets;
     samplers advanced in turn can share one.
@@ -214,12 +215,12 @@ def _label_chunks(
     high = cuts.searchsorted(first + (2.0**-_GUIDE_BITS - 2.0**-53), side="right")
     guide = np.where(low == high, low, _AMBIGUOUS).astype(np.uint8)
     draw = rng.bit_generator.random_raw
-    # every chunk's buckets go to one buffer: a fresh 512 KiB array per chunk
-    # made the heap shrink and grow again, and its pages fault anew
+    # every chunk's buckets go to one buffer: a fresh array per chunk made
+    # the heap shrink and grow again, and its pages fault anew
     if scratch is None:
         scratch = np.empty(min(n, _CHUNK), dtype=np.uint64)
     for start in range(0, n, _CHUNK):
-        yield start, _guide_labels(draw(min(_CHUNK, n - start)), guide, cuts, scratch)
+        yield _guide_labels(draw(min(_CHUNK, n - start)), guide, cuts, scratch)
 
 
 def _guide_labels(words: np.ndarray, guide: np.ndarray, cuts: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -232,31 +233,54 @@ def _guide_labels(words: np.ndarray, guide: np.ndarray, cuts: np.ndarray, scratc
     return labels
 
 
+def _skipped(rng: np.random.Generator, n: int) -> np.random.Generator:
+    """A copy of the Philox generator `rng` put `n` raw words ahead: its
+    draws are those `rng` would make after `random_raw(n)`, and `rng` is
+    left as it is.
+
+    The copy first reads the `head` words still in Philox's 4-word buffer,
+    then `advance`s whole counter blocks of four words and reads the rest;
+    `advance` is called only past the buffer, since it throws away the
+    buffered words. It also clears the buffered half-word that `integers`
+    reads next, which raw words never touch, so that is restored from `rng`.
+    """
+    out = copy.deepcopy(rng)
+    state = rng.bit_generator.state
+    draw = out.bit_generator.random_raw
+    head = 4 - state["buffer_pos"]
+    if n <= head:
+        draw(n)
+        return out
+    draw(head)
+    out.bit_generator.advance((n - head) // 4)
+    draw((n - head) % 4)
+    after = out.bit_generator.state
+    after["has_uint32"], after["uinteger"] = state["has_uint32"], state["uinteger"]
+    out.bit_generator.state = after
+    return out
+
+
 def _matched_counts(rng: np.random.Generator, probs: np.ndarray, rounds: int) -> tuple[np.ndarray, np.random.Generator]:
     """Rounds in which sender and receiver both drew basis b, for every b,
     and the generator that continues the stream after both parties' labels.
 
-    `rng` is a fresh Philox generator. The sender's labels are its first
-    `rounds` draws, the receiver's the next `rounds`, read by a copy of it
-    advanced by `rounds` words: `advance(rounds // 4)` (one counter step is
-    four 64-bit words, and a fresh generator buffers none), then the
-    remaining `rounds % 4` words. The two are drawn a chunk at a time, side
-    by side, so the stream is that of one sequential pass. With K <=
-    `_COMPARE_MAX_K` bases each chunk pair's joint code s*K + r (a `uint8`)
-    is compared once with each diagonal code b*K + b; with more, the
-    matched sender labels, a share sum(p**2) of the rounds, are picked out
-    and counted by one `bincount`. The first costs one pass per basis, the
-    second grows with the matched share, 1/K at equal weights.
+    The sender's labels are `rng`'s next `rounds` draws, the receiver's the
+    `rounds` after them, read by `_skipped(rng, rounds)`. The two are drawn
+    a chunk at a time, side by side, so the stream is that of one
+    sequential pass. With K <= `_COMPARE_MAX_K` bases each chunk pair's
+    joint code s*K + r (a `uint8`) is compared once with each diagonal code
+    b*K + b; with more, the matched sender labels, a share sum(p**2) of the
+    rounds, are picked out and counted by one `bincount`. The first costs
+    one pass per basis, the second grows with the matched share, 1/K at
+    equal weights.
     """
-    receiver = copy.deepcopy(rng)
-    receiver.bit_generator.advance(rounds // 4)
-    receiver.bit_generator.random_raw(rounds % 4)
+    receiver = _skipped(rng, rounds)
     k = probs.size
     matched = np.zeros(k, dtype=np.int64)
     diagonal = range(0, k * k, k + 1)
     scratch = np.empty(min(rounds, _CHUNK), dtype=np.uint64)  # the two samplers alternate
     sender_labels = _label_chunks(rng, probs, rounds, scratch)
-    for (_, s), (_, r) in zip(sender_labels, _label_chunks(receiver, probs, rounds, scratch)):
+    for s, r in zip(sender_labels, _label_chunks(receiver, probs, rounds, scratch)):
         if k <= _COMPARE_MAX_K:
             code = s * np.uint8(k)
             code += r
@@ -276,8 +300,9 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     (`_matched_counts`); the outcomes continue on the receiver's generator.
     A basis's outcomes come from the same sampler (`_label_chunks`), each
     chunk added to its (d, d) table by one `bincount`: Born-table cells on
-    the exact path; on the fast path all differences t first, then the
-    sender outcomes a in chunks (chunked `integers` calls give the stream
+    the exact path; on the fast path each chunk of differences t with the
+    chunk of sender outcomes a that a generator `_skipped` past all m
+    differences draws beside it (chunked `integers` calls give the stream
     of one call). Single-threaded on purpose.
     """
     spec = cfg.spec
@@ -295,18 +320,16 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         sifted += m
         counts = np.zeros(d * d, dtype=np.int64)
         if fast:
-            t = np.empty(m, dtype=np.uint8)
-            for start, labels in _label_chunks(rng, analytic[i], m):
-                t[start : start + labels.size] = labels
-            for start in range(0, m, _CHUNK):
-                a = rng.integers(0, d, size=min(_CHUNK, m - start))
-                counts += np.bincount(a * d + (a - t[start : start + a.size]) % d, minlength=d * d)
-            del t
+            a_rng = _skipped(rng, m)
+            for t in _label_chunks(rng, analytic[i], m):
+                a = a_rng.integers(0, d, size=t.size)
+                counts += np.bincount(a * d + (a - t) % d, minlength=d * d)
+            rng = a_rng
         else:
             table = joint_outcome_distribution(spec.dim, cfg.spectrum, bases[i])
             flat = table.reshape(-1)
             flat = flat / flat.sum()
-            for _, labels in _label_chunks(rng, flat, m):
+            for labels in _label_chunks(rng, flat, m):
                 counts += np.bincount(labels, minlength=d * d)
         counts = counts.reshape(d, d)
         counts_t = difference_marginal(counts)

@@ -44,7 +44,7 @@ EIGENSTATE_TOL = 1e-10
 MUB_TOL = 1e-10
 ROUNDTRIP_TOL = 1e-12
 
-_BATCH_BYTES = 256 * 1024  # bound on one (batch, d, d) complex operand stack
+_BATCH_BYTES = 64 * 1024  # bound on one (batch, d, d) complex operand stack
 
 
 @dataclass(frozen=True)

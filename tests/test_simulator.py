@@ -17,6 +17,7 @@ from quditkd.simulator import (
     SimConfig,
     _chi_square_check,
     _label_chunks,
+    _skipped,
     difference_marginal,
     joint_outcome_distribution,
     run_simulation,
@@ -135,7 +136,8 @@ def test_config_refuses_dimensions_beyond_the_threshold_table():
     SimConfig(spec, depolarizing_spectrum(spec.dim, 0.05), rounds=10, seed=1)
 
 
-@pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+# n at and beside chunk boundaries a few chunks in
+@pytest.mark.parametrize("n", [1, 4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1, 12 * _CHUNK + 7])
 @pytest.mark.parametrize(
     "probs",
     [(0.0, 0.5, 0.25, 0.25), (0.3, 0.0, 0.7), (0.25, 0.25, 0.5, 0.0), (0.8, 0.2), tuple([1 / 12] * 12),
@@ -148,8 +150,8 @@ def test_label_chunks_equal_one_generator_choice(n, probs):
     streamed = np.random.Generator(np.random.Philox(key=2024))
     reference = np.random.Generator(np.random.Philox(key=2024))
     chunks = list(_label_chunks(streamed, p, n))
-    assert [start for start, _ in chunks] == list(range(0, n, _CHUNK))
-    labels = np.concatenate([lab for _, lab in chunks])
+    assert [lab.size for lab in chunks] == [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
+    labels = np.concatenate(chunks)
     assert labels.dtype == np.uint8
     assert np.array_equal(labels, reference.choice(p.size, size=n, p=p))
     assert streamed.random() == reference.random()
@@ -226,15 +228,62 @@ def test_label_chunks_equal_choice_at_the_guide_table_edges(case):
     for start in range(0, words.size, 4):
         group = words[start : start + 4]
         streamed, reference = _with_words(group), _with_words(group)
-        (_, labels), = _label_chunks(streamed, p, group.size)
+        labels, = _label_chunks(streamed, p, group.size)
         assert np.array_equal(labels, reference.choice(p.size, size=group.size, p=p))
         assert streamed.bit_generator.random_raw(5).tolist() == reference.bit_generator.random_raw(5).tolist()
     streamed = np.random.Generator(np.random.Philox(key=2025))
     reference = np.random.Generator(np.random.Philox(key=2025))
     n = 2 * _CHUNK + 3
-    labels = np.concatenate([lab for _, lab in _label_chunks(streamed, p, n)])
+    labels = np.concatenate(list(_label_chunks(streamed, p, n)))
     assert np.array_equal(labels, reference.choice(p.size, size=n, p=p))
     assert streamed.random() == reference.random()
+
+
+def _full_buffer(half: int) -> np.random.Generator:
+    """A Philox generator holding four unread words (buffer_pos 0), which no
+    sequence of draws reaches (a fresh block is read as soon as it is made),
+    with a buffered half-word if `half` is 1."""
+    rng = _with_words(np.random.Philox(key=5).random_raw(4))
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = half, 0x9E3779B9
+    rng.bit_generator.state = state
+    return rng
+
+
+def _start_states() -> list[np.random.Generator]:
+    """Generators at every buffer_pos 0..4, with and without a buffered
+    half-word: `integers(0, 13)` reads 32 bits of a word, `random_raw` 64."""
+    starts = [_full_buffer(0), _full_buffer(1)]
+    for ints in (0, 1, 2):
+        for raw in range(5):
+            rng = np.random.Generator(np.random.Philox(key=2**70 + 5 * ints + raw))
+            rng.integers(0, 13, size=ints)
+            rng.bit_generator.random_raw(raw)
+            starts.append(rng)
+    return starts
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 4097, 65539])
+def test_skipped_equals_reading_the_words(n):
+    # from every start state, the copy draws what the original draws after
+    # reading n raw words, both raw words and the integers that read the
+    # buffered half-word first; the original is left as it was
+    starts = _start_states()
+    reached = {(r.bit_generator.state["buffer_pos"], r.bit_generator.state["has_uint32"]) for r in starts}
+    assert reached == {(pos, half) for pos in range(5) for half in (0, 1)}
+    for rng in starts:
+        before = repr(rng.bit_generator.state)
+        ahead = _skipped(rng, n)
+        assert repr(rng.bit_generator.state) == before
+        rng.bit_generator.random_raw(n)
+        for draw in (
+            lambda g: g.integers(0, 13, size=3),
+            lambda g: g.bit_generator.random_raw(6),
+            lambda g: g.integers(0, 31, size=5),
+            lambda g: g.integers(0, 13, size=1),
+            lambda g: g.bit_generator.random_raw(1),
+        ):
+            assert draw(ahead).tolist() == draw(rng).tolist()
 
 
 def _traced_peak(cfg: SimConfig) -> int:
@@ -286,17 +335,17 @@ def _config(family, d, rounds, seed, q=0.05, **kw):
         _config(Family.TWO_BASIS, 2, 7, 8, basis_probs=(1.0, 0.0)),
         _config(Family.DPLUS1, 7, 3, 9),
         # the fast path over several chunks that are not multiples of _CHUNK
-        _config(Family.TWO_BASIS, 13, 3 * _CHUNK + 12345, 10),
-        _config(Family.DPLUS1, 13, 5 * _CHUNK + 1, 11, q=0.0),
-        _config(Family.TWO_BASIS, 32, 4 * _CHUNK + 7, 12),
-        _config(Family.DPLUS1, 11, 3 * _CHUNK + 5, 13),
+        _config(Family.TWO_BASIS, 13, 12 * _CHUNK + 12345, 10),
+        _config(Family.DPLUS1, 13, 20 * _CHUNK + 1, 11, q=0.0),
+        _config(Family.TWO_BASIS, 32, 16 * _CHUNK + 7, 12),
+        _config(Family.DPLUS1, 11, 12 * _CHUNK + 5, 13),
         # every rounds % 4: the receiver's labels start that many words
         # into a Philox counter block
         *(_config(Family.DPLUS1, 3, rounds, 20 + rounds) for rounds in (1, 2, 3, 4, 5)),
-        _config(Family.TWO_BASIS, 2, 4 * _CHUNK + 3, 14, basis_probs=(0.8, 0.2)),
+        _config(Family.TWO_BASIS, 2, 16 * _CHUNK + 3, 14, basis_probs=(0.8, 0.2)),
         # more than _COMPARE_MAX_K bases: matched labels picked out and counted
-        _config(Family.DPLUS1, 17, 3 * _CHUNK + 9, 15),
-        _config(Family.DPLUS1, 31, 2 * _CHUNK + 3, 16),
+        _config(Family.DPLUS1, 17, 12 * _CHUNK + 9, 15),
+        _config(Family.DPLUS1, 31, 8 * _CHUNK + 3, 16),
     ],
     # the "-fastNone" suffix keeps each case's id as the suite has long reported it
     ids=lambda cfg: f"{cfg.spec.family.value}-d{cfg.spec.dim.d}-{cfg.rounds}-fastNone",
@@ -322,9 +371,22 @@ def test_run_counts_equal_the_per_round_sampler(cfg):
 )
 def test_sifted_outcomes_add_no_memory_per_round(cfg):
     # two-basis runs sift about half the rounds; their outcomes are counted
-    # chunk by chunk (the fast path's differences t at one byte per sifted
-    # round of one basis)
+    # chunk by chunk on both paths
     assert _traced_peak(cfg) <= 16 * 2**20
+
+
+def test_fast_path_memory_does_not_grow_with_rounds():
+    # a skewed two-basis run sifts nearly every round into one basis; its
+    # differences and sender outcomes are drawn a chunk at a time, side by
+    # side, so 2e6 rounds hold what 1e6 rounds hold (a uint8 array of the
+    # differences would add 0.95 MiB per 1e6 rounds)
+    def peak(rounds):
+        return _traced_peak(_config(Family.TWO_BASIS, 13, rounds, 7, basis_probs=(0.999, 0.001)))
+
+    peak(5)  # one-time allocations of a first run are not working memory
+    one = peak(10**6)
+    assert one <= 2**20
+    assert peak(2 * 10**6) <= 1.05 * one
 
 
 def test_run_determinism():

@@ -90,6 +90,19 @@ def test_orthonormality_works_in_row_blocks():
     assert peak <= 4 * 2**20
 
 
+def test_suite_working_memory_is_small():
+    # at d = 7 the exhaustive operator checks walk 2401 index pairs in
+    # batches of at most _BATCH_BYTES (64 KiB), a few of which are live at once
+    run_suite([7])  # one-time allocations of a first run are not working memory
+    tracemalloc.start()
+    try:
+        run_suite([7])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 2**20
+
+
 @pytest.mark.parametrize("d", range(2, 33))
 def test_row_blocks_equal_the_one_gram_product(d):
     # the row blocks are the d vectors of one shift, each against its column
