@@ -16,7 +16,9 @@ basis labels and outcomes alike, goes through one sampler that reads
 `Generator.choice` call would give: `choice` labels a word w by its
 uniform (w >> 11) * 2**-53, and a guide table indexed by w's top bits
 gives that label for every word outside the few table buckets that hold a
-cut, whose words are labelled from their uniform. The sender's basis
+cut, whose words are labelled from their uniform. It checks no vector:
+basis weights from `SimConfig`, analytic rows of a `BellSpectrum` and
+normalised Born tables are each one `choice` accepts. The sender's basis
 labels are the stream's first `rounds` words and the receiver's the next
 `rounds`; two generators read the two stretches side by side, the
 receiver's a copy of the sender's put `rounds` words ahead (`_skipped`),
@@ -28,9 +30,10 @@ outcomes a after them, so a copy put m words ahead draws each a chunk
 beside its t chunk, and that copy continues the stream. On both paths the
 working memory is a few fixed chunks, whatever the rounds.
 
-The chi-square verdicts compare against `CHI2_THRESHOLDS`, a constant table
-of the 0.999 quantiles for 1 to 31 degrees of freedom copied from scipy
-(`2 * gammaincinv(k / 2, 0.999)`, the expression `scipy.stats.chi2.ppf`
+The chi-square verdicts pool the classes expected fewer than 5 times into
+one and compare against `CHI2_THRESHOLDS`, a constant table of the 0.999
+quantiles for 1 to 31 degrees of freedom copied from scipy (`2 *
+gammaincinv(k / 2, 0.999)`, the expression `scipy.stats.chi2.ppf`
 evaluates); a test pins every entry against scipy, and a run imports
 nothing beyond numpy.
 """
@@ -38,7 +41,6 @@ nothing beyond numpy.
 from __future__ import annotations
 
 import copy
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -68,8 +70,8 @@ CHI2_THRESHOLDS = (
     58.301173489794905, 59.70306430442994, 61.098306081058126,
 )
 
+_MIN_EXPECTED = 5.0  # Pearson's approximation needs about 5 expected counts per class
 _CHUNK = 1 << 14  # labels or outcomes drawn per generator call
-_CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance
 _GUIDE_BITS = 12  # a label's guide table has one entry per value of a word's top 12 bits
 _AMBIGUOUS = 255  # guide entry of a bucket holding a cut: its words are labelled exactly
 # most bases whose matched rounds are counted by one compare per basis; the
@@ -164,15 +166,20 @@ class SimResult:
 
 def _chi_square_check(counts_t: np.ndarray, matched: int, q: np.ndarray) -> tuple[float | None, int, float | None, bool]:
     """Pearson statistic of observed difference counts against analytic q,
-    over classes with nonzero expected probability."""
+    over classes with nonzero expected probability, those expected fewer
+    than `_MIN_EXPECTED` times pooled into one (one class: no verdict)."""
     if matched == 0:
         return None, 0, None, True
     live = q > 1e-15
     if np.any(counts_t[~live] > 0):
         return float("inf"), int(live.sum()) - 1, 0.0, False
-    expected = matched * q[live]
-    stat = float(((counts_t[live] - expected) ** 2 / expected).sum())
-    dof = int(live.sum()) - 1
+    expected, observed = matched * q[live], counts_t[live]
+    small = expected < _MIN_EXPECTED
+    if small.any():
+        expected = np.append(expected[~small], expected[small].sum())
+        observed = np.append(observed[~small], observed[small].sum())
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    dof = expected.size - 1
     if dof == 0:
         return stat, 0, None, True
     threshold = CHI2_THRESHOLDS[dof - 1]
@@ -182,10 +189,10 @@ def _chi_square_check(counts_t: np.ndarray, matched: int, q: np.ndarray) -> tupl
 def _label_chunks(
     rng: np.random.Generator, probs: np.ndarray, n: int, scratch: np.ndarray | None = None
 ) -> Iterator[np.ndarray]:
-    """Yield the labels of `n` categorical draws, `_CHUNK` at a time:
-    basis labels, exact outcome cells or fast-path differences. `scratch`,
-    `uint64` and at least min(n, `_CHUNK`) long, takes each chunk's buckets;
-    samplers advanced in turn can share one.
+    """Yield the `uint8` labels of `n` categorical draws, `_CHUNK` at a
+    time: basis labels, exact outcome cells or fast-path differences.
+    `scratch`, `uint64` and at least min(n, `_CHUNK`) long, takes each
+    chunk's buckets; samplers advanced in turn can share one.
 
     The labels, concatenated, equal `rng.choice(len(probs), size=n, p=probs)`
     and leave `rng` in the same state. `choice` draws `random(n)`, which on
@@ -199,14 +206,10 @@ def _label_chunks(
     that label per bucket, or `_AMBIGUOUS` for the at most K - 1 buckets
     where it does not; a word whose entry is `_AMBIGUOUS` is labelled by
     `searchsorted` of its u (with 256 categories that includes the words
-    labelled 255, still exactly). Like `choice`, it refuses a negative
-    entry or a sum more than sqrt(eps) from 1; labels are `uint8`, so at
-    most 256 categories.
+    labelled 255, still exactly). Callers pass vectors that
+    `Generator.choice` would accept, with at most 256 entries, since labels
+    are `uint8`.
     """
-    if probs.size > 256:
-        raise InvalidDistribution(f"at most 256 categories, got {probs.size}")
-    if np.any(probs < 0.0) or not abs(math.fsum(probs) - 1.0) <= _CHOICE_SUM_TOL:  # NaN fails too
-        raise InvalidDistribution(f"not a probability vector: {probs!r}")
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     cuts = cdf[:-1]
@@ -220,17 +223,12 @@ def _label_chunks(
     if scratch is None:
         scratch = np.empty(min(n, _CHUNK), dtype=np.uint64)
     for start in range(0, n, _CHUNK):
-        yield _guide_labels(draw(min(_CHUNK, n - start)), guide, cuts, scratch)
-
-
-def _guide_labels(words: np.ndarray, guide: np.ndarray, cuts: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """`uint8` labels of raw Philox words through `_label_chunks`' guide
-    table; `scratch` (at least as long as `words`) takes their buckets."""
-    bucket = np.right_shift(words, np.uint64(64 - _GUIDE_BITS), out=scratch[: words.size])
-    labels = guide.take(bucket.view(np.int64))
-    exact = np.flatnonzero(labels == _AMBIGUOUS)
-    labels[exact] = cuts.searchsorted((words[exact] >> 11) * 2.0**-53, side="right")
-    return labels
+        words = draw(min(_CHUNK, n - start))
+        bucket = np.right_shift(words, np.uint64(64 - _GUIDE_BITS), out=scratch[: words.size])
+        labels = guide.take(bucket.view(np.int64))
+        exact = np.flatnonzero(labels == _AMBIGUOUS)
+        labels[exact] = cuts.searchsorted((words[exact] >> 11) * 2.0**-53, side="right")
+        yield labels
 
 
 def _skipped(rng: np.random.Generator, n: int) -> np.random.Generator:

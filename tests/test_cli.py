@@ -15,6 +15,7 @@ from quditkd.cli import (
     parse_dims, parse_q,
 )
 from quditkd.protocol import Family
+from quditkd.simulator import _MIN_EXPECTED
 from quditkd.verification import CheckResult
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -256,6 +257,16 @@ def test_simulate_json_output(capsys):
         assert b["passed"] is True
 
 
+def test_simulate_gives_no_verdict_on_a_basis_too_rare_to_test(capsys):
+    # the second basis sifts one round, 0.004 expected counts per class:
+    # pooled into one class it has no degrees of freedom left to test
+    argv = ["simulate", "--dim", "13", "--q", "5%", "--rounds", "1e6", "--seed", "1", "--basis-probs", "0.999,0.001"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    rare = json.loads(out)["per_basis"][1]
+    assert (rare["matched"], rare["dof"], rare["threshold"], rare["passed"]) == (1, 0, None, True)
+
+
 def test_simulate_config_file(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -475,3 +486,14 @@ def test_simulate_matches_its_golden_byte_for_byte(capsys, monkeypatch, workload
     code, out, _ = _run(capsys, list(request_.argv))
     assert code == 0
     assert BENCH_WORKLOADS.json_view(json.loads(out)) == golden
+
+
+def test_simulate_goldens_expect_enough_counts_in_every_class():
+    # the chi-square pools the classes expected fewer than _MIN_EXPECTED
+    # times; no golden basis has one, so pooling changes no golden verdict
+    paths = sorted(GOLDEN.glob("*/sim-*.json"))
+    assert len(paths) == len(SIMULATE_REQUESTS)
+    for path in paths:
+        for basis in json.loads(path.read_text(encoding="utf-8"))["per_basis"]:
+            expected = [basis["matched"] * q for q in basis["analytic_q"] if q > 1e-15]
+            assert min(expected) >= _MIN_EXPECTED, path.name

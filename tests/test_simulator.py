@@ -2,18 +2,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from oracles import joint_table_per_state, simulation_counts_reference
 
 from quditkd.channels import BellSpectrum, depolarizing_spectrum, q_from_lambda
 from quditkd.cli import MAX_DIM
-from quditkd.errors import DimensionTooLarge, InvalidDistribution, OutOfRange
+from quditkd.errors import DimensionTooLarge, InvalidDistribution, OutOfRange, QkdError
 from quditkd.protocol import Family, ProtocolSpec, protocol_bases
 from quditkd.qudit_algebra import Dim, basis_for
 from quditkd.simulator import (
     _CHUNK,
     CHI2_CONFIDENCE,
     CHI2_THRESHOLDS,
+    EXACT_DIM_CAP,
     SimConfig,
     _chi_square_check,
     _label_chunks,
@@ -308,14 +311,49 @@ def test_run_memory_is_one_byte_per_round():
         assert _traced_peak(cfg) < 4 * 2**20
 
 
-@pytest.mark.parametrize("probs", [(0.5, -0.1, 0.6), (0.5, 0.5 + 2e-8), (0.5, np.nan), tuple([1 / 257] * 257)])
-def test_label_chunks_refuse_what_choice_refuses(probs):
-    # a negative entry or a sum off by more than sqrt(eps) is refused as
-    # Generator.choice refuses it; more than 256 labels do not fit a uint8
-    rng = np.random.Generator(np.random.Philox(key=1))
-    with pytest.raises(InvalidDistribution):
-        next(_label_chunks(rng, np.asarray(probs), 10))
-    assert rng.random() == np.random.Generator(np.random.Philox(key=1)).random()
+@st.composite
+def _near_simplex(draw, n):
+    """n probabilities as the boundary checks let them through: a drawn
+    share of the entries set to one value down to -1e-12, the rest a random
+    split of the remainder, and the sum off by up to 1e-9."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.dirichlet(np.full(n, draw(st.sampled_from((0.05, 1.0)))))
+    nudged = rng.random(n) < draw(st.floats(0.0, 1.0))
+    nudged[rng.integers(n)] = False
+    low = draw(st.floats(-1e-12, 0.0))
+    off = draw(st.floats(-1e-9, 1e-9))
+    p[~nudged] *= (1.0 + off - low * nudged.sum()) / p[~nudged].sum()
+    p[nudged] = low
+    return p
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_vector_the_sampler_gets_is_one_choice_accepts(data):
+    # _label_chunks checks nothing: the basis weights (SimConfig), the
+    # analytic rows (a BellSpectrum) and the normalised Born tables must be
+    # vectors Generator.choice takes, with at most 256 labels for a uint8
+    family = data.draw(st.sampled_from(Family))
+    d = data.draw(st.sampled_from(_PRIMES if family is Family.DPLUS1 else range(2, 33)))
+    spec = ProtocolSpec(family, d)
+    weights = data.draw(_near_simplex(spec.n_bases))
+    lam = data.draw(_near_simplex(d * d)).reshape(d, d)
+    try:
+        cfg = SimConfig(spec, BellSpectrum(lam), rounds=1, seed=0, basis_probs=tuple(weights))
+    except QkdError:  # rounding put an entry or the sum just past its slack
+        reject()
+    vectors = [np.asarray(cfg.basis_probs), *q_from_lambda(spec, cfg.spectrum)]
+    if d <= EXACT_DIM_CAP:
+        for basis in protocol_bases(spec):
+            flat = joint_outcome_distribution(spec.dim, cfg.spectrum, basis).reshape(-1)
+            vectors.append(flat / flat.sum())
+    rng = np.random.default_rng(0)
+    for p in vectors:
+        assert p.size <= 256
+        rng.choice(p.size, p=p)  # ValueError on a vector choice refuses
 
 
 def _config(family, d, rounds, seed, q=0.05, **kw):
@@ -447,3 +485,17 @@ def test_chi_square_threshold_matches_scipy_stats(dof):
     _, got_dof, threshold, _ = _chi_square_check(np.full(dof + 1, 10), 10 * (dof + 1), q)
     assert got_dof == dof
     assert threshold == float(chi2.ppf(CHI2_CONFIDENCE, dof))
+
+
+def test_chi_square_pools_classes_with_few_expected_counts():
+    # dplus1 d = 31 at q = 5% expects 977 * 0.05 / 30 = 1.6 counts in each
+    # error class. A basis with no error outcome scores 51.4, which passes
+    # against 30 dof (59.7); the error classes pooled into one leave 1 dof
+    # (10.8), and it fails
+    spec = ProtocolSpec(Family.DPLUS1, 31)
+    q = q_from_lambda(spec, depolarizing_spectrum(spec.dim, 0.05))[0]
+    counts_t = np.zeros(31, dtype=np.int64)
+    counts_t[0] = 977
+    stat, dof, threshold, passed = _chi_square_check(counts_t, 977, q)
+    assert stat == pytest.approx(51.4, abs=0.05)
+    assert (dof, threshold, passed) == (1, CHI2_THRESHOLDS[0], False)
