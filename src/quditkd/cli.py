@@ -22,6 +22,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from typing import Any, NoReturn, Sequence
@@ -38,7 +39,7 @@ from .simulator import SimConfig, SimResult, run_simulation, sifting_fraction
 
 MAX_DIM = 32  # verify's largest arrays are O(d^3): one shift's window of Bell vectors (under 1 MB at the cap)
 MAX_SWEEP = 10_000  # Q values in one asymptotic sweep
-MAX_N_POINTS = 50  # finite-key N values; each is one optimizer run (about 0.5 s at d = 31)
+MAX_N_POINTS = 50  # finite-key N values; each is one optimizer run (1-40 ms at any d)
 MAX_ROUNDS = 10**7  # simulate rounds; bounds run time, which grows linearly with rounds (memory does not, on either path)
 MAX_CONFIG_BYTES = 65536  # simulate --config file; a real config is under 1 KB
 
@@ -328,7 +329,13 @@ def _add_output_flags(parser: argparse.ArgumentParser, table: bool) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one `error:` line with exit code 2, like
-    every other bad input; subparsers inherit it through `parser_class`."""
+    every other bad input; subparsers inherit it through `parser_class`. A
+    value such as `-1..3` goes to its flag's parser, as no option here
+    starts with '-' and a digit."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"error: {self.prog}: {' '.join(message.split())}\n")

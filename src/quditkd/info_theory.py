@@ -2,10 +2,9 @@
 
 All logarithms are base 2; entropies are in bits. Inputs are checked once,
 at the public boundary (`as_prob_vector`); internal callers pass arrays
-already on the simplex to `entropy_rows` and `bell_holevo`, the one kernel
-for the Holevo information of a stack of Bell-diagonal spectra. The row
-kernels sum each row exactly as a 1-d sum over that row's selected entries
-would, so a row's value never depends on the batch it is evaluated in.
+already on the simplex to `entropy_rows`. The row kernels sum each row
+exactly as a 1-d sum over that row's selected entries would, so a row's
+value never depends on the batch it is evaluated in.
 """
 
 from __future__ import annotations
@@ -70,16 +69,6 @@ def entropy_unchecked(p: np.ndarray) -> float:
 def shannon_entropy(p) -> float:
     """H(p) of a probability vector, validated with `as_prob_vector` first."""
     return entropy_unchecked(as_prob_vector(p))
-
-
-def bell_holevo(lam: np.ndarray) -> np.ndarray:
-    """chi = H(lam) - H(q_01) of each spectrum in a (K, d, d) stack on the simplex.
-
-    q_01 = lam.sum(axis=-1) is the key-basis error vector, so chi is a
-    conditional entropy; tiny float undershoot is clamped to 0.
-    """
-    k, d, _ = lam.shape
-    return np.maximum(entropy_rows(lam.reshape(k, d * d)) - entropy_rows(lam.sum(axis=-1)), 0.0)
 
 
 def depolarizing_vector(dim: Dim, q: float) -> np.ndarray:

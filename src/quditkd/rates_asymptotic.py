@@ -11,10 +11,11 @@ statistics fix the whole Bell spectrum, so I_E is the Holevo quantity
 H(lam) - H(q_01); for the two-basis family the spectrum is only partially
 constrained and maximizing over the compatible set gives I_E = H(q_10)
 (rows proportional to q_10 are feasible and Jensen's inequality makes them
-optimal, see the grid oracle in the tests). `adversary_information_rows` is
-the one kernel for both, on stacks of error statistics shaped like
-`q_from_lambda`'s output, and `ie_depolarizing` is its closed form on the
-depolarizing channel.
+optimal, see the grid oracle in the tests). `ie_depolarizing` is I_E in
+closed form on the depolarizing channel for both. The finite-key worst case
+has its own O(d) form in `rates_finite`; the kernel on arbitrary error
+statistics is the tests' oracle, `adversary_information_rows` in
+`tests/oracles.py`.
 
 Bell-diagonal sources suffice: twirling a state by a random U_jk (x)
 conj(U_jk) keeps every basis's statistics of t = (a - b) mod d, leaves the
@@ -32,12 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import lambda_entries_from_q
 from .errors import NoRoot, OutOfRange
-from .info_theory import ENTRY_SLACK, bell_holevo, depolarizing_vector, entropy_rows, entropy_unchecked, masked_row_sums
+from .info_theory import ENTRY_SLACK, depolarizing_vector, entropy_unchecked
 from .protocol import Family, ProtocolSpec
 
-CLAMP_MASS_TOL = 1e-6  # reconstructed spectra may leave the simplex at large xi
 BISECTION_TOL = 1e-9  # interval width; spec'd accuracy is 1e-6
 BISECTION_MAX_ITER = 200
 
@@ -49,29 +48,6 @@ class RateReport:
     h_ab: float
     r_inf: float  # floored at 0
     r_inf_raw: float
-
-
-def adversary_information_rows(spec: ProtocolSpec, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eavesdropper information of each (n_bases, d) statistics array in a
-    (K, n_bases, d) stack, with a mask of the saturated ones.
-
-    Unchecked kernel: rows must already lie on the simplex. Two-basis:
-    H(stats[1]). (d+1)-basis: the Holevo quantity of the reconstructed
-    spectrum; negative weights are clipped and the rest renormalized, unless
-    they carry more than CLAMP_MASS_TOL of mass, which marks the entry
-    saturated (its information reads 0).
-    """
-    k, _, d = stats.shape
-    if spec.family is Family.TWO_BASIS:
-        return entropy_rows(stats[:, 1]), np.zeros(k, dtype=bool)
-    lam = lambda_entries_from_q(stats[:, 0], stats[:, 1:])
-    flat = lam.reshape(k, d * d)
-    saturated = -masked_row_sums(flat, flat < 0.0) > CLAMP_MASS_TOL
-    lam = np.clip(lam[~saturated], 0.0, None)
-    lam /= lam.reshape(-1, d * d).sum(axis=1)[:, None, None]
-    info = np.zeros(k)
-    info[~saturated] = bell_holevo(lam)
-    return info, saturated
 
 
 def ie_depolarizing(spec: ProtocolSpec, q: float) -> float:

@@ -5,15 +5,47 @@ import math
 
 import numpy as np
 
-from quditkd.channels import BellSpectrum, lambda_from_q, q_from_lambda
-from quditkd.info_theory import depolarizing_vector, shannon_entropy
+from quditkd.channels import BellSpectrum, lambda_entries_from_q, lambda_from_q, q_from_lambda
+from quditkd.info_theory import depolarizing_vector, entropy_rows, masked_row_sums, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec, protocol_bases
 from quditkd.qudit_algebra import Dim, WeylIndex, basis_for, bell_matrix
-from quditkd.rates_asymptotic import adversary_information_rows
 import quditkd.rates_finite as rates_finite
 import quditkd.simulator as simulator
-from quditkd.rates_finite import FiniteKeyBudget, FiniteRateReport, FluxMode, FreeParams, r_finite
+from quditkd.rates_finite import CLAMP_MASS_TOL, FiniteKeyBudget, FiniteRateReport, FluxMode, FreeParams, r_finite
 from quditkd.verification import SAMPLE_SEED
+
+
+def bell_holevo(lam: np.ndarray) -> np.ndarray:
+    """chi = H(lam) - H(q_01) of each spectrum in a (K, d, d) stack on the simplex.
+
+    q_01 = lam.sum(axis=-1) is the key-basis error vector, so chi is a
+    conditional entropy; tiny float undershoot is clamped to 0.
+    """
+    k, d, _ = lam.shape
+    return np.maximum(entropy_rows(lam.reshape(k, d * d)) - entropy_rows(lam.sum(axis=-1)), 0.0)
+
+
+def adversary_information_rows(spec: ProtocolSpec, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eavesdropper information of each (n_bases, d) statistics array in a
+    (K, n_bases, d) stack, with a mask of the saturated ones.
+
+    Unchecked kernel: rows must already lie on the simplex. Two-basis:
+    H(stats[1]). (d+1)-basis: the Holevo quantity of the reconstructed
+    spectrum; negative weights are clipped and the rest renormalized, unless
+    they carry more than CLAMP_MASS_TOL of mass, which marks the entry
+    saturated (its information reads 0).
+    """
+    k, _, d = stats.shape
+    if spec.family is Family.TWO_BASIS:
+        return entropy_rows(stats[:, 1]), np.zeros(k, dtype=bool)
+    lam = lambda_entries_from_q(stats[:, 0], stats[:, 1:])
+    flat = lam.reshape(k, d * d)
+    saturated = -masked_row_sums(flat, flat < 0.0) > CLAMP_MASS_TOL
+    lam = np.clip(lam[~saturated], 0.0, None)
+    lam /= lam.reshape(-1, d * d).sum(axis=1)[:, None, None]
+    info = np.zeros(k)
+    info[~saturated] = bell_holevo(lam)
+    return info, saturated
 
 
 def shift_one(q, xi_val: float, mode: FluxMode = FluxMode.EQUAL) -> np.ndarray | None:

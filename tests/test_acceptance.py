@@ -11,14 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import two_basis_adversary_grid_max
+from oracles import adversary_information_rows, two_basis_adversary_grid_max
 
 from quditkd.channels import BellSpectrum, depolarizing_spectrum, lambda_from_q, q_from_lambda
 from quditkd.cli import main
 from quditkd.errors import NonPrimeDimension
 from quditkd.info_theory import depolarizing_vector, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
-from quditkd.rates_asymptotic import adversary_information_rows, critical_q, ie_depolarizing, r_infinity
+from quditkd.rates_asymptotic import critical_q, ie_depolarizing, r_infinity
 from quditkd.rates_finite import FluxMode, optimize_r_finite
 from quditkd.simulator import SimConfig, difference_marginal, run_simulation
 from quditkd.verification import run_suite

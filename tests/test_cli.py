@@ -404,6 +404,18 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
     assert "--q-min" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, dims, low", (("critical-q", "-1..3", -1), ("verify", "-3..5", -3)))
+def test_a_negative_dimension_range_is_refused_as_a_dimension(capsys, command, dims, low):
+    # argparse takes a token such as -1..3 for an option unless the parser
+    # says otherwise; with a space or with '=', the message names the dimension
+    for argv in ([command, "--dims", dims], [command, f"--dims={dims}"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err == f"error: quditkd {command}: argument --dims: dimension must be in [2, {MAX_DIM}], got {low}\n"
+
+
 def test_config_file_is_read_up_to_its_cap(capsys, tmp_path):
     body = "dim=2\nq=0.1\nrounds=100\nseed=1\n"
     at_cap = tmp_path / "at_cap.cfg"

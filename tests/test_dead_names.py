@@ -2,11 +2,17 @@
 
 Every module-level import and constant of a `src/quditkd` module other than
 `__init__` must be read in its own module, or be named in another module of
-the package or in a file under `tests/`. A name that nothing reads is
-deleted rather than kept "for later".
+the package or in a file under `tests/`. Every module-level function and
+class must be read somewhere under `src/`: called or referenced in the
+package's code, or imported by another of its modules. Tests do not count,
+since a helper only tests use belongs in `tests/oracles.py`; the one
+exception is a function that `bench/tracing.py` lists in `TARGETS`, whose
+metrics read it by name. A name that nothing reads is deleted rather than
+kept "for later".
 """
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -29,6 +35,30 @@ def _module_level_names(tree: ast.Module):
             yield from (("constant", target.id) for target in targets if isinstance(target, ast.Name))
 
 
+def _reads(path: Path, own: bool) -> set[str]:
+    """The names the module at `path` reads in code: attributes and the
+    names it imports, which is how another module reaches a function, and
+    with `own` also its bare loaded names. Docstrings and comments do not
+    count."""
+    reads = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+        elif own and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+    return reads
+
+
+def _traced_targets() -> set[tuple[str, str]]:
+    """(module stem, function) of each entry of `bench/tracing.py`'s TARGETS."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {(module, name) for module, names in tracing.TARGETS.items() for name in names}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
 def test_every_module_level_name_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -41,3 +71,16 @@ def test_every_module_level_name_is_read(path):
         if name not in reads and not re.search(rf"\b{re.escape(name)}\b", elsewhere)
     ]
     assert dead == [], f"{path.name}: nothing reads {dead}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_every_function_and_class_is_read_in_the_package(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    read = set().union(*(_reads(other, own=other == path) for other in PACKAGE.glob("*.py")))
+    read |= {name for module, name in _traced_targets() if module == path.stem}
+    dead = [name for name in defined if name not in read]
+    assert dead == [], f"{path.name}: nothing under src/ reads {dead}"

@@ -2,19 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import two_basis_adversary_grid_max
+from oracles import adversary_information_rows, two_basis_adversary_grid_max
 
 from quditkd.channels import BellSpectrum, depolarizing_spectrum, q_from_lambda
 from quditkd.errors import NonPrimeDimension, OutOfRange
 from quditkd.info_theory import depolarizing_vector, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
 from quditkd.qudit_algebra import Dim
-from quditkd.rates_asymptotic import (
-    adversary_information_rows,
-    critical_q,
-    ie_depolarizing,
-    r_infinity,
-)
+from quditkd.rates_asymptotic import critical_q, ie_depolarizing, r_infinity
 
 
 def _information(spec, stats):

@@ -22,12 +22,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import key_entropy_given_eve, stats_of_state
+from oracles import adversary_information_rows, key_entropy_given_eve, stats_of_state
 
 from quditkd.channels import BellSpectrum, q_from_lambda
 from quditkd.protocol import Family, ProtocolSpec, protocol_bases
 from quditkd.qudit_algebra import WeylIndex, bell_matrix
-from quditkd.rates_asymptotic import adversary_information_rows
 
 CASES = [(Family.TWO_BASIS, d) for d in (2, 3, 4, 5)] + [(Family.DPLUS1, d) for d in (2, 3, 5)]
 STATES_PER_RANK = 4
