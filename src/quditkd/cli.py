@@ -406,7 +406,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             _write_output("", args.out, mode="a")
         text, code = args.func(args)
         _write_output(text, args.out)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
         return code
+    except BrokenPipeError:  # the reader has gone: exit's own flush then writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except QkdError as exc:
         if new_out and os.path.lexists(args.out):  # a failed command leaves no file behind
             os.remove(args.out)

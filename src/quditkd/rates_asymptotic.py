@@ -11,11 +11,11 @@ statistics fix the whole Bell spectrum, so I_E is the Holevo quantity
 H(lam) - H(q_01); for the two-basis family the spectrum is only partially
 constrained and maximizing over the compatible set gives I_E = H(q_10)
 (rows proportional to q_10 are feasible and Jensen's inequality makes them
-optimal, see the grid oracle in the tests). `ie_depolarizing` is I_E in
-closed form on the depolarizing channel for both. The finite-key worst case
-has its own O(d) form in `rates_finite`; the kernel on arbitrary error
-statistics is the tests' oracle, `adversary_information_rows` in
-`tests/oracles.py`.
+optimal, see the grid oracle in the tests). Both are computed one way, by
+`rates_finite._holevo_pairs`: `ie_depolarizing` reads it on the nominal
+depolarizing pair, the finite-key worst case on the shifted pair. The
+kernel on arbitrary error statistics is the tests' oracle,
+`adversary_information_rows` in `tests/oracles.py`.
 
 Bell-diagonal sources suffice: twirling a state by a random U_jk (x)
 conj(U_jk) keeps every basis's statistics of t = (a - b) mod d, leaves the
@@ -31,11 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import NoRoot, OutOfRange
-from .info_theory import ENTRY_SLACK, depolarizing_vector, entropy_unchecked
+from .errors import NoRoot
+from .info_theory import depolarizing_vector, entropy_unchecked
 from .protocol import Family, ProtocolSpec
+from .rates_finite import _holevo_pairs
 
 BISECTION_TOL = 1e-9  # interval width; spec'd accuracy is 1e-6
 BISECTION_MAX_ITER = 200
@@ -51,22 +50,12 @@ class RateReport:
 
 
 def ie_depolarizing(spec: ProtocolSpec, q: float) -> float:
-    """Closed-form I_E(Q) on the depolarizing channel for either family."""
-    d = spec.dim.d
-    if spec.family is Family.TWO_BASIS:
-        # identical to the entropy of the check-basis error vector
-        return entropy_unchecked(depolarizing_vector(spec.dim, q))
-    if not (-ENTRY_SLACK <= q <= d / (d + 1) + 1e-12):
-        raise OutOfRange(f"Q={q!r} outside [0, {d / (d + 1)}] for d={d}")
-    if q <= 0.0:  # Q in [-ENTRY_SLACK, 0] is Q = 0, as in depolarizing_vector
-        return 0.0
-    lam00 = 1.0 - (d + 1) * q / d
-    log_1mq = math.log2(1.0 - q)
-    total = -q * math.log2(1.0 / d)
-    if lam00 > 0.0:
-        total -= lam00 * (math.log2(lam00) - log_1mq)
-    total -= (q / d) * (math.log2(q / (d * d - d)) - log_1mq)
-    return total
+    """I_E(Q) on the depolarizing channel for either family: the finite-key
+    pair kernel `rates_finite._holevo_pairs` on the nominal (key, check)
+    pair, that is the worst case at zero radius. Q must lie in
+    [0, (d-1)/d], the domain of `depolarizing_vector`, for both families."""
+    vec = depolarizing_vector(spec.dim, q)[None]
+    return float(_holevo_pairs(spec, vec, vec)[0][0])
 
 
 def r_infinity(spec: ProtocolSpec, q: float) -> RateReport:

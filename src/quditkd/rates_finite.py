@@ -25,8 +25,9 @@ xi/2 on error coordinate 1, and "brute" puts xi/2 on every coordinate at once,
 which overshoots the total-variation budget and is known to be overly
 pessimistic.
 
-The adversary bound runs on plain arrays checked once at the boundary. The
-two-basis bound is the entropy of the shifted check row. In the (d+1)-basis
+One kernel, `_holevo_pairs`, gives I_E on plain arrays checked once at the
+boundary, for the shifted pair here and the nominal one in r_inf. The
+two-basis bound is the entropy of the check row. In the (d+1)-basis
 family every check basis has the sample size m_1k and the depolarizing
 nominal vector, the only inputs of the shift, so all d read one shifted row
 c. For prime d, s j runs over every residue when j != 0, so the
@@ -39,9 +40,9 @@ and P_0 = sum(r_0), since rows j >= 1 are uniform over k,
 
     I_E = H(lam) - H(row sums) = H(r_0) + P_0 log2 P_0 + (1 - P_0) log2 d,
 
-whatever the order of r_0's entries. `_shared_check_holevo` computes it in
-O(d) per cell; the full reconstruction is the tests' oracle,
-`adversary_information_rows` in `tests/oracles.py`.
+whatever the order of r_0's entries, in O(d) per pair; the full
+reconstruction is the tests' oracle, `adversary_information_rows` in
+`tests/oracles.py`.
 
 The shift and the kernel work on stacks of K rows and report saturation as
 a mask. One function, `_worst_case_holevo_rows`, shifts the nominal rows
@@ -216,11 +217,14 @@ def _sample_sizes(spec: ProtocolSpec, n_signals: int, p01: float) -> tuple[int, 
     return n, (n,) + (m1k,) * spec.dim.d
 
 
-def _shared_check_holevo(key: np.ndarray, check: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d+1)-basis I_E of K (key row, check row) pairs, (K, d) arrays already
-    on the simplex, every check basis reading its check row, and a mask of
-    the saturated pairs: the module docstring's closed form."""
-    d = key.shape[1]
+def _holevo_pairs(spec: ProtocolSpec, key: np.ndarray, check: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I_E of K (key row, check row) pairs, (K, d) arrays already on the
+    simplex, every check basis reading its check row, and a mask of the
+    saturated pairs: the check row's entropy for two-basis, else the module
+    docstring's closed form."""
+    if spec.family is Family.TWO_BASIS:
+        return entropy_rows(check), np.zeros(len(check), dtype=bool)
+    d = spec.dim.d
     # spectrum row 0 in the order of the check row, not of k: only its
     # entropy and its mass are read, and neither depends on the order
     row0 = (d * check + key[:, :1] - 1.0) / d
@@ -244,7 +248,7 @@ def _worst_case_holevo_rows(
     for the (d+1)-basis family) leaves the physical region. Every check
     basis takes the same shifted row: all of them share the sample size
     m_1k and the depolarizing nominal vector, the only inputs of the shift.
-    The two-basis bound is the entropy of the check row, so it ignores
+    The two-basis bound is the entropy of the check row, so it takes no
     xi_key. Runs in chunks of _CHUNK_ROWS so no temporary grows with K.
     """
     d = spec.dim.d
@@ -252,16 +256,14 @@ def _worst_case_holevo_rows(
     saturated = np.zeros(xi_check.size, dtype=bool)
     for start in range(0, xi_check.size, _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
-        rows = np.broadcast_to(nominal, (xi_check[part].size, d))
-        check, sat = _shift_rows(rows, xi_check[part], mode)
-        if spec.family is Family.DPLUS1:
-            key, sat_key = _shift_rows(rows, xi_key[part], mode)
+        key = np.broadcast_to(nominal, (xi_check[part].size, d))  # nominal unless xi_key shifts it
+        check, sat = _shift_rows(key, xi_check[part], mode)
+        if xi_key is not None:
+            key, sat_key = _shift_rows(key, xi_key[part], mode)
             sat |= sat_key
         ok = ~sat
-        if ok.any() and spec.family is Family.DPLUS1:
-            info[part][ok], sat[ok] = _shared_check_holevo(key[ok], check[ok])
-        elif ok.any():
-            info[part][ok] = entropy_rows(check[ok])
+        if ok.any():
+            info[part][ok], sat[ok] = _holevo_pairs(spec, key[ok], check[ok])
         saturated[part] = sat
     return info, saturated
 

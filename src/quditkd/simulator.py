@@ -74,9 +74,11 @@ _MIN_EXPECTED = 5.0  # Pearson's approximation needs about 5 expected counts per
 _CHUNK = 1 << 14  # labels or outcomes drawn per generator call
 _GUIDE_BITS = 12  # a label's guide table has one entry per value of a word's top 12 bits
 _AMBIGUOUS = 255  # guide entry of a bucket holding a cut: its words are labelled exactly
-# most bases whose matched rounds are counted by one compare per basis; the
-# two ways of counting a chunk pair cost about the same at K = 12 to 13
-_COMPARE_MAX_K = 12
+# most bases whose matched rounds are counted by one compare per basis: ms per
+# 1e7 equal-weight rounds, compare vs bincount, best of 7 (2-core x86 VM): K = 2
+# 5.3 vs 25.6, 4 8.5-8.9 vs 16.3-17.7, 6 11.2-15.2 vs 13.4-16.0, 7 12.6-18.1
+# vs 13.0-15.6, 9 15.8-16.1 vs 12.3-13.6, 14 45.7 vs 26.6
+_COMPARE_MAX_K = 6
 
 
 def joint_outcome_distribution(dim: Dim, spectrum: BellSpectrum, basis: np.ndarray) -> np.ndarray:

@@ -3,6 +3,8 @@ import csv
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -509,3 +511,23 @@ def test_simulate_goldens_expect_enough_counts_in_every_class():
         for basis in json.loads(path.read_text(encoding="utf-8"))["per_basis"]:
             expected = [basis["matched"] * q for q in basis["analytic_q"] if q > 1e-15]
             assert min(expected) >= _MIN_EXPECTED, path.name
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["verify", "--dims", "2..7"], ["critical-q", "--dims", "2,3,5"]], ids=lambda a: a[0])
+def test_a_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
+    # the write end of a pipe whose read end is closed: every write fails
+    # with EPIPE, unbuffered at the write and buffered at the flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(BENCH.parent / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "quditkd", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")

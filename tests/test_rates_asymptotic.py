@@ -95,6 +95,30 @@ def test_ie_depolarizing_zero_noise_and_domain():
         ie_depolarizing(ProtocolSpec(Family.TWO_BASIS, 2), 0.51)
     with pytest.raises(OutOfRange):
         ie_depolarizing(ProtocolSpec(Family.DPLUS1, 2), 2 / 3 + 1e-6)
+    # both families end at depolarizing_vector's limit (d-1)/d, below d/(d+1)
+    for family in Family:
+        for d in (2, 3, 5):
+            spec = ProtocolSpec(family, d)
+            assert ie_depolarizing(spec, (d - 1) / d) == r_infinity(spec, (d - 1) / d).i_e
+            for q in ((d - 1) / d + 1e-6, d / (d + 1)):
+                with pytest.raises(OutOfRange):
+                    ie_depolarizing(spec, q)
+
+
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@pytest.mark.parametrize("d", PRIMES_TO_31)
+def test_ie_depolarizing_equals_the_spectrum_reconstruction(d):
+    # criterion 02 stops at d = 11 and below critical Q; this covers every
+    # prime d <= 31 up to the end of the domain, (d-1)/d
+    spec = ProtocolSpec(Family.DPLUS1, d)
+    qs = np.linspace(0.0, (d - 1) / d, 41)
+    stats = np.stack([np.repeat(depolarizing_vector(spec.dim, q)[None], d + 1, axis=0) for q in qs])
+    expected, saturated = adversary_information_rows(spec, stats)
+    assert not saturated.any()
+    got = np.array([ie_depolarizing(spec, float(q)) for q in qs])
+    assert np.abs(got - expected).max() <= 1e-12
 
 
 @pytest.mark.parametrize("family", list(Family))

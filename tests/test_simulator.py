@@ -14,12 +14,14 @@ from quditkd.protocol import Family, ProtocolSpec, protocol_bases
 from quditkd.qudit_algebra import Dim, basis_for
 from quditkd.simulator import (
     _CHUNK,
+    _COMPARE_MAX_K,
     CHI2_CONFIDENCE,
     CHI2_THRESHOLDS,
     EXACT_DIM_CAP,
     SimConfig,
     _chi_square_check,
     _label_chunks,
+    _matched_counts,
     _skipped,
     difference_marginal,
     joint_outcome_distribution,
@@ -381,6 +383,10 @@ def _config(family, d, rounds, seed, q=0.05, **kw):
         # into a Philox counter block
         *(_config(Family.DPLUS1, 3, rounds, 20 + rounds) for rounds in (1, 2, 3, 4, 5)),
         _config(Family.TWO_BASIS, 2, 16 * _CHUNK + 3, 14, basis_probs=(0.8, 0.2)),
+        # K = d + 1 = _COMPARE_MAX_K bases, the most counted by compares, and
+        # the fewest above it that a protocol has
+        _config(Family.DPLUS1, 5, 12 * _CHUNK + 7, 17),
+        _config(Family.DPLUS1, 7, 12 * _CHUNK + 7, 18),
         # more than _COMPARE_MAX_K bases: matched labels picked out and counted
         _config(Family.DPLUS1, 17, 12 * _CHUNK + 9, 15),
         _config(Family.DPLUS1, 31, 8 * _CHUNK + 3, 16),
@@ -397,6 +403,21 @@ def test_run_counts_equal_the_per_round_sampler(cfg):
     for s, (_, counts) in zip(res.per_basis, reference):
         assert s.counts.dtype == counts.dtype
         assert np.array_equal(s.counts, counts)
+
+
+@pytest.mark.parametrize("k", [_COMPARE_MAX_K, _COMPARE_MAX_K + 1])
+def test_matched_counts_on_both_sides_of_the_compare_limit(k):
+    # no protocol has K = _COMPARE_MAX_K + 1 bases, so the counting is
+    # checked on its own: two Generator.choice calls on one stream, and the
+    # receiver's generator continues after both
+    probs = np.arange(1.0, k + 1.0) / (k * (k + 1) / 2)
+    rounds = 3 * _CHUNK + 5
+    matched, receiver = _matched_counts(np.random.Generator(np.random.Philox(key=k)), probs, rounds)
+    reference = np.random.Generator(np.random.Philox(key=k))
+    sender = reference.choice(k, size=rounds, p=probs)
+    received = reference.choice(k, size=rounds, p=probs)
+    assert matched.tolist() == np.bincount(sender[sender == received], minlength=k).tolist()
+    assert receiver.random(3).tolist() == reference.random(3).tolist()
 
 
 @pytest.mark.parametrize(

@@ -183,7 +183,7 @@ def test_shared_check_kernel_equals_the_spectrum_reconstruction(pairs):
     # kernel in its own order, which leaves H(r_0) and P_0 unchanged
     keys, checks = pairs
     d = keys.shape[1]
-    info, saturated = rates_finite._shared_check_holevo(keys, checks)
+    info, saturated = rates_finite._holevo_pairs(ProtocolSpec(DPLUS1, d), keys, checks)
     stats = np.concatenate([keys[:, None], np.repeat(checks[:, None], d, axis=1)], axis=1)
     expected, expected_saturated = adversary_information_rows(ProtocolSpec(DPLUS1, d), stats)
     assert saturated.tolist() == expected_saturated.tolist()
