@@ -182,9 +182,10 @@ def _n_grid(n_min: int, n_max: int, n_points: int) -> list[int]:
         raise QkdError(f"bad N grid: min={n_min} max={n_max} points={n_points} (at most {MAX_N_POINTS})")
     if n_points == 1:
         return [n_min]
-    grid = np.logspace(np.log10(float(n_min)), np.log10(float(n_max)), n_points)
+    with np.errstate(over="ignore"):  # near the float maximum the last point can round up to inf
+        grid = np.logspace(np.log10(float(n_min)), np.log10(float(n_max)), n_points)
     out: list[int] = []
-    for value in grid:
+    for value in np.nan_to_num(grid, posinf=float(n_max)):
         n = int(round(value))
         if not out or n > out[-1]:
             out.append(n)

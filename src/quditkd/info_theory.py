@@ -2,9 +2,9 @@
 
 All logarithms are base 2; entropies are in bits. Inputs are checked once,
 at the public boundary (`as_prob_vector`); internal callers pass arrays
-already on the simplex to `entropy_rows`. The row kernels sum each row
-exactly as a 1-d sum over that row's selected entries would, so a row's
-value never depends on the batch it is evaluated in.
+already on the simplex to `entropy_rows`. For a C-ordered (K, n) stack,
+each row of `entropy_rows` is computed exactly as for that row alone, so a
+row's value never depends on the batch it is evaluated in.
 """
 
 from __future__ import annotations
@@ -36,29 +36,12 @@ def as_prob_vector(values) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Sum of each row of a (K, n) array over the entries where `mask` holds.
-
-    Row i equals values[i][mask[i]].sum(): rows are grouped by how many
-    entries they keep, and each group is one (G, c) sum along its rows, which
-    numpy adds in the same order as a 1-d sum of length c.
-    """
-    if mask.all():
-        return values.sum(axis=1)
-    counts = mask.sum(axis=1)
-    sums = np.zeros(values.shape[0])
-    for c in set(counts.tolist()) - {0}:
-        rows = counts == c
-        sums[rows] = values[rows][mask[rows]].reshape(-1, c).sum(axis=1)
-    return sums
-
-
 def entropy_rows(p: np.ndarray) -> np.ndarray:
     """H of each row of a (K, n) array already on the simplex (0 log 0 = 0)."""
     positive = p > 0.0
     terms = np.zeros_like(p)
     np.log2(p, out=terms, where=positive)
-    return -masked_row_sums(p * terms, positive) + 0.0  # avoid -0.0
+    return -(p * terms).sum(axis=1) + 0.0  # avoid -0.0
 
 
 def entropy_unchecked(p: np.ndarray) -> float:

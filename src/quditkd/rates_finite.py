@@ -178,6 +178,10 @@ class FiniteKeyBudget:
             raise OutOfRange(f"eps={self.eps!r} outside (0, 1)")
         if not (0.0 < self.eps_ec < self.eps):
             raise OutOfRange(f"eps_EC={self.eps_ec!r} must lie in (0, eps)")
+        # the optimizer's smallest budget shares are about 5e-5 of eps - eps_EC:
+        # a subnormal remainder could underflow them to 0
+        if not self.eps - self.eps_ec >= sys.float_info.min:
+            raise OutOfRange(f"eps - eps_EC={self.eps - self.eps_ec!r} below {sys.float_info.min!r}")
 
 
 @dataclass(frozen=True)
@@ -249,7 +253,9 @@ def _worst_case_holevo_rows(
     basis takes the same shifted row: all of them share the sample size
     m_1k and the depolarizing nominal vector, the only inputs of the shift.
     The two-basis bound is the entropy of the check row, so it takes no
-    xi_key. Runs in chunks of _CHUNK_ROWS so no temporary grows with K.
+    xi_key. Runs in chunks of _CHUNK_ROWS so no temporary grows with K; the
+    kernel takes every row of a chunk, and a pair that the shift saturates
+    reads 0 whatever the kernel makes of its rows.
     """
     d = spec.dim.d
     info = np.zeros(xi_check.size)
@@ -261,10 +267,9 @@ def _worst_case_holevo_rows(
         if xi_key is not None:
             key, sat_key = _shift_rows(key, xi_key[part], mode)
             sat |= sat_key
-        ok = ~sat
-        if ok.any():
-            info[part][ok], sat[ok] = _holevo_pairs(spec, key[ok], check[ok])
-        saturated[part] = sat
+        pair_info, pair_sat = _holevo_pairs(spec, key, check)
+        saturated[part] = sat | pair_sat
+        info[part] = np.where(saturated[part], 0.0, pair_info)
     return info, saturated
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from quditkd.channels import BellSpectrum, lambda_entries_from_q, lambda_from_q, q_from_lambda
-from quditkd.info_theory import depolarizing_vector, entropy_rows, masked_row_sums, shannon_entropy
+from quditkd.info_theory import depolarizing_vector, entropy_rows, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec, protocol_bases
 from quditkd.qudit_algebra import Dim, WeylIndex, basis_for, bell_matrix
 import quditkd.rates_finite as rates_finite
@@ -40,7 +40,7 @@ def adversary_information_rows(spec: ProtocolSpec, stats: np.ndarray) -> tuple[n
         return entropy_rows(stats[:, 1]), np.zeros(k, dtype=bool)
     lam = lambda_entries_from_q(stats[:, 0], stats[:, 1:])
     flat = lam.reshape(k, d * d)
-    saturated = -masked_row_sums(flat, flat < 0.0) > CLAMP_MASS_TOL
+    saturated = -np.minimum(flat, 0.0).sum(axis=1) > CLAMP_MASS_TOL
     lam = np.clip(lam[~saturated], 0.0, None)
     lam /= lam.reshape(-1, d * d).sum(axis=1)[:, None, None]
     info = np.zeros(k)

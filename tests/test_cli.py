@@ -97,6 +97,21 @@ def test_n_grid_takes_counts_beyond_int64():
     assert _n_grid(10**3, 10**20, 2) == [10**3, 10**20]
 
 
+def test_n_grid_ends_at_n_max_up_to_the_float_maximum(capsys):
+    # log10 of the float maximum rounds up, so its logspace point overflows
+    top = int(sys.float_info.max)
+    assert _n_grid(int(1e308), top, 2) == [int(1e308), top]
+    grid = _n_grid(1, top, 3)
+    assert grid[0] == 1 and grid[1] < top and grid[2] == top
+    for argv, rate in ((["--n-min", "1e308"], 0.427), (["--n-min", "1", "--n-points", "3"], 0.427),
+                       (["--n-min", "1e308", "--family", "dplus1", "--dim", "31"], 4.149)):
+        argv = ["finite-key", "--dim", "2", "--n-max", "1.7976931348623157e308", "--n-points", "2"] + argv
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        _, rows = _rows(out)
+        assert int(rows[-1][2]) == top and round(float(rows[-1][3]), 3) == rate, argv
+
+
 def test_critical_q_csv(capsys):
     code, out, err = _run(capsys, ["critical-q", "--dims", "2,3,5"])
     assert code == 0 and err == ""
@@ -404,6 +419,21 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
     # a reversed sweep names the range flags
     main(["asymptotic", "--dim", "3", "--q-min", "0.3", "--q-max", "0.1"])
     assert "--q-min" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, dim", (("two-basis", "2"), ("dplus1", "3")))
+def test_a_budget_too_small_to_split_exits_2_with_one_line(capsys, family, dim):
+    # the optimizer splits eps - eps_EC into shares of 5e-5 and less: below the
+    # smallest normal float those underflow, so such a budget is refused
+    grid = [10.0**-e for e in range(5, 324, 25)] + [sys.float_info.min, 1e-315, 1e-320, 5e-323, 5e-324]
+    for eps in grid:
+        for eps_ec in (e for e in grid if e < eps):
+            argv = ["finite-key", "--dim", dim, "--family", family, "--eps", repr(eps), "--eps-ec", repr(eps_ec),
+                    "--n-points", "1"]
+            code, out, err = _run(capsys, argv)
+            assert code == (0 if eps - eps_ec >= sys.float_info.min else 2), argv
+            if code == 2:
+                assert out == "" and err.startswith("error:") and err.count("\n") == 1, argv
 
 
 @pytest.mark.parametrize("command, dims, low", (("critical-q", "-1..3", -1), ("verify", "-3..5", -3)))

@@ -1,9 +1,10 @@
 """Property tests of the CLI's input parsers, a CLI fuzz, and its import cost.
 
-The fuzz draws argv lists from a small vocabulary of flags and good, bad and
-capped values, chosen so that every accepted command finishes in
-milliseconds. Whatever it draws, the CLI must exit 0, 2 or 3, must not raise,
-and on exit 2 must print exactly one `error:` line on stderr.
+The fuzz draws argv lists from a small vocabulary of flags and good, bad,
+capped and float-edge values, chosen so that every accepted command finishes
+in milliseconds, and a deterministic sweep gives every numeric flag each
+float-edge value in turn. Whatever the CLI is given, it must exit 0, 2 or 3,
+must not raise, and on exit 2 must print exactly one `error:` line on stderr.
 """
 
 import argparse
@@ -103,6 +104,11 @@ VALUES = {
     "--basis-probs": ["0.5,0.5", "1,0", "0,0", "x"],
     "--format": ["csv", "json", "xml"],
 }
+# the ends of the float range and its subnormals, which every numeric flag also takes
+EDGES = ["0", "-0", "5e-324", "1e-320", "1e-300", "1e308", "1.7976931348623157e308", "-1e308"]
+NUMERIC = ["--dims", "--dim", "--q", "--q-min", "--q-max", "--q-step", "--eps", "--eps-ec", "--n-min", "--n-max",
+           "--n-points", "--rounds", "--seed", "--basis-probs"]
+VALUES.update({flag: VALUES[flag] + EDGES for flag in NUMERIC})
 # each command's flags, and a valid set of its required ones
 COMMANDS = {
     "critical-q": (["--dims", "--family", "--format"], ["--dims", "2"]),
@@ -133,9 +139,7 @@ def _argv(draw):
     return argv
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
-@given(_argv())
-def test_cli_fuzz_exits_cleanly(argv):
+def _exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -145,6 +149,22 @@ def test_cli_fuzz_exits_cleanly(argv):
     assert code in (0, 2, 3), (argv, err.getvalue())
     if code == 2:
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    _exits_cleanly(argv)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_numeric_flag_exits_cleanly_at_the_float_edges(command):
+    # one flag at a time on an otherwise valid command, so each edge value
+    # reaches the code behind its flag
+    flags, required = COMMANDS[command]
+    for flag in (f for f in flags if f in NUMERIC):
+        for value in EDGES:
+            _exits_cleanly([command, *required, flag, value])
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

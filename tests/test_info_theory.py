@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quditkd.errors import InvalidDistribution, OutOfRange
-from quditkd.info_theory import as_prob_vector, depolarizing_vector, entropy_rows, masked_row_sums, shannon_entropy
+from quditkd.info_theory import as_prob_vector, depolarizing_vector, entropy_rows, shannon_entropy
 from quditkd.qudit_algebra import Dim
 
 
@@ -63,18 +63,20 @@ def test_depolarizing_vector_domain():
         depolarizing_vector(Dim(3), -0.01)
 
 
-def test_row_kernels_sum_like_one_row_at_a_time():
-    # rows with zeros at different places, long enough (n >= 8) that numpy's
-    # unrolled summation would round differently if the zeros were summed in
+def test_entropy_rows_of_a_c_ordered_stack_do_not_depend_on_the_stack():
+    # rows with zeros at different places, at lengths on both sides of
+    # numpy's 8-way unrolled summation; each row must read exactly what it
+    # reads alone, which is what lets a (share, p01) block reproduce r_N
     rng = np.random.default_rng(7)
-    p = rng.dirichlet(np.ones(121), size=40)
-    p[rng.random(p.shape) < 0.2] = 0.0
-    p[3] = 0.0
-    p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
-    got = entropy_rows(p)
-    for row, h in zip(p, got):
-        nz = row[row > 0.0]
-        assert h == float(-(nz * np.log2(nz)).sum()) + 0.0
-    negative = p - 0.01
-    sums = masked_row_sums(negative, negative < 0.0)
-    assert sums.tolist() == [float(row[row < 0.0].sum()) for row in negative]
+    for n in (2, 5, 8, 11, 31, 121):
+        p = rng.dirichlet(np.ones(n), size=40)
+        p[rng.random(p.shape) < 0.2] = 0.0
+        p[3] = 0.0
+        p[4, 1:] = 0.0
+        p = np.ascontiguousarray(p / np.maximum(p.sum(axis=1, keepdims=True), 1e-300))
+        got = entropy_rows(p)
+        for i, (row, h) in enumerate(zip(p, got)):
+            assert h.tobytes() == entropy_rows(p[i : i + 1])[0].tobytes(), (n, i)
+            nz = row[row > 0.0]
+            ref = float(-(nz * np.log2(nz)).sum()) + 0.0
+            assert abs(h - ref) <= 1e-15 * ref, (n, i, h, ref)
