@@ -182,14 +182,14 @@ def _n_grid(n_min: int, n_max: int, n_points: int) -> list[int]:
         raise QkdError(f"bad N grid: min={n_min} max={n_max} points={n_points} (at most {MAX_N_POINTS})")
     if n_points == 1:
         return [n_min]
-    with np.errstate(over="ignore"):  # near the float maximum the last point can round up to inf
-        grid = np.logspace(np.log10(float(n_min)), np.log10(float(n_max)), n_points)
-    out: list[int] = []
-    for value in np.nan_to_num(grid, posinf=float(n_max)):
+    with np.errstate(over="ignore"):  # near the float maximum a point can round up to inf
+        inner = np.logspace(np.log10(float(n_min)), np.log10(float(n_max)), n_points)[1:-1]
+    out = [n_min]  # the ends are the requested counts; an overflowed point lies at n_max
+    for value in inner[np.isfinite(inner)]:
         n = int(round(value))
-        if not out or n > out[-1]:
+        if out[-1] < n < n_max:
             out.append(n)
-    return out
+    return out + [n_max] if n_max > n_min else out
 
 
 def cmd_finite_key(args: argparse.Namespace) -> tuple[str, int]:

@@ -52,8 +52,8 @@ array pass. Its budget split is one (S, 3) array of (eps_PA, eps_PE,
 eps_bar) rows: `r_finite` checks the one row it is given against eps, and
 `_share_split` builds the optimizer's rows from share triples, which leave a
 sliver of eps unspent and so need no check. `_rates` takes xi's
-logarithms with `math` once per distinct eps_PE and m, the worst case once
-per distinct (eps_PE, m_key, m_check), and the rate terms by broadcasting.
+logarithms with `math` once per distinct eps_PE and per p01, the worst case
+once per distinct (eps_PE, p01), and the rate terms by broadcasting.
 `r_finite` is that block at one cell, and the optimizer's coarse pass is
 the block of 61 budget shares x 99 values of p01, so every grid cell equals
 its scalar r_N exactly; its refine phases walk blocks in the sequential
@@ -78,6 +78,11 @@ from .protocol import Family, ProtocolSpec
 SATURATION_TOL = 1e-12
 CLAMP_MASS_TOL = 1e-6  # reconstructed spectra may leave the simplex at large xi
 _CHUNK_ROWS = 256  # worst-case rows per array pass; bounds memory at any grid size
+# The least eps - eps_EC that FiniteKeyBudget accepts: the least float whose
+# smallest optimizer share of eps_bar (4.99975e-5 of it times _BUDGET_FILL, as
+# `_share_split` rounds it) exceeds 2**-1023, so 2/eps_bar and 1/eps_PA stay
+# finite at every coarse-grid cell; an overflow of 1/eps_PE only saturates its cell.
+MIN_SPARE_BUDGET = 2.225407652965424e-304
 TERMS = ("holevo_worst", "h_ab", "ec_term", "pa_term", "smooth_term", "smooth_coefficient")
 
 
@@ -98,7 +103,7 @@ def xi(m: int, spec_dim_d: int, eps_pe: float) -> float:
 
 def _xi_table(d: int, eps_pe: list[float], ms: list[int]) -> np.ndarray:
     """Unchecked xi(m, d, e) for each e in eps_pe (rows) and m in ms (columns):
-    each logarithm once with `math`, combined in xi's operand order."""
+    logarithms once per row and column with `math`, in xi's operand order."""
     by_eps = np.array([2.0 * math.log(1.0 / e) for e in eps_pe])
     by_m = np.array([2.0 * d * math.log(m + 1.0) for m in ms])
     return np.sqrt((by_eps[:, None] + by_m) / np.array(ms, dtype=float))
@@ -178,10 +183,11 @@ class FiniteKeyBudget:
             raise OutOfRange(f"eps={self.eps!r} outside (0, 1)")
         if not (0.0 < self.eps_ec < self.eps):
             raise OutOfRange(f"eps_EC={self.eps_ec!r} must lie in (0, eps)")
-        # the optimizer's smallest budget shares are about 5e-5 of eps - eps_EC:
-        # a subnormal remainder could underflow them to 0
-        if not self.eps - self.eps_ec >= sys.float_info.min:
-            raise OutOfRange(f"eps - eps_EC={self.eps - self.eps_ec!r} below {sys.float_info.min!r}")
+        # every penalty term must stay finite: 2/x is finite exactly for x > 2**-1023
+        if not self.eps_ec > 2.0**-1023:
+            raise OutOfRange(f"eps_EC={self.eps_ec!r} must exceed 2**-1023 = {2.0**-1023!r}")
+        if not self.eps - self.eps_ec >= MIN_SPARE_BUDGET:
+            raise OutOfRange(f"eps - eps_EC={self.eps - self.eps_ec!r} below {MIN_SPARE_BUDGET!r}")
 
 
 @dataclass(frozen=True)
@@ -242,8 +248,7 @@ def _holevo_pairs(spec: ProtocolSpec, key: np.ndarray, check: np.ndarray) -> tup
 
 
 def _worst_case_holevo_rows(
-    spec: ProtocolSpec, nominal: np.ndarray, xi_key: np.ndarray | None, xi_check: np.ndarray,
-    mode: FluxMode,
+    spec: ProtocolSpec, nominal: np.ndarray, xi_key: np.ndarray, xi_check: np.ndarray, mode: FluxMode
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adversary information at the fluctuation corner of K radius pairs:
     I_E and a mask of the saturated pairs, whose I_E reads 0.
@@ -252,19 +257,20 @@ def _worst_case_holevo_rows(
     for the (d+1)-basis family) leaves the physical region. Every check
     basis takes the same shifted row: all of them share the sample size
     m_1k and the depolarizing nominal vector, the only inputs of the shift.
-    The two-basis bound is the entropy of the check row, so it takes no
-    xi_key. Runs in chunks of _CHUNK_ROWS so no temporary grows with K; the
-    kernel takes every row of a chunk, and a pair that the shift saturates
-    reads 0 whatever the kernel makes of its rows.
+    Only the (d+1)-basis bound reads the key row, so only that family
+    shifts it by xi_key. Runs in chunks of _CHUNK_ROWS so no temporary grows
+    with K; the kernel takes every row of a chunk, and a pair that the
+    shift saturates reads 0 whatever the kernel makes of its rows.
     """
     d = spec.dim.d
+    shift_key = spec.family is Family.DPLUS1
     info = np.zeros(xi_check.size)
     saturated = np.zeros(xi_check.size, dtype=bool)
     for start in range(0, xi_check.size, _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
-        key = np.broadcast_to(nominal, (xi_check[part].size, d))  # nominal unless xi_key shifts it
+        key = np.broadcast_to(nominal, (xi_check[part].size, d))  # nominal unless shifted below
         check, sat = _shift_rows(key, xi_check[part], mode)
-        if xi_key is not None:
+        if shift_key:
             key, sat_key = _shift_rows(key, xi_key[part], mode)
             sat |= sat_key
         pair_info, pair_sat = _holevo_pairs(spec, key, check)
@@ -295,13 +301,12 @@ def _rates(
     cells. A cell with either flag has no rate: its r_N reads 0 and its
     terms carry no meaning.
 
-    xi's logarithms are taken with `math` once per distinct eps_PE and m,
-    the worst case once per distinct (eps_PE, m_key, m_check); the terms are
+    xi's logarithms are taken with `math` once per distinct eps_PE and per
+    p01, the worst case once per distinct (eps_PE, p01); the terms are
     broadcast from per-share and per-p01 scalars, so a cell's float
     operations do not depend on the size of the block.
     """
     d = spec.dim.d
-    dplus1 = spec.family is Family.DPLUS1
     sizes = [_sample_sizes(spec, budget.n_signals, p01) for p01 in p01s]
     # m_per_basis starts with n, so this also catches an empty key basis
     degenerate = np.array([min(ms) == 0 for _, ms in sizes])
@@ -315,20 +320,13 @@ def _rates(
     nominal = depolarizing_vector(spec.dim, q)
 
     # a cell's worst case depends on its share through eps_PE and on its
-    # p01 through the sample sizes: evaluate each distinct combination once
+    # p01 through the sample sizes: evaluate each (eps_PE, p01) once
     eps_pa, eps_pe_rows, eps_bar = split.T.tolist()
     eps_pe, eps_of = _distinct(eps_pe_rows)
-    # only the (d+1)-basis bound reads the key sample size
-    pairs, pair_of = _distinct([(k if dplus1 else 0, c) for k, c in zip(key, check)])
-
-    def radii(column: int) -> np.ndarray:
-        ms, m_of = _distinct([pair[column] for pair in pairs])
-        return _xi_table(d, eps_pe, ms)[:, m_of].ravel()
-
-    info, sat = _worst_case_holevo_rows(spec, nominal, radii(0) if dplus1 else None, radii(1), mode)
-    cell = eps_of[:, None] * len(pairs) + pair_of  # positions in the flat worst-case tables
+    xi_key, xi_check = (_xi_table(d, eps_pe, ms).ravel() for ms in (key, check))
+    info, sat = _worst_case_holevo_rows(spec, nominal, xi_key, xi_check, mode)
     n = np.array([float(k) for k in key])
-    holevo_worst = info.take(cell)
+    holevo_worst = info.reshape(len(eps_pe), -1)[eps_of]
     h_ab = entropy_unchecked(nominal)
     ec_term = math.log2(2.0 / budget.eps_ec) / n
     pa_term = 2.0 * np.array([[math.log2(1.0 / e)] for e in eps_pa]) / n
@@ -336,7 +334,7 @@ def _rates(
     smooth_term = smooth_coefficient * np.sqrt(np.array([[math.log2(2.0 / e)] for e in eps_bar]) / n)
     frac = np.array([k / budget.n_signals for k in key])
     rate = frac * (math.log2(d) - holevo_worst - h_ab - ec_term - pa_term - smooth_term)
-    saturated = sat.take(cell) & ~degenerate
+    saturated = sat.reshape(len(eps_pe), -1)[eps_of] & ~degenerate
     terms = dict(zip(TERMS, (holevo_worst, h_ab, ec_term, pa_term, smooth_term, smooth_coefficient)))
     return np.where(saturated | degenerate, 0.0, rate), terms, sizes, degenerate, saturated
 

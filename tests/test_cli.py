@@ -17,6 +17,7 @@ from quditkd.cli import (
     parse_dims, parse_q,
 )
 from quditkd.protocol import Family
+from quditkd.rates_finite import MIN_SPARE_BUDGET
 from quditkd.simulator import _MIN_EXPECTED
 from quditkd.verification import CheckResult
 
@@ -110,6 +111,13 @@ def test_n_grid_ends_at_n_max_up_to_the_float_maximum(capsys):
         assert (code, err) == (0, ""), argv
         _, rows = _rows(out)
         assert int(rows[-1][2]) == top and round(float(rows[-1][3]), 3) == rate, argv
+    # logspace computes each end as 10**log10(n), a few ulps off above about
+    # 4e14: the ends are the requested counts themselves at every round count
+    for count in (k * 10**e for k in range(1, 1000) for e in range(14, 40)):
+        for n_min, n_max, points in ((1000, count, 2), (1000, count, 11), (count, 10 * count, 2)):
+            grid = _n_grid(n_min, n_max, points)
+            assert grid[0] == n_min and grid[-1] == n_max, (n_min, n_max, points)
+            assert all(a < b for a, b in zip(grid, grid[1:])), (n_min, n_max, points)
 
 
 def test_critical_q_csv(capsys):
@@ -423,15 +431,15 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
 
 @pytest.mark.parametrize("family, dim", (("two-basis", "2"), ("dplus1", "3")))
 def test_a_budget_too_small_to_split_exits_2_with_one_line(capsys, family, dim):
-    # the optimizer splits eps - eps_EC into shares of 5e-5 and less: below the
-    # smallest normal float those underflow, so such a budget is refused
+    # the optimizer splits eps - eps_EC into shares of 5e-5 and less, and
+    # charges log2(2/eps_EC): a budget that would overflow a penalty term is refused
     grid = [10.0**-e for e in range(5, 324, 25)] + [sys.float_info.min, 1e-315, 1e-320, 5e-323, 5e-324]
     for eps in grid:
         for eps_ec in (e for e in grid if e < eps):
             argv = ["finite-key", "--dim", dim, "--family", family, "--eps", repr(eps), "--eps-ec", repr(eps_ec),
                     "--n-points", "1"]
             code, out, err = _run(capsys, argv)
-            assert code == (0 if eps - eps_ec >= sys.float_info.min else 2), argv
+            assert code == (0 if eps_ec > 2.0**-1023 and eps - eps_ec >= MIN_SPARE_BUDGET else 2), argv
             if code == 2:
                 assert out == "" and err.startswith("error:") and err.count("\n") == 1, argv
 

@@ -4,12 +4,15 @@ The fuzz draws argv lists from a small vocabulary of flags and good, bad,
 capped and float-edge values, chosen so that every accepted command finishes
 in milliseconds, and a deterministic sweep gives every numeric flag each
 float-edge value in turn. Whatever the CLI is given, it must exit 0, 2 or 3,
-must not raise, and on exit 2 must print exactly one `error:` line on stderr.
+must not raise, on exit 2 must print exactly one `error:` line on stderr, and
+must print no inf or nan: JSON that strict parsers accept, and finite CSV.
 """
 
 import argparse
 import contextlib
+import csv
 import io
+import json
 import math
 import os
 import subprocess
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 import quditkd
 from quditkd.cli import MAX_DIM, main, parse_dims, parse_q
+from quditkd.rates_finite import MIN_SPARE_BUDGET
 
 FUZZ = settings(derandomize=True, max_examples=60, deadline=None)
 in_range = st.integers(2, MAX_DIM)
@@ -123,6 +127,7 @@ COMMANDS = {
     "verify": (["--dims"], ["--dims", "2"]),
     "keygen": ([], []),
 }
+TABLES = ("critical-q", "asymptotic", "finite-key")
 
 
 @st.composite
@@ -149,6 +154,25 @@ def _exits_cleanly(argv):
     assert code in (0, 2, 3), (argv, err.getvalue())
     if code == 2:
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    _prints_only_finite_numbers(argv, out.getvalue())
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _prints_only_finite_numbers(argv, out):
+    """JSON output that strict parsers accept, and no inf or nan in a table's CSV."""
+    if out.startswith("{"):
+        json.loads(out, parse_constant=_refuse_constant)
+    elif argv[0] in TABLES:
+        for row in csv.reader(io.StringIO(out)):
+            for field in row:
+                try:
+                    value = float(field)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (argv, row)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -165,6 +189,19 @@ def test_every_numeric_flag_exits_cleanly_at_the_float_edges(command):
     for flag in (f for f in flags if f in NUMERIC):
         for value in EDGES:
             _exits_cleanly([command, *required, flag, value])
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("family, dim", (("two-basis", "2"), ("dplus1", "3")))
+def test_every_budget_prints_finite_numbers_or_exits_2(family, dim, fmt):
+    # at N = 1e8 a tie at r_N = 0 picks the smallest budget shares, so an
+    # overflowing penalty term would reach the output
+    floors = [2.0**-1023, math.nextafter(2.0**-1023, 1.0), MIN_SPARE_BUDGET, 2.0 * MIN_SPARE_BUDGET]
+    grid = [10.0**-e for e in range(1, 324, 60)] + floors + [1e-308, 5e-324]
+    for eps in grid:
+        for eps_ec in (e for e in grid if e < eps):
+            _exits_cleanly(["finite-key", "--dim", dim, "--family", family, "--eps", repr(eps),
+                            "--eps-ec", repr(eps_ec), "--n-min", "1e8", "--n-points", "1", "--format", fmt])
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -5,11 +5,13 @@ import pytest
 
 from oracles import shift_one
 
+import quditkd.rates_finite as rates_finite
 from quditkd.errors import DegenerateSample, InfeasibleParams, OutOfRange
 from quditkd.info_theory import shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
 from quditkd.rates_asymptotic import r_infinity
 from quditkd.rates_finite import (
+    MIN_SPARE_BUDGET,
     FiniteKeyBudget,
     FluxMode,
     FreeParams,
@@ -123,6 +125,29 @@ def test_budget_feasibility_enforced():
         FiniteKeyBudget(10**6, 1e-5, 2e-5)  # eps_EC above eps
     with pytest.raises(OutOfRange):
         FiniteKeyBudget(10**309, 1e-5, 1e-10)  # above the float range
+
+
+@pytest.mark.parametrize("family, d", ((Family.TWO_BASIS, 2), (Family.DPLUS1, 3), (Family.DPLUS1, 31)))
+def test_the_budget_floors_are_exactly_where_a_penalty_term_overflows(family, d):
+    # eps_EC just above 2**-1023, and eps - eps_EC of exactly MIN_SPARE_BUDGET
+    # (2x - x is exact), leave every coarse-grid term finite
+    spec = ProtocolSpec(family, d)
+    floor = MIN_SPARE_BUDGET
+    lowest_ec = FiniteKeyBudget(10**8, 1e-5, math.nextafter(2.0**-1023, 1.0))
+    for budget in (lowest_ec, FiniteKeyBudget(10**8, 2 * floor, floor)):
+        split = rates_finite._share_split(spec, budget, rates_finite._share_grid())
+        _, terms, _, _, _ = rates_finite._rates(spec, 0.05, budget, split, rates_finite._P01_GRID, FluxMode.EQUAL)
+        assert all(np.isfinite(value).all() for value in terms.values())
+    # one float below either floor is refused: there 2/eps_EC, or 2/eps_bar at
+    # the smallest coarse share, overflows
+    with pytest.raises(OutOfRange):
+        FiniteKeyBudget(10**8, 1e-5, 2.0**-1023)
+    with pytest.raises(OutOfRange):
+        FiniteKeyBudget(10**8, 2 * math.nextafter(floor, 0.0), floor)
+    assert math.isinf(2.0 / 2.0**-1023)
+    shares = np.array(rates_finite._share_grid())
+    with np.errstate(over="ignore"):
+        assert np.isinf(2.0 / (shares * (math.nextafter(floor, 0.0) * rates_finite._BUDGET_FILL))).any()
 
 
 def test_budget_charges_eps_pe_once_per_basis_of_the_spec():

@@ -253,3 +253,21 @@ def test_worst_case_information_rises_toward_saturation(family, d, q):
             break
         assert i_e >= previous - 1e-12
         previous = i_e
+
+
+@pytest.mark.parametrize("mode", list(FluxMode))
+@pytest.mark.parametrize("d", [2, 3, 6, 11])
+def test_two_basis_worst_case_never_reads_the_key_radius(d, mode):
+    # the two-basis bound is the entropy of the check row alone, so no key
+    # radius, however large, may move its I_E or its saturation mask
+    spec = ProtocolSpec(TWO_BASIS, d)
+    nominal = depolarizing_vector(spec.dim, 0.05)
+    xi_check = np.full(4, 1e-3)
+    results = [
+        rates_finite._worst_case_holevo_rows(spec, nominal, np.full(4, xi_key), xi_check, mode)
+        for xi_key in (0.0, 1e-3, 3.0, 1.7e308)
+    ]
+    info, saturated = results[0]
+    assert not saturated.any() and (info > 0.0).all()
+    for other_info, other_saturated in results[1:]:
+        assert other_info.tobytes() == info.tobytes() and other_saturated.tolist() == saturated.tolist()
