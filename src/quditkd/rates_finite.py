@@ -44,20 +44,23 @@ whatever the order of r_0's entries, in O(d) per pair; the full
 reconstruction is the tests' oracle, `adversary_information_rows` in
 `tests/oracles.py`.
 
-The shift and the kernel work on stacks of K rows and report saturation as
-a mask. One function, `_worst_case_holevo_rows`, shifts the nominal rows
-and calls the kernel, in chunks of _CHUNK_ROWS rows. One function,
-`_rates`, evaluates r_N on a block of (budget share x p01) cells in one
-array pass. Its budget split is one (S, 3) array of (eps_PA, eps_PE,
-eps_bar) rows: `r_finite` checks the one row it is given against eps, and
-`_share_split` builds the optimizer's rows from share triples, which leave a
-sliver of eps unspent and so need no check. `_rates` takes xi's
-logarithms with `math` once per distinct eps_PE and per p01, the worst case
-once per distinct (eps_PE, p01), and the rate terms by broadcasting.
-`r_finite` is that block at one cell, and the optimizer's coarse pass is
-the block of 61 budget shares x 99 values of p01, so every grid cell equals
-its scalar r_N exactly; its refine phases walk blocks in the sequential
-order, and only the winner becomes a report.
+The shift makes K rows from one vector and K radii, the kernel takes K
+rows, and both report saturation as a mask. `_worst_case_holevo_rows`
+shifts the nominal vector and calls the kernel, in chunks of _CHUNK_ROWS
+rows. `_rates` evaluates r_N on a block of (budget share x p01) cells in
+one array pass, at a nominal vector that `r_finite` and `optimize_r_finite`
+build, and so check Q, once per call at any N. Its budget split is one
+(S, 3) array of (eps_PA, eps_PE, eps_bar) rows: `r_finite` checks the one
+row it is given against eps, and `_share_split` builds the optimizer's rows
+from share triples, which leave a sliver of eps unspent and so need no
+check. `_rates` takes xi's logarithms with `math` once per eps_PE that
+`np.unique` keeps and per p01, the worst case once per distinct (eps_PE,
+p01), and the rate terms by broadcasting; no row's float operations depend
+on its position in the block. `r_finite` is that block at one cell, and the
+coarse pass is the block of 61 budget shares x 99 values of p01, so every
+grid cell equals its scalar r_N exactly, and its winner is one argmax; the
+refine phases walk blocks in the sequential order, and only the winner
+becomes a report.
 """
 
 from __future__ import annotations
@@ -110,8 +113,8 @@ def _xi_table(d: int, eps_pe: list[float], ms: list[int]) -> np.ndarray:
 
 
 def _shift_rows(q: np.ndarray, xi_vals: np.ndarray, mode: FluxMode) -> tuple[np.ndarray, np.ndarray]:
-    """Corner shift of each row of q (K, d), rows on the simplex, by its own
-    radius xi_vals[i] >= 0: the shifted rows and a mask of the saturated
+    """Corner shifts of one vector q (d,) on the simplex by each of K radii
+    xi_vals[i] >= 0: the (K, d) shifted rows and a mask of the saturated
     ones, whose rows are not meaningful.
 
     Error coordinates are raised (equal split: xi/(2(d-1)) each; single:
@@ -122,7 +125,7 @@ def _shift_rows(q: np.ndarray, xi_vals: np.ndarray, mode: FluxMode) -> tuple[np.
     the entropy along the shift direction peaks, and pushing past it would
     make the adversarial statistics look *less* random than they are.
     """
-    k, d = q.shape
+    k, d = xi_vals.size, q.size
     # every mode shifts by at least xi/2 > 2 > q[0]; deciding here keeps the
     # sums below from overflowing near the float maximum
     saturated = xi_vals > 4.0
@@ -131,17 +134,16 @@ def _shift_rows(q: np.ndarray, xi_vals: np.ndarray, mode: FluxMode) -> tuple[np.
     delta = xi_vals / (2.0 * (d - 1)) if mode is FluxMode.EQUAL else xi_vals / 2.0
     deltas = np.zeros((k, d))
     deltas[:, raised] = delta[:, None]
-    largest = q[:, raised].max(axis=1)
     added = deltas.sum(axis=1)
     # saturation is judged on the raw corner: once the requested shift
     # exceeds all of q[0], the noise estimate certifies nothing
-    saturated |= q[:, 0] - added < -SATURATION_TOL
+    saturated |= q[0] - added < -SATURATION_TOL
     # scale the shift back so q[0] never drops below the largest error
     # coordinate; every raised coordinate gains the same delta, so the
     # first crossing is the largest raised one's, at
     # (q[0] - largest) / (added + delta). Dividing only when that ratio is
     # in [0, 1) keeps a subnormal shift from overflowing it.
-    gap = q[:, 0] - largest
+    gap = q[0] - q[raised].max()
     reach = added + delta
     scale = np.ones(k)
     np.divide(np.maximum(gap, 0.0), reach, out=scale, where=(added > 0.0) & (gap < reach))
@@ -156,7 +158,7 @@ def worst_case_vector(q: np.ndarray, xi_val: float, mode: FluxMode = FluxMode.EQ
     `bench/tracing.py` lists it among its traced targets."""
     if not xi_val >= 0.0:
         raise OutOfRange(f"xi must be nonnegative, got {xi_val!r}")
-    bumped, saturated = _shift_rows(as_prob_vector(q)[None], np.array([xi_val]), mode)
+    bumped, saturated = _shift_rows(as_prob_vector(q), np.array([xi_val]), mode)
     if saturated[0]:
         raise OutOfRange(f"xi={xi_val!r} drives q[0] below zero; noise estimate unusable")
     return bumped[0]
@@ -205,6 +207,12 @@ class FreeParams:
         for name in ("eps_pa", "eps_pe", "eps_bar"):
             if not getattr(self, name) > 0.0:
                 raise OutOfRange(f"{name} must be positive")
+        # the rate takes log2(1/eps_PA) and log2(2/eps_bar): 1/x is finite
+        # exactly for x > 2**-1024 and 2/x for x > 2**-1023. eps_PE needs no
+        # floor, since an overflow of 1/eps_PE only saturates its cell.
+        for name, floor in (("eps_pa", 2.0**-1024), ("eps_bar", 2.0**-1023)):
+            if not getattr(self, name) > floor:
+                raise OutOfRange(f"{name}={getattr(self, name)!r} must exceed {floor!r}")
 
 
 @dataclass(frozen=True)
@@ -262,16 +270,15 @@ def _worst_case_holevo_rows(
     with K; the kernel takes every row of a chunk, and a pair that the
     shift saturates reads 0 whatever the kernel makes of its rows.
     """
-    d = spec.dim.d
     shift_key = spec.family is Family.DPLUS1
     info = np.zeros(xi_check.size)
     saturated = np.zeros(xi_check.size, dtype=bool)
     for start in range(0, xi_check.size, _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
-        key = np.broadcast_to(nominal, (xi_check[part].size, d))  # nominal unless shifted below
-        check, sat = _shift_rows(key, xi_check[part], mode)
+        check, sat = _shift_rows(nominal, xi_check[part], mode)
+        key = nominal[None]  # read by the (d+1)-basis bound only, which shifts it
         if shift_key:
-            key, sat_key = _shift_rows(key, xi_key[part], mode)
+            key, sat_key = _shift_rows(nominal, xi_key[part], mode)
             sat |= sat_key
         pair_info, pair_sat = _holevo_pairs(spec, key, check)
         saturated[part] = sat | pair_sat
@@ -279,18 +286,12 @@ def _worst_case_holevo_rows(
     return info, saturated
 
 
-def _distinct(values: list) -> tuple[list, np.ndarray]:
-    """The distinct values in first-seen order, and each value's position."""
-    ids: dict = {}
-    positions = [ids.setdefault(v, len(ids)) for v in values]
-    return list(ids), np.array(positions)
-
-
 def _rates(
-    spec: ProtocolSpec, q: float, budget: FiniteKeyBudget, split: np.ndarray,
+    spec: ProtocolSpec, nominal: np.ndarray, budget: FiniteKeyBudget, split: np.ndarray,
     p01s, mode: FluxMode,
 ) -> tuple[np.ndarray, dict, list, np.ndarray, np.ndarray]:
-    """r_N of every (budget share i, p01 j) cell in one array pass.
+    """r_N of every (budget share i, p01 j) cell in one array pass, at the
+    nominal error vector that the caller checked and built.
 
     Row i takes its failure budgets from split[i], one (eps_PA, eps_PE,
     eps_bar) row of an (S, 3) array whose rows spend at most eps, and
@@ -317,13 +318,12 @@ def _rates(
     # which keeps its arithmetic finite; its cells are masked at the end
     key = [max(n, 1) for n, _ in sizes]
     check = [max(ms[1], 1) for _, ms in sizes]
-    nominal = depolarizing_vector(spec.dim, q)
 
     # a cell's worst case depends on its share through eps_PE and on its
     # p01 through the sample sizes: evaluate each (eps_PE, p01) once
-    eps_pa, eps_pe_rows, eps_bar = split.T.tolist()
-    eps_pe, eps_of = _distinct(eps_pe_rows)
-    xi_key, xi_check = (_xi_table(d, eps_pe, ms).ravel() for ms in (key, check))
+    eps_pa, _, eps_bar = split.T.tolist()
+    eps_pe, eps_of = np.unique(split[:, 1], return_inverse=True)
+    xi_key, xi_check = (_xi_table(d, eps_pe.tolist(), ms).ravel() for ms in (key, check))
     info, sat = _worst_case_holevo_rows(spec, nominal, xi_key, xi_check, mode)
     n = np.array([float(k) for k in key])
     holevo_worst = info.reshape(len(eps_pe), -1)[eps_of]
@@ -359,8 +359,9 @@ def r_finite(
         raise InfeasibleParams(
             f"failure budget {used!r} exceeds eps={budget.eps!r} (n_PE={spec.n_bases})"
         )
+    nominal = depolarizing_vector(spec.dim, q)
     split = np.array([[params.eps_pa, params.eps_pe, params.eps_bar]])
-    raw, terms, sizes, degenerate, saturated = _rates(spec, q, budget, split, [params.p01], mode)
+    raw, terms, sizes, degenerate, saturated = _rates(spec, nominal, budget, split, [params.p01], mode)
     n, ms = sizes[0]
     has_rate = not (degenerate[0] or saturated[0, 0])
     return FiniteRateReport(
@@ -386,12 +387,14 @@ _GOLDEN_DEPTH = 4  # golden-section iterations whose probes one `_rates` block h
 
 @functools.cache
 def _share_grid() -> tuple[tuple[float, float, float], ...]:
+    """The coarse pass's distinct share triples (eps_PA, eps_PE, eps_bar),
+    sorted: their order is the tie-break order of `_coarse_winner`."""
     seen: dict[tuple[float, float, float], tuple[float, float, float]] = {}
     for w in itertools.product(_SHARE_WEIGHTS, repeat=3):
         total = sum(w)
         share = (w[0] / total, w[1] / total, w[2] / total)
         seen.setdefault(tuple(round(x, 14) for x in share), share)
-    return tuple(seen.values())
+    return tuple(sorted(seen.values()))
 
 
 def _share_split(spec: ProtocolSpec, budget: FiniteKeyBudget, shares_list) -> np.ndarray:
@@ -452,17 +455,15 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 
 
 def _coarse_winner(
-    spec: ProtocolSpec, q: float, budget: FiniteKeyBudget, mode: FluxMode
+    spec: ProtocolSpec, nominal: np.ndarray, budget: FiniteKeyBudget, mode: FluxMode
 ) -> tuple[tuple, float, float]:
-    """Shares, p01 and floored r_N of the first coarse cell, in share-major order,
-    with the largest floored r_N, then the smallest p01, then (eps_PA, eps_PE, eps_bar)."""
+    """Shares, p01 and floored r_N of the coarse cell with the largest floored
+    r_N, then the smallest p01, then the smallest (eps_PA, eps_PE, eps_bar):
+    the first maximum in p01-major order, since both grids are sorted."""
     shares_grid = _share_grid()
     split = _share_split(spec, budget, shares_grid)
-    grid = np.maximum(_rates(spec, q, budget, split, _P01_GRID, mode)[0], 0.0)
-    cells = np.repeat(split, len(_P01_GRID), axis=0)
-    # lexsort is stable and ranks by its last key first
-    order = np.lexsort((*cells.T[::-1], np.tile(_P01_GRID, len(shares_grid)), -grid.ravel()))
-    i, j = divmod(int(order[0]), len(_P01_GRID))
+    grid = np.maximum(_rates(spec, nominal, budget, split, _P01_GRID, mode)[0], 0.0)
+    j, i = divmod(int(np.argmax(grid.T)), len(shares_grid))
     return shares_grid[i], _P01_GRID[j], float(grid[i, j])
 
 
@@ -496,18 +497,19 @@ def optimize_r_finite(
     call makes 6-53 `_rates` calls and takes 1-40 ms at any d (2-core x86 VM).
     """
     budget = FiniteKeyBudget(n_signals, eps, eps_ec)
+    nominal = depolarizing_vector(spec.dim, q)
 
     def block(candidates: list[tuple[float, float, float]], p01s: list[float]) -> np.ndarray:
         """Floored r_N of every (shares, p01) cell. Every p01 probe lies in
         [1e-4, 1 - 1e-4], and the final `r_finite` validates the winner's."""
-        return np.maximum(_rates(spec, q, budget, _share_split(spec, budget, candidates), p01s, mode)[0], 0.0)
+        return np.maximum(_rates(spec, nominal, budget, _share_split(spec, budget, candidates), p01s, mode)[0], 0.0)
 
     def refine_p01(shares: tuple[float, float, float], center: float) -> tuple[float, float]:
         lo = max(center - 0.01, 1e-4)
         hi = min(center + 0.01, 1.0 - 1e-4)
         return _golden_max(lambda p01s: block([shares], p01s)[0], lo, hi, _P01_TOL)
 
-    best_shares, p01, r_n = _coarse_winner(spec, q, budget, mode)
+    best_shares, p01, r_n = _coarse_winner(spec, nominal, budget, mode)
     # the first refine keeps the coarse winner's shares, so of the tie-break
     # (-r_N, p01, eps_PA, eps_PE, eps_bar) only (-r_N, p01) can differ
     x, fx = refine_p01(best_shares, p01)

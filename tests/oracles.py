@@ -51,7 +51,7 @@ def adversary_information_rows(spec: ProtocolSpec, stats: np.ndarray) -> tuple[n
 def shift_one(q, xi_val: float, mode: FluxMode = FluxMode.EQUAL) -> np.ndarray | None:
     """`rates_finite._shift_rows` on the one row q at radius xi_val: the
     shifted row, or None when it saturates."""
-    bumped, saturated = rates_finite._shift_rows(np.asarray(q, dtype=float)[None], np.array([xi_val]), mode)
+    bumped, saturated = rates_finite._shift_rows(np.asarray(q, dtype=float), np.array([xi_val]), mode)
     return None if saturated[0] else bumped[0]
 
 
@@ -335,7 +335,7 @@ def optimize_reference(
         p = report.params
         return (-report.r_n, p.p01, p.eps_pa, p.eps_pe, p.eps_bar)
 
-    best_shares, p01, _ = rates_finite._coarse_winner(spec, q, budget, mode)
+    best_shares, p01, _ = rates_finite._coarse_winner(spec, depolarizing_vector(spec.dim, q), budget, mode)
     best = evaluate(p01, best_shares)
 
     def refine_p01(shares, center):

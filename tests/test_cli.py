@@ -3,6 +3,7 @@ import csv
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,8 +17,10 @@ from quditkd.cli import (
     _SIM_PARSERS, MAX_CONFIG_BYTES, MAX_DIM, MAX_N_POINTS, MAX_ROUNDS, _n_grid, build_parser, main, parse_count,
     parse_dims, parse_q,
 )
-from quditkd.protocol import Family
-from quditkd.rates_finite import MIN_SPARE_BUDGET
+from quditkd.errors import OutOfRange
+from quditkd.info_theory import ENTRY_SLACK
+from quditkd.protocol import Family, ProtocolSpec
+from quditkd.rates_finite import MIN_SPARE_BUDGET, FiniteKeyBudget, FreeParams, optimize_r_finite, r_finite
 from quditkd.simulator import _MIN_EXPECTED
 from quditkd.verification import CheckResult
 
@@ -442,6 +445,36 @@ def test_a_budget_too_small_to_split_exits_2_with_one_line(capsys, family, dim):
             assert code == (0 if eps_ec > 2.0**-1023 and eps - eps_ec >= MIN_SPARE_BUDGET else 2), argv
             if code == 2:
                 assert out == "" and err.startswith("error:") and err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("family, dim, n_ends", ((Family.TWO_BASIS, 2, (1, 3)), (Family.DPLUS1, 31, (10, 900))))
+def test_an_out_of_range_q_exits_2_at_every_n(capsys, family, dim, n_ends):
+    # below (d + 1)^2 signals every p01 leaves some basis without a sample,
+    # so no rate is evaluated; Q is refused all the same, and the
+    # depolarizing limit (d - 1)/d itself is still accepted
+    spec = ProtocolSpec(family, dim)
+    limit = (dim - 1) / dim
+    refused = (math.nextafter(-ENTRY_SLACK, -1.0), -3.0, math.nextafter(limit + ENTRY_SLACK, 1.0), 7.0)
+    for q in (*refused, limit):
+        argv = ["finite-key", "--dim", str(dim), "--family", family.value, f"--q={q!r}",
+                "--n-min", str(n_ends[0]), "--n-max", str(n_ends[1]), "--n-points", "2"]
+        code, out, err = _run(capsys, argv)
+        calls = [
+            call
+            for n_signals in n_ends
+            for call in (
+                (optimize_r_finite, (spec, q, n_signals, 1e-5, 1e-10)),
+                (r_finite, (spec, q, FiniteKeyBudget(n_signals, 1e-5, 1e-10), FreeParams(0.5, 1e-7, 1e-7, 1e-7))),
+            )
+        ]
+        if q == limit:
+            assert code == 0 and [row[-1] for row in _rows(out)[1]] == ["1", "1"], argv
+            assert all(function(*args).degenerate for function, args in calls)
+            continue
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1, argv
+        for function, args in calls:
+            with pytest.raises(OutOfRange):
+                function(*args)
 
 
 @pytest.mark.parametrize("command, dims, low", (("critical-q", "-1..3", -1), ("verify", "-3..5", -3)))

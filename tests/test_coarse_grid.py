@@ -74,11 +74,11 @@ def test_coarse_grid_equals_scalar_r_finite(family, mode, d, n_signals):
     spec = ProtocolSpec(family, d)
     budget = FiniteKeyBudget(n_signals, 1e-5, 1e-10)
     split = rates_finite._share_split(spec, budget, rates_finite._share_grid())
+    nominal = depolarizing_vector(spec.dim, 0.05)
     raw, terms, sizes, degenerate, saturated = rates_finite._rates(
-        spec, 0.05, budget, split, rates_finite._P01_GRID, mode
+        spec, nominal, budget, split, rates_finite._P01_GRID, mode
     )
     grid = np.maximum(raw, 0.0)
-    nominal = depolarizing_vector(spec.dim, 0.05)
     clipping = (family, mode, d, n_signals) == (DPLUS1, SINGLE, 11, 10**7)
     seen = {"positive": 0, "clipped": 0}
     for i, shares in enumerate(rates_finite._share_grid()):
@@ -297,7 +297,8 @@ def test_coarse_pass_memory_is_bounded_at_the_largest_dimension():
     tracemalloc.start()
     try:
         split = rates_finite._share_split(spec, budget, rates_finite._share_grid())
-        raw = rates_finite._rates(spec, 0.05, budget, split, rates_finite._P01_GRID, EQUAL)[0]
+        nominal = depolarizing_vector(spec.dim, 0.05)
+        raw = rates_finite._rates(spec, nominal, budget, split, rates_finite._P01_GRID, EQUAL)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -7,7 +7,7 @@ from oracles import shift_one
 
 import quditkd.rates_finite as rates_finite
 from quditkd.errors import DegenerateSample, InfeasibleParams, OutOfRange
-from quditkd.info_theory import shannon_entropy
+from quditkd.info_theory import depolarizing_vector, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
 from quditkd.rates_asymptotic import r_infinity
 from quditkd.rates_finite import (
@@ -134,9 +134,10 @@ def test_the_budget_floors_are_exactly_where_a_penalty_term_overflows(family, d)
     spec = ProtocolSpec(family, d)
     floor = MIN_SPARE_BUDGET
     lowest_ec = FiniteKeyBudget(10**8, 1e-5, math.nextafter(2.0**-1023, 1.0))
+    nominal = depolarizing_vector(spec.dim, 0.05)
     for budget in (lowest_ec, FiniteKeyBudget(10**8, 2 * floor, floor)):
         split = rates_finite._share_split(spec, budget, rates_finite._share_grid())
-        _, terms, _, _, _ = rates_finite._rates(spec, 0.05, budget, split, rates_finite._P01_GRID, FluxMode.EQUAL)
+        _, terms, _, _, _ = rates_finite._rates(spec, nominal, budget, split, rates_finite._P01_GRID, FluxMode.EQUAL)
         assert all(np.isfinite(value).all() for value in terms.values())
     # one float below either floor is refused: there 2/eps_EC, or 2/eps_bar at
     # the smallest coarse share, overflows
@@ -148,6 +149,24 @@ def test_the_budget_floors_are_exactly_where_a_penalty_term_overflows(family, d)
     shares = np.array(rates_finite._share_grid())
     with np.errstate(over="ignore"):
         assert np.isinf(2.0 / (shares * (math.nextafter(floor, 0.0) * rates_finite._BUDGET_FILL))).any()
+
+
+@pytest.mark.parametrize("family, d", ((Family.TWO_BASIS, 2), (Family.DPLUS1, 3)))
+def test_the_free_params_floors_are_exactly_where_a_penalty_term_overflows(family, d):
+    # r_finite takes log2(1/eps_PA) and log2(2/eps_bar): one float above
+    # either floor every term is finite, and at the floor, where the
+    # reciprocal overflows, FreeParams refuses the share
+    spec = ProtocolSpec(family, d)
+    budget = FiniteKeyBudget(10**8, 1e-5, 1e-10)
+    for field, floor, numerator in ((1, 2.0**-1024, 1.0), (3, 2.0**-1023, 2.0)):
+        params = [0.9, 1e-6, 1e-6, 1e-6]
+        params[field] = math.nextafter(floor, 1.0)
+        rep = r_finite(spec, 0.05, budget, FreeParams(*params))
+        assert not rep.saturated and rep.terms and all(math.isfinite(value) for value in rep.terms.values())
+        params[field] = floor
+        with pytest.raises(OutOfRange):
+            FreeParams(*params)
+        assert math.isinf(numerator / floor)
 
 
 def test_budget_charges_eps_pe_once_per_basis_of_the_spec():

@@ -5,17 +5,24 @@ Every command of the "Command line" block must run and exit 0, also with
 `$ quditkd ...` example elsewhere must print exactly the output shown under
 it, so a renamed flag or a moved digit in the README fails here. The
 "Library" snippet runs too, and each number it prints must start with the
-digits its `# 0.2594...` comment shows.
+digits its `# 0.2594...` comment shows. Each command must also print the
+same bytes in a child process whatever BLAS kernel, BLAS thread count or
+numpy SIMD dispatch that child gets.
 """
 
+import functools
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from quditkd.cli import main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _text_blocks(markdown):
@@ -71,3 +78,39 @@ def test_readme_library_snippet_prints_the_digits_it_shows(capsys):
         assert len(values) == len(prefixes)
         for value, prefix in zip(values, prefixes):
             assert prefix.endswith("...") and value.startswith(prefix[: -len("...")]), (value, prefix)
+
+
+# child settings that pick another kernel or code path in OpenBLAS or numpy;
+# the default child runs with none of these variables set
+DISPATCH = {
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "openblas-2-threads": {"OPENBLAS_NUM_THREADS": "2"},
+    "numpy-without-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+KERNEL_BOUND = pytest.mark.xfail(strict=True, reason=(
+    "verify's max_err depends on the zgemm kernel OpenBLAS picks; "
+    "ROADMAP item 14 (verify on the monomial form) removes that"
+))
+
+
+@functools.cache
+def _run_child(argv: tuple[str, ...], setting: str | None) -> tuple[int, bytes]:
+    env = {k: v for k, v in os.environ.items() if all(k not in extra for extra in DISPATCH.values())}
+    env.update(DISPATCH.get(setting, {}), PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "quditkd", *argv], capture_output=True, env=env, timeout=120)
+    return done.returncode, done.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, setting",
+    [
+        pytest.param(
+            tuple(argv), setting, id=f"{setting}-{argv[0]}",
+            marks=KERNEL_BOUND if (argv[0], setting) == ("verify", "openblas-haswell") else (),
+        )
+        for setting in DISPATCH
+        for argv in COMMANDS
+    ],
+)
+def test_readme_command_prints_the_same_bytes_under_every_dispatch(argv, setting):
+    assert _run_child(argv, setting) == _run_child(argv, None)

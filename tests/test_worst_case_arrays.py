@@ -200,9 +200,9 @@ def test_r_finite_shifts_at_most_two_vectors(monkeypatch, family, d, n_signals, 
     shift_rows = rates_finite._shift_rows
     seen = []
 
-    def counting(q, *args, **kwargs):
-        seen.append(len(q))
-        return shift_rows(q, *args, **kwargs)
+    def counting(q, xi_vals, *args, **kwargs):
+        seen.append(len(xi_vals))
+        return shift_rows(q, xi_vals, *args, **kwargs)
 
     monkeypatch.setattr(rates_finite, "_shift_rows", counting)
     spec = ProtocolSpec(family, d)
