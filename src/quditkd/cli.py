@@ -182,10 +182,11 @@ def _n_grid(n_min: int, n_max: int, n_points: int) -> list[int]:
         raise QkdError(f"bad N grid: min={n_min} max={n_max} points={n_points} (at most {MAX_N_POINTS})")
     if n_points == 1:
         return [n_min]
+    lo, hi = np.log10(float(n_min)), np.log10(float(n_max))  # np.logspace's arithmetic, not its code
     with np.errstate(over="ignore"):  # near the float maximum a point can round up to inf
-        inner = np.logspace(np.log10(float(n_min)), np.log10(float(n_max)), n_points)[1:-1]
+        inner = 10.0 ** (np.arange(1.0, n_points - 1) * ((hi - lo) / (n_points - 1)) + lo)
     out = [n_min]  # the ends are the requested counts; an overflowed point lies at n_max
-    for value in inner[np.isfinite(inner)]:
+    for value in inner[np.isfinite(inner)].tolist():
         n = int(round(value))
         if out[-1] < n < n_max:
             out.append(n)

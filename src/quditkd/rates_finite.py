@@ -53,14 +53,14 @@ build, and so check Q, once per call at any N. Its budget split is one
 (S, 3) array of (eps_PA, eps_PE, eps_bar) rows: `r_finite` checks the one
 row it is given against eps, and `_share_split` builds the optimizer's rows
 from share triples, which leave a sliver of eps unspent and so need no
-check. `_rates` takes xi's logarithms with `math` once per eps_PE that
-`np.unique` keeps and per p01, the worst case once per distinct (eps_PE,
-p01), and the rate terms by broadcasting; no row's float operations depend
-on its position in the block. `r_finite` is that block at one cell, and the
-coarse pass is the block of 61 budget shares x 99 values of p01, so every
-grid cell equals its scalar r_N exactly, and its winner is one argmax; the
-refine phases walk blocks in the sequential order, and only the winner
-becomes a report.
+check. `_rates` dedups eps_PE and tests degeneracy on Python lists, takes
+xi's logarithms with `math` once per distinct eps_PE and per p01, the worst
+case once per distinct (eps_PE, p01), and the rate terms by broadcasting; no
+row's float operations depend on its position in the block. `r_finite` is
+that block at one cell, and the coarse pass is the block of 61 budget shares
+x 99 values of p01, so every grid cell equals its scalar r_N exactly, and its
+winner is one argmax; the refine phases walk blocks in the sequential order,
+and only the winner becomes a report.
 """
 
 from __future__ import annotations
@@ -302,16 +302,18 @@ def _rates(
     cells. A cell with either flag has no rate: its r_N reads 0 and its
     terms carry no meaning.
 
-    xi's logarithms are taken with `math` once per distinct eps_PE and per
-    p01, the worst case once per distinct (eps_PE, p01); the terms are
-    broadcast from per-share and per-p01 scalars, so a cell's float
-    operations do not depend on the size of the block.
+    A dict dedups eps_PE in first-seen order; xi's logarithms are taken with
+    `math` once per distinct eps_PE and per p01, the worst case once per
+    distinct (eps_PE, p01); the terms are broadcast from per-share and
+    per-p01 scalars, so a cell's float operations depend on neither the size
+    of the block nor a row's position in it.
     """
     d = spec.dim.d
     sizes = [_sample_sizes(spec, budget.n_signals, p01) for p01 in p01s]
     # m_per_basis starts with n, so this also catches an empty key basis
-    degenerate = np.array([min(ms) == 0 for _, ms in sizes])
-    if degenerate.all():  # the optimizer's refine phases hit this at small N
+    empty = [min(ms) == 0 for _, ms in sizes]
+    degenerate = np.array(empty)
+    if all(empty):  # the optimizer's refine phases hit this at small N
         raw = np.zeros((len(split), len(p01s)))
         return raw, dict.fromkeys(TERMS, raw), sizes, degenerate, np.zeros(raw.shape, dtype=bool)
     # a degenerate column is evaluated as if each basis kept one sample,
@@ -322,8 +324,9 @@ def _rates(
     # a cell's worst case depends on its share through eps_PE and on its
     # p01 through the sample sizes: evaluate each (eps_PE, p01) once
     eps_pa, _, eps_bar = split.T.tolist()
-    eps_pe, eps_of = np.unique(split[:, 1], return_inverse=True)
-    xi_key, xi_check = (_xi_table(d, eps_pe.tolist(), ms).ravel() for ms in (key, check))
+    eps_pe: dict = {}  # distinct eps_PE -> index, in first-seen order
+    eps_of = np.array([eps_pe.setdefault(e, len(eps_pe)) for e in split[:, 1].tolist()])
+    xi_key, xi_check = (_xi_table(d, list(eps_pe), ms).ravel() for ms in (key, check))
     info, sat = _worst_case_holevo_rows(spec, nominal, xi_key, xi_check, mode)
     n = np.array([float(k) for k in key])
     holevo_worst = info.reshape(len(eps_pe), -1)[eps_of]

@@ -294,6 +294,23 @@ def params_from_shares_reference(spec: ProtocolSpec, budget, p01: float, shares)
     )
 
 
+def n_grid_reference(n_min: int, n_max: int, n_points: int) -> list[int]:
+    """`cli._n_grid` on valid input, its inner points placed by `np.logspace`
+    itself: the body `_n_grid` had before it repeated logspace's arithmetic,
+    with the loop reading Python floats as `_n_grid` does (`round` gives the
+    same integer from either, and the Python float is faster)."""
+    if n_points == 1:
+        return [n_min]
+    with np.errstate(over="ignore"):  # near the float maximum a point can round up to inf
+        inner = np.logspace(np.log10(float(n_min)), np.log10(float(n_max)), n_points)[1:-1]
+    out = [n_min]  # the ends are the requested counts; an overflowed point lies at n_max
+    for value in inner[np.isfinite(inner)].tolist():
+        n = int(round(value))
+        if out[-1] < n < n_max:
+            out.append(n)
+    return out + [n_max] if n_max > n_min else out
+
+
 def golden_max_reference(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Golden-section maximization probing one point at a time with a scalar
     f; returns (best_x, best_f) over all probes. The sequential form of

@@ -5,12 +5,15 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from oracles import n_grid_reference
 import quditkd.cli
 import quditkd.verification
 from quditkd.cli import (
@@ -121,6 +124,22 @@ def test_n_grid_ends_at_n_max_up_to_the_float_maximum(capsys):
             grid = _n_grid(n_min, n_max, points)
             assert grid[0] == n_min and grid[-1] == n_max, (n_min, n_max, points)
             assert all(a < b for a, b in zip(grid, grid[1:])), (n_min, n_max, points)
+
+
+def test_n_grid_places_its_inner_points_as_logspace_does():
+    # _n_grid repeats np.logspace's float operations without calling it, so
+    # every printed N must equal the logspace grid's
+    rng = random.Random(20260)
+    top = math.log(sys.float_info.max)
+    for _ in range(10_000):
+        n_min, n_max = sorted(max(1, int(math.exp(rng.uniform(0.0, top)))) for _ in range(2))
+        points = rng.randint(1, 50)
+        assert _n_grid(n_min, n_max, points) == n_grid_reference(n_min, n_max, points), (n_min, n_max, points)
+    m = int(sys.float_info.max)
+    below = int(math.nextafter(sys.float_info.max, 0.0))
+    for n_min, n_max in ((m, m), (below, m), (below, below), (1, m)):
+        for points in (2, 3, 5, 50):
+            assert _n_grid(n_min, n_max, points) == n_grid_reference(n_min, n_max, points), (n_min, n_max, points)
 
 
 def test_critical_q_csv(capsys):
@@ -559,6 +578,28 @@ def test_finite_key_matches_its_golden_byte_for_byte(capsys, request_):
     golden = (GOLDEN / "finite-key" / f"{request_.golden_key}.csv").read_text(encoding="utf-8")
     code, out, _ = _run(capsys, list(request_.argv))
     assert code == 0
+    assert out == golden
+
+
+@pytest.mark.parametrize("request_", FINITE_KEY_REQUESTS, ids=lambda r: r.key)
+def test_finite_key_runs_no_numpy_sort_or_spacing_routine(capsys, monkeypatch, request_):
+    # Each numpy routine maps its own resident pages at its first call, and a
+    # finite-key request is a fresh process: after `import quditkd.cli`, the
+    # first `np.unique(..., return_inverse=True)` on 61 floats grew the
+    # resident set by 584 KB and the first `np.logspace` by 196 KB (x86-64,
+    # numpy 2.4). The eps_PE dedup, the degeneracy test and the N grid work
+    # on a few dozen values, so they stay in plain Python and numpy's own
+    # float operations; the output must not move.
+    def refusing(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"finite-key called np.{name}")
+        return refuse
+
+    for name in ("unique", "sort", "argsort", "lexsort", "logspace", "linspace"):
+        monkeypatch.setattr(np, name, refusing(name))
+    golden = (GOLDEN / "finite-key" / f"{request_.golden_key}.csv").read_text(encoding="utf-8")
+    code, out, err = _run(capsys, list(request_.argv))
+    assert (code, err) == (0, "")
     assert out == golden
 
 
