@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import NoRoot
 from .info_theory import depolarizing_vector, entropy_unchecked
-from .protocol import Family, ProtocolSpec
+from .protocol import ProtocolSpec
 from .rates_finite import _holevo_pairs
 
 BISECTION_TOL = 1e-9  # interval width; spec'd accuracy is 1e-6
@@ -61,8 +61,7 @@ def ie_depolarizing(spec: ProtocolSpec, q: float) -> float:
 def r_infinity(spec: ProtocolSpec, q: float) -> RateReport:
     """Asymptotic rate report at depolarizing error rate Q."""
     i_e = ie_depolarizing(spec, q)
-    # the two-basis I_E already is the entropy of the depolarizing vector
-    h_ab = i_e if spec.family is Family.TWO_BASIS else entropy_unchecked(depolarizing_vector(spec.dim, q))
+    h_ab = entropy_unchecked(depolarizing_vector(spec.dim, q))
     raw = math.log2(spec.dim.d) - h_ab - i_e
     return RateReport(q=q, i_e=i_e, h_ab=h_ab, r_inf=max(raw, 0.0), r_inf_raw=raw)
 

@@ -16,7 +16,9 @@ except with probability eps_PE, and the rate reads
 
 floored at zero. The total failure probability is
 eps_EC + eps_PA + n_PE * eps_PE + eps_bar <= eps, where n_PE is the number
-of estimated bases, `ProtocolSpec.n_bases`.
+of estimated bases, `ProtocolSpec.n_bases`. The penalty terms are evaluated
+as 1 - log2 x and -log2 x, with no reciprocal, so they are finite at every
+positive float.
 
 Worst-case statistics place the fluctuation budget xi on the error
 coordinates; three splits are supported. "equal" (the default, and the
@@ -81,11 +83,6 @@ from .protocol import Family, ProtocolSpec
 SATURATION_TOL = 1e-12
 CLAMP_MASS_TOL = 1e-6  # reconstructed spectra may leave the simplex at large xi
 _CHUNK_ROWS = 256  # worst-case rows per array pass; bounds memory at any grid size
-# The least eps - eps_EC that FiniteKeyBudget accepts: the least float whose
-# smallest optimizer share of eps_bar (4.99975e-5 of it times _BUDGET_FILL, as
-# `_share_split` rounds it) exceeds 2**-1023, so 2/eps_bar and 1/eps_PA stay
-# finite at every coarse-grid cell; an overflow of 1/eps_PE only saturates its cell.
-MIN_SPARE_BUDGET = 2.225407652965424e-304
 TERMS = ("holevo_worst", "h_ab", "ec_term", "pa_term", "smooth_term", "smooth_coefficient")
 
 
@@ -185,11 +182,10 @@ class FiniteKeyBudget:
             raise OutOfRange(f"eps={self.eps!r} outside (0, 1)")
         if not (0.0 < self.eps_ec < self.eps):
             raise OutOfRange(f"eps_EC={self.eps_ec!r} must lie in (0, eps)")
-        # every penalty term must stay finite: 2/x is finite exactly for x > 2**-1023
-        if not self.eps_ec > 2.0**-1023:
-            raise OutOfRange(f"eps_EC={self.eps_ec!r} must exceed 2**-1023 = {2.0**-1023!r}")
-        if not self.eps - self.eps_ec >= MIN_SPARE_BUDGET:
-            raise OutOfRange(f"eps - eps_EC={self.eps - self.eps_ec!r} below {MIN_SPARE_BUDGET!r}")
+        # a subnormal eps - eps_EC leaves the optimizer's smallest shares few
+        # bits, and below about 1.6e-318 none: a zero share has no log2
+        if not self.eps - self.eps_ec >= sys.float_info.min:
+            raise OutOfRange(f"eps - eps_EC={self.eps - self.eps_ec!r} below {sys.float_info.min!r}")
 
 
 @dataclass(frozen=True)
@@ -207,12 +203,6 @@ class FreeParams:
         for name in ("eps_pa", "eps_pe", "eps_bar"):
             if not getattr(self, name) > 0.0:
                 raise OutOfRange(f"{name} must be positive")
-        # the rate takes log2(1/eps_PA) and log2(2/eps_bar): 1/x is finite
-        # exactly for x > 2**-1024 and 2/x for x > 2**-1023. eps_PE needs no
-        # floor, since an overflow of 1/eps_PE only saturates its cell.
-        for name, floor in (("eps_pa", 2.0**-1024), ("eps_bar", 2.0**-1023)):
-            if not getattr(self, name) > floor:
-                raise OutOfRange(f"{name}={getattr(self, name)!r} must exceed {floor!r}")
 
 
 @dataclass(frozen=True)
@@ -331,10 +321,10 @@ def _rates(
     n = np.array([float(k) for k in key])
     holevo_worst = info.reshape(len(eps_pe), -1)[eps_of]
     h_ab = entropy_unchecked(nominal)
-    ec_term = math.log2(2.0 / budget.eps_ec) / n
-    pa_term = 2.0 * np.array([[math.log2(1.0 / e)] for e in eps_pa]) / n
+    ec_term = (1.0 - math.log2(budget.eps_ec)) / n
+    pa_term = -2.0 * np.array([[math.log2(e)] for e in eps_pa]) / n
     smooth_coefficient = 2.0 * math.log2(d) + 3.0
-    smooth_term = smooth_coefficient * np.sqrt(np.array([[math.log2(2.0 / e)] for e in eps_bar]) / n)
+    smooth_term = smooth_coefficient * np.sqrt(np.array([[1.0 - math.log2(e)] for e in eps_bar]) / n)
     frac = np.array([k / budget.n_signals for k in key])
     rate = frac * (math.log2(d) - holevo_worst - h_ab - ec_term - pa_term - smooth_term)
     saturated = sat.reshape(len(eps_pe), -1)[eps_of] & ~degenerate
@@ -497,7 +487,7 @@ def optimize_r_finite(
     the sequential search returns; only the winner becomes an `r_finite`
     report. Ties prefer the smallest p01, then the lexicographically
     smallest (eps_PA, eps_PE, eps_bar). At Q = 0.05 and N = 1e3..1e12 one
-    call makes 6-53 `_rates` calls and takes 1-40 ms at any d (2-core x86 VM).
+    call makes 6-49 `_rates` calls and takes 0.4-26 ms at any d (2-core x86 VM).
     """
     budget = FiniteKeyBudget(n_signals, eps, eps_ec)
     nominal = depolarizing_vector(spec.dim, q)

@@ -23,7 +23,7 @@ from quditkd.cli import (
 from quditkd.errors import OutOfRange
 from quditkd.info_theory import ENTRY_SLACK
 from quditkd.protocol import Family, ProtocolSpec
-from quditkd.rates_finite import MIN_SPARE_BUDGET, FiniteKeyBudget, FreeParams, optimize_r_finite, r_finite
+from quditkd.rates_finite import FiniteKeyBudget, FreeParams, optimize_r_finite, r_finite
 from quditkd.simulator import _MIN_EXPECTED
 from quditkd.verification import CheckResult
 
@@ -453,17 +453,20 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path):
 
 @pytest.mark.parametrize("family, dim", (("two-basis", "2"), ("dplus1", "3")))
 def test_a_budget_too_small_to_split_exits_2_with_one_line(capsys, family, dim):
-    # the optimizer splits eps - eps_EC into shares of 5e-5 and less, and
-    # charges log2(2/eps_EC): a budget that would overflow a penalty term is refused
+    # the optimizer splits eps - eps_EC into shares of 5e-5 and less: below
+    # the least normal float the smallest of them round to 0, so that budget
+    # is refused, while any eps_EC has a finite log2(2/eps_EC)
     grid = [10.0**-e for e in range(5, 324, 25)] + [sys.float_info.min, 1e-315, 1e-320, 5e-323, 5e-324]
     for eps in grid:
         for eps_ec in (e for e in grid if e < eps):
             argv = ["finite-key", "--dim", dim, "--family", family, "--eps", repr(eps), "--eps-ec", repr(eps_ec),
                     "--n-points", "1"]
             code, out, err = _run(capsys, argv)
-            assert code == (0 if eps_ec > 2.0**-1023 and eps - eps_ec >= MIN_SPARE_BUDGET else 2), argv
+            assert code == (0 if eps - eps_ec >= sys.float_info.min else 2), argv
             if code == 2:
                 assert out == "" and err.startswith("error:") and err.count("\n") == 1, argv
+            else:
+                assert err == "" and "inf" not in out and "nan" not in out, argv
 
 
 @pytest.mark.parametrize("family, dim, n_ends", ((Family.TWO_BASIS, 2, (1, 3)), (Family.DPLUS1, 31, (10, 900))))

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 import quditkd
 from quditkd.cli import MAX_DIM, main, parse_dims, parse_q
-from quditkd.rates_finite import MIN_SPARE_BUDGET
 
 FUZZ = settings(derandomize=True, max_examples=60, deadline=None)
 in_range = st.integers(2, MAX_DIM)
@@ -196,8 +195,9 @@ def test_every_numeric_flag_exits_cleanly_at_the_float_edges(command):
 def test_every_budget_prints_finite_numbers_or_exits_2(family, dim, fmt):
     # at N = 1e8 a tie at r_N = 0 picks the smallest budget shares, so an
     # overflowing penalty term would reach the output
-    floors = [2.0**-1023, math.nextafter(2.0**-1023, 1.0), MIN_SPARE_BUDGET, 2.0 * MIN_SPARE_BUDGET]
-    grid = [10.0**-e for e in range(1, 324, 60)] + floors + [1e-308, 5e-324]
+    tiny = sys.float_info.min  # the least eps - eps_EC accepted
+    floor = [math.nextafter(tiny, 0.0), tiny, math.nextafter(tiny, 1.0)]
+    grid = [10.0**-e for e in range(1, 324, 60)] + floor + [1e-308, 5e-324]
     for eps in grid:
         for eps_ec in (e for e in grid if e < eps):
             _exits_cleanly(["finite-key", "--dim", dim, "--family", family, "--eps", repr(eps),

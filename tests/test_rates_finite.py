@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from quditkd.info_theory import depolarizing_vector, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
 from quditkd.rates_asymptotic import r_infinity
 from quditkd.rates_finite import (
-    MIN_SPARE_BUDGET,
     FiniteKeyBudget,
     FluxMode,
     FreeParams,
@@ -127,46 +128,67 @@ def test_budget_feasibility_enforced():
         FiniteKeyBudget(10**309, 1e-5, 1e-10)  # above the float range
 
 
+def _assert_terms_finite_and_rebuild_r_n(rep, budget, d):
+    t = rep.terms
+    assert rep.r_n > 0 and all(math.isfinite(value) for value in t.values())
+    rebuilt = (rep.n / budget.n_signals) * (
+        math.log2(d) - t["holevo_worst"] - t["h_ab"] - t["ec_term"] - t["pa_term"] - t["smooth_term"]
+    )
+    assert rep.r_n == pytest.approx(rebuilt, abs=1e-12)
+
+
 @pytest.mark.parametrize("family, d", ((Family.TWO_BASIS, 2), (Family.DPLUS1, 3), (Family.DPLUS1, 31)))
-def test_the_budget_floors_are_exactly_where_a_penalty_term_overflows(family, d):
-    # eps_EC just above 2**-1023, and eps - eps_EC of exactly MIN_SPARE_BUDGET
-    # (2x - x is exact), leave every coarse-grid term finite
-    spec = ProtocolSpec(family, d)
-    floor = MIN_SPARE_BUDGET
-    lowest_ec = FiniteKeyBudget(10**8, 1e-5, math.nextafter(2.0**-1023, 1.0))
-    nominal = depolarizing_vector(spec.dim, 0.05)
-    for budget in (lowest_ec, FiniteKeyBudget(10**8, 2 * floor, floor)):
-        split = rates_finite._share_split(spec, budget, rates_finite._share_grid())
-        _, terms, _, _, _ = rates_finite._rates(spec, nominal, budget, split, rates_finite._P01_GRID, FluxMode.EQUAL)
-        assert all(np.isfinite(value).all() for value in terms.values())
-    # one float below either floor is refused: there 2/eps_EC, or 2/eps_bar at
-    # the smallest coarse share, overflows
-    with pytest.raises(OutOfRange):
-        FiniteKeyBudget(10**8, 1e-5, 2.0**-1023)
-    with pytest.raises(OutOfRange):
-        FiniteKeyBudget(10**8, 2 * math.nextafter(floor, 0.0), floor)
-    assert math.isinf(2.0 / 2.0**-1023)
-    shares = np.array(rates_finite._share_grid())
-    with np.errstate(over="ignore"):
-        assert np.isinf(2.0 / (shares * (math.nextafter(floor, 0.0) * rates_finite._BUDGET_FILL))).any()
+def test_the_budget_terms_are_finite_at_the_smallest_float(family, d):
+    # log2(2/x) is taken as 1 - log2 x, so eps_EC at 5e-324 still gives an
+    # ec_term that, with the others, rebuilds r_N
+    budget = FiniteKeyBudget(10**8, 1e-5, 5e-324)
+    rep = r_finite(ProtocolSpec(family, d), 0.05, budget, FreeParams(0.95, 1e-7, 1e-7, 1e-7))
+    _assert_terms_finite_and_rebuild_r_n(rep, budget, d)
+    assert rep.terms["ec_term"] == 1075.0 / rep.n
+    # one refusal is left: eps - eps_EC of at least the least normal float,
+    # below which the optimizer's smallest shares round to 0
+    tiny = sys.float_info.min
+    assert (tiny + 5e-324) - 5e-324 == tiny and tiny - 5e-324 == math.nextafter(tiny, 0.0)
+    assert FiniteKeyBudget(10**8, tiny + 5e-324, 5e-324).eps_ec == 5e-324
+    with pytest.raises(OutOfRange, match="eps - eps_EC"):
+        FiniteKeyBudget(10**8, tiny, 5e-324)
 
 
 @pytest.mark.parametrize("family, d", ((Family.TWO_BASIS, 2), (Family.DPLUS1, 3)))
-def test_the_free_params_floors_are_exactly_where_a_penalty_term_overflows(family, d):
-    # r_finite takes log2(1/eps_PA) and log2(2/eps_bar): one float above
-    # either floor every term is finite, and at the floor, where the
-    # reciprocal overflows, FreeParams refuses the share
-    spec = ProtocolSpec(family, d)
+def test_the_free_params_terms_are_finite_at_the_smallest_float(family, d):
+    # 2 log2(1/x) is taken as -2 log2 x and log2(2/x) as 1 - log2 x, so
+    # eps_PA and eps_bar at 5e-324 still give terms that rebuild r_N
     budget = FiniteKeyBudget(10**8, 1e-5, 1e-10)
-    for field, floor, numerator in ((1, 2.0**-1024, 1.0), (3, 2.0**-1023, 2.0)):
-        params = [0.9, 1e-6, 1e-6, 1e-6]
-        params[field] = math.nextafter(floor, 1.0)
-        rep = r_finite(spec, 0.05, budget, FreeParams(*params))
-        assert not rep.saturated and rep.terms and all(math.isfinite(value) for value in rep.terms.values())
-        params[field] = floor
-        with pytest.raises(OutOfRange):
-            FreeParams(*params)
-        assert math.isinf(numerator / floor)
+    rep = r_finite(ProtocolSpec(family, d), 0.05, budget, FreeParams(0.95, 5e-324, 1e-7, 5e-324))
+    _assert_terms_finite_and_rebuild_r_n(rep, budget, d)
+    assert rep.terms["pa_term"] == 2148.0 / rep.n
+
+
+@pytest.mark.parametrize(
+    "family, dims", ((Family.TWO_BASIS, (2, 3, 32)), (Family.DPLUS1, (2, 3, 31))), ids=("two-basis", "dplus1")
+)
+def test_the_optimizer_keeps_every_term_finite_at_the_smallest_budgets(monkeypatch, family, dims):
+    # every block the optimizer evaluates, the descent's rescaled shares
+    # included, has finite terms and rates, at eps - eps_EC = the least normal
+    # float and at eps_EC = 5e-324
+    tiny = sys.float_info.min
+    rates = rates_finite._rates
+    blocks = 0
+
+    def checked(*args):
+        nonlocal blocks
+        blocks += 1
+        out = rates(*args)
+        assert np.isfinite(out[0]).all() and all(np.isfinite(v).all() for v in out[1].values()), args[2:4]
+        return out
+
+    monkeypatch.setattr(rates_finite, "_rates", checked)
+    for d, mode, n_signals, (eps, eps_ec) in itertools.product(
+        dims, FluxMode, (10**3, 10**8, int(sys.float_info.max)), ((2 * tiny, tiny), (1e-5, 5e-324))
+    ):
+        rep = optimize_r_finite(ProtocolSpec(family, d), 0.05, n_signals, eps, eps_ec, mode)
+        assert math.isfinite(rep.r_n) and all(math.isfinite(value) for value in rep.terms.values())
+    assert blocks > 54  # each optimizer call went through the check
 
 
 def test_budget_charges_eps_pe_once_per_basis_of_the_spec():

@@ -1,0 +1,137 @@
+"""Compare the CLI output of the working tree with that of a git revision.
+
+Run from anywhere inside the repository:
+
+    python tools/compare_outputs.py BASE_REV
+
+BASE_REV's `src/` is exported with `git archive` into a temporary directory,
+which is removed afterwards. Every command of a fixed corpus then runs as a
+fresh `python -m quditkd` process against each tree's `src/`, both from the
+repository root, and one line is printed for each command whose stdout,
+stderr or exit code differs. The exit status is 1 if any command differs,
+else 0. The corpus:
+
+- the README's command block and its `$ quditkd` examples;
+- every benchmark request, each `simulate` with every seed of `SIM_SEEDS`,
+  read from `bench/workloads.py`;
+- 72 finite-key JSON tables: two-basis d in {2, 3, 11, 32} and dplus1 d in
+  {2, 3, 11, 31}, x every flux mode x Q in {0, 0.05, 0.12};
+- `critical-q` over every supported d of both families, and an `asymptotic`
+  sweep of Q from 0 to 0.99 in steps of 0.001 at each of those d;
+- finite-key budgets at the edges of the accepted range, for two-basis
+  d in {2, 6, 32} and dplus1 d in {5, 11, 31}, up to N = the float maximum.
+
+The two trees are compared under one BLAS thread, since the last digit of a
+`verify` max_err can depend on the thread count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import itertools
+import os
+import shlex
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+FLOAT_MAX = "1.7976931348623157e308"
+JOBS = 2  # commands run at once
+BUDGETS = (
+    ("1e-5", "1e-10"),
+    ("1e-300", "1e-305"),
+    ("1e-5", "1.112536929253601e-308"),  # one float above 2**-1023
+    ("4.450815305930848e-304", "2.225407652965424e-304"),  # eps - eps_EC = 2.225407652965424e-304
+    ("4.450147717014403e-308", "2.2250738585072014e-308"),  # eps - eps_EC = the least normal float
+    ("1e-5", "1e-308"),
+    ("1e-5", "5e-324"),
+    ("2.3e-308", "5e-324"),
+    ("2.2250738585072014e-308", "5e-324"),  # eps - eps_EC one float below the least normal float
+    ("1e-320", "5e-324"),
+)
+
+
+def readme_commands() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("\n```", 1)[0] for part in text.split("```text\n")[1:]]
+    lines = [line.removeprefix("$ ") for block in blocks for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("quditkd ")]
+
+
+def bench_commands() -> list[list[str]]:
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    commands = []
+    for workload in workloads.WORKLOADS.values():
+        for request in workload.requests:
+            seeds = workloads.SIM_SEEDS if request.argv[0] == "simulate" else (None,)
+            commands += [list(request.argv if s is None else request.with_seed(s).argv) for s in seeds]
+    return commands
+
+
+def corpus() -> list[list[str]]:
+    commands = readme_commands() + bench_commands()
+    tables = [("two-basis", d) for d in (2, 3, 11, 32)] + [("dplus1", d) for d in (2, 3, 11, 31)]
+    for (family, d), mode, q in itertools.product(tables, ("equal", "single", "brute"), ("0", "0.05", "0.12")):
+        commands.append(["finite-key", "--dim", str(d), "--family", family, "--flux-mode", mode, "--q", q,
+                         "--n-min", "1e3", "--n-max", "1e12", "--n-points", "4", "--format", "json"])
+    dims = [("two-basis", d) for d in range(2, 33)] + [("dplus1", d) for d in PRIMES]
+    commands.append(["critical-q", "--dims", "2..32"])
+    commands.append(["critical-q", "--dims", ",".join(map(str, PRIMES)), "--family", "dplus1"])
+    for family, d in dims:
+        commands.append(["asymptotic", "--dim", str(d), "--family", family,
+                         "--q-min", "0", "--q-max", "0.99", "--q-step", "0.001"])
+    edges = [("two-basis", d) for d in (2, 6, 32)] + [("dplus1", d) for d in (5, 11, 31)]
+    for (family, d), (eps, eps_ec) in itertools.product(edges, BUDGETS):
+        commands.append(["finite-key", "--dim", str(d), "--family", family, "--eps", eps, "--eps-ec", eps_ec,
+                         "--n-min", "1e3", "--n-max", FLOAT_MAX, "--n-points", "11"])
+    return commands
+
+
+def run(src: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "quditkd", *argv], cwd=ROOT, env=env, capture_output=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def export_src(rev: str, into: Path) -> Path:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return into / "src"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("base_rev", metavar="BASE_REV")
+    args = parser.parse_args()
+    commands = corpus()
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        base_src = export_src(args.base_rev, Path(tmp))
+
+        def compare(argv: list[str]) -> str | None:
+            base, head = run(base_src, argv), run(ROOT / "src", argv)
+            if base == head:
+                return None
+            parts = [f"exit {base[0]} -> {head[0]}"]
+            parts += [f"{name} differs" for name, i in (("stdout", 1), ("stderr", 2)) if base[i] != head[i]]
+            return f"{', '.join(parts)}: quditkd {shlex.join(argv)}"
+
+        with ThreadPoolExecutor(JOBS) as pool:
+            diffs = [line for line in pool.map(compare, commands) if line]
+    for line in diffs:
+        print(line)
+    print(f"{len(diffs)} of {len(commands)} commands differ from {args.base_rev}", file=sys.stderr)
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
