@@ -138,12 +138,11 @@ def _table(command: str, params: dict[str, Any], rows: list[dict[str, Any]], fmt
 
 
 def cmd_critical_q(args: argparse.Namespace) -> tuple[str, int]:
-    family = Family(args.family)
     rows = [
-        {"d": d, "family": family.value, "q_crit_percent": 100.0 * critical_q(ProtocolSpec(family, d))}
+        {"d": d, "family": args.family, "q_crit_percent": 100.0 * critical_q(ProtocolSpec(args.family, d))}
         for d in args.dims
     ]
-    return _table("critical-q", {"dims": args.dims, "family": family.value}, rows, args.format), 0
+    return _table("critical-q", {"dims": args.dims, "family": args.family}, rows, args.format), 0
 
 
 def _q_sweep(args: argparse.Namespace, d: int) -> list[float]:
@@ -169,7 +168,7 @@ def _q_sweep(args: argparse.Namespace, d: int) -> list[float]:
 
 
 def cmd_asymptotic(args: argparse.Namespace) -> tuple[str, int]:
-    spec = ProtocolSpec(Family(args.family), args.dim)
+    spec = ProtocolSpec(args.family, args.dim)
     rows = [
         {"d": args.dim, "family": spec.family.value, **asdict(r_infinity(spec, q))}
         for q in _q_sweep(args, args.dim)
@@ -194,11 +193,10 @@ def _n_grid(n_min: int, n_max: int, n_points: int) -> list[int]:
 
 
 def cmd_finite_key(args: argparse.Namespace) -> tuple[str, int]:
-    spec = ProtocolSpec(Family(args.family), args.dim)
-    mode = FluxMode(args.flux_mode)
+    spec = ProtocolSpec(args.family, args.dim)
     rows = []
     for n_signals in _n_grid(args.n_min, args.n_max, args.n_points):
-        rep = optimize_r_finite(spec, args.q, n_signals, args.eps, args.eps_ec, mode=mode)
+        rep = optimize_r_finite(spec, args.q, n_signals, args.eps, args.eps_ec, mode=args.flux_mode)
         rows.append({
             "d": args.dim, "family": spec.family.value, "n": n_signals, "r_n": rep.r_n,
             **asdict(rep.params),
@@ -212,7 +210,7 @@ def cmd_finite_key(args: argparse.Namespace) -> tuple[str, int]:
         "q": args.q,
         "eps": args.eps,
         "eps_ec": args.eps_ec,
-        "flux_mode": mode.value,
+        "flux_mode": args.flux_mode,
     }
     return _table("finite-key", params, rows, args.format), 0
 

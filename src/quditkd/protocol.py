@@ -35,6 +35,7 @@ class ProtocolSpec:
     dim: Dim
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "family", Family(self.family))
         if not isinstance(self.dim, Dim):
             object.__setattr__(self, "dim", Dim(self.dim))
         if self.family is Family.DPLUS1 and not self.dim.prime:

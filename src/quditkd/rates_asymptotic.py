@@ -12,10 +12,10 @@ H(lam) - H(q_01); for the two-basis family the spectrum is only partially
 constrained and maximizing over the compatible set gives I_E = H(q_10)
 (rows proportional to q_10 are feasible and Jensen's inequality makes them
 optimal, see the grid oracle in the tests). Both are computed one way, by
-`rates_finite._holevo_pairs`: `ie_depolarizing` reads it on the nominal
-depolarizing pair, the finite-key worst case on the shifted pair. The
-kernel on arbitrary error statistics is the tests' oracle,
-`adversary_information_rows` in `tests/oracles.py`.
+`rates_finite._holevo_pairs`: `r_infinity` reads it on the nominal pair of
+one depolarizing vector, whose entropy is H(q_key), and the finite-key worst
+case on the shifted pair. The kernel on arbitrary error statistics is the
+tests' oracle, `adversary_information_rows` in `tests/oracles.py`.
 
 Bell-diagonal sources suffice: twirling a state by a random U_jk (x)
 conj(U_jk) keeps every basis's statistics of t = (a - b) mod d, leaves the
@@ -49,21 +49,20 @@ class RateReport:
     r_inf_raw: float
 
 
-def ie_depolarizing(spec: ProtocolSpec, q: float) -> float:
-    """I_E(Q) on the depolarizing channel for either family: the finite-key
-    pair kernel `rates_finite._holevo_pairs` on the nominal (key, check)
-    pair, that is the worst case at zero radius. Q must lie in
-    [0, (d-1)/d], the domain of `depolarizing_vector`, for both families."""
-    vec = depolarizing_vector(spec.dim, q)[None]
-    return float(_holevo_pairs(spec, vec, vec)[0][0])
-
-
 def r_infinity(spec: ProtocolSpec, q: float) -> RateReport:
-    """Asymptotic rate report at depolarizing error rate Q."""
-    i_e = ie_depolarizing(spec, q)
-    h_ab = entropy_unchecked(depolarizing_vector(spec.dim, q))
+    """Asymptotic rate report at depolarizing error rate Q in [0, (d-1)/d]:
+    I_E is `_holevo_pairs` on the nominal (key, check) pair, the worst case
+    at zero radius, and H(q_key) the entropy of the same vector."""
+    vec = depolarizing_vector(spec.dim, q)
+    i_e = float(_holevo_pairs(spec, vec[None], vec[None])[0][0])
+    h_ab = entropy_unchecked(vec)
     raw = math.log2(spec.dim.d) - h_ab - i_e
     return RateReport(q=q, i_e=i_e, h_ab=h_ab, r_inf=max(raw, 0.0), r_inf_raw=raw)
+
+
+def ie_depolarizing(spec: ProtocolSpec, q: float) -> float:
+    """I_E(Q) on the depolarizing channel for either family: `r_infinity`'s."""
+    return r_infinity(spec, q).i_e
 
 
 def critical_q(spec: ProtocolSpec) -> float:

@@ -155,7 +155,7 @@ def worst_case_vector(q: np.ndarray, xi_val: float, mode: FluxMode = FluxMode.EQ
     `bench/tracing.py` lists it among its traced targets."""
     if not xi_val >= 0.0:
         raise OutOfRange(f"xi must be nonnegative, got {xi_val!r}")
-    bumped, saturated = _shift_rows(as_prob_vector(q), np.array([xi_val]), mode)
+    bumped, saturated = _shift_rows(as_prob_vector(q), np.array([xi_val]), FluxMode(mode))
     if saturated[0]:
         raise OutOfRange(f"xi={xi_val!r} drives q[0] below zero; noise estimate unusable")
     return bumped[0]
@@ -347,6 +347,7 @@ def r_finite(
     saturated statistics yield r_N = 0 with the matching flag and an empty
     term breakdown.
     """
+    mode = FluxMode(mode)
     used = budget.eps_ec + params.eps_pa + spec.n_bases * params.eps_pe + params.eps_bar
     if used > budget.eps * (1.0 + 1e-9):
         raise InfeasibleParams(
@@ -405,26 +406,24 @@ def _golden_step(bracket: tuple, left: bool) -> tuple:
     return (a, d_pt, d_pt - _INVPHI * (d_pt - a), c) if left else (c, b, d_pt, c + _INVPHI * (b - c))
 
 
-def _golden_probes(bracket: tuple, known: dict, tol: float, depth: int) -> list[float]:
+def _golden_probes(bracket: tuple, depth: int) -> list[float]:
     """The inner points of every bracket the next `depth` iterations from
-    `bracket` may reach: an iteration whose comparison `known` decides takes
-    its branch, any other takes both."""
-    a, b, c, d_pt = bracket
-    if depth == 0 or not b - a > tol:
+    `bracket` may reach, on both branches of each comparison."""
+    if depth == 0 or not bracket[1] - bracket[0] > _P01_TOL:
         return []
     points = []
-    for left in (known[c] > known[d_pt],) if c in known and d_pt in known else (True, False):
+    for left in (True, False):
         narrowed = _golden_step(bracket, left)
-        points += [*narrowed[2:], *_golden_probes(narrowed, known, tol, depth - 1)]
+        points += [*narrowed[2:], *_golden_probes(narrowed, depth - 1)]
     return points
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization; returns (best_x, best_f) over all probes.
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximization to _P01_TOL; returns (best_x, best_f) over all probes.
 
-    f maps a list of points to their values. Each call takes every point the
-    next _GOLDEN_DEPTH iterations may probe, on both branches of each open
-    comparison, and the search walks the path those values choose, so its
+    f maps a list of points to their values. Each call takes the probes of
+    the next _GOLDEN_DEPTH iterations on both branches of each comparison
+    not yet made, and the search walks the path those values choose, so its
     probes and result are those of probing one point at a time.
     """
     known: dict[float, float] = {}
@@ -434,13 +433,12 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
         known.update(zip(new, f(new)))
 
     bracket = (lo, hi, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
-    evaluate([*bracket, *_golden_probes(bracket, known, tol, _GOLDEN_DEPTH)])
+    evaluate([*bracket, *_golden_probes(bracket, _GOLDEN_DEPTH)])
     best_x, best_f = max((lo, known[lo]), (hi, known[hi]), key=lambda probe: probe[1])
-    while bracket[1] - bracket[0] > tol:
-        narrowed = _golden_step(bracket, known[bracket[2]] > known[bracket[3]])
-        if not known.keys() >= set(narrowed[2:]):
-            evaluate(_golden_probes(bracket, known, tol, _GOLDEN_DEPTH))
-        bracket = narrowed
+    while bracket[1] - bracket[0] > _P01_TOL:
+        bracket = _golden_step(bracket, known[bracket[2]] > known[bracket[3]])
+        if not known.keys() >= set(bracket[2:]):
+            evaluate([*bracket[2:], *_golden_probes(bracket, _GOLDEN_DEPTH - 1)])
         for x in bracket[2:]:
             if known[x] > best_f:
                 best_x, best_f = x, known[x]
@@ -491,6 +489,7 @@ def optimize_r_finite(
     """
     budget = FiniteKeyBudget(n_signals, eps, eps_ec)
     nominal = depolarizing_vector(spec.dim, q)
+    mode = FluxMode(mode)
 
     def block(candidates: list[tuple[float, float, float]], p01s: list[float]) -> np.ndarray:
         """Floored r_N of every (shares, p01) cell. Every p01 probe lies in
@@ -500,7 +499,7 @@ def optimize_r_finite(
     def refine_p01(shares: tuple[float, float, float], center: float) -> tuple[float, float]:
         lo = max(center - 0.01, 1e-4)
         hi = min(center + 0.01, 1.0 - 1e-4)
-        return _golden_max(lambda p01s: block([shares], p01s)[0], lo, hi, _P01_TOL)
+        return _golden_max(lambda p01s: block([shares], p01s)[0], lo, hi)
 
     best_shares, p01, r_n = _coarse_winner(spec, nominal, budget, mode)
     # the first refine keeps the coarse winner's shares, so of the tie-break

@@ -233,12 +233,22 @@ def _wavy(x):
     return math.sin(x * 3000.0) + 0.1 * x
 
 
+def _zeros(x):
+    return 0.0
+
+
 # the refine intervals at both clipped ends of p01, an inner one, and one
 # already narrower than the tolerance
-@pytest.mark.parametrize("lo, hi", ((1e-4, 0.02), (0.98, 1.0 - 1e-4), (0.49, 0.51), (0.5, 0.50005)))
-@pytest.mark.parametrize(
-    "f", (lambda x: 0.0, _plateaus, _bump_of_plateaus, _wavy), ids=("zeros", "plateaus", "bump", "wavy")
-)
+_INTERVALS = ((1e-4, 0.02), (0.98, 1.0 - 1e-4), (0.49, 0.51), (0.5, 0.50005))
+# the points each case evaluates, per interval: the block count alone cannot
+# see an extra probe
+_GOLDEN_POINTS = {
+    _zeros: (47, 46, 53, 4), _plateaus: (47, 46, 53, 4), _bump_of_plateaus: (47, 46, 53, 4), _wavy: (49, 46, 56, 4),
+}
+
+
+@pytest.mark.parametrize("lo, hi", _INTERVALS)
+@pytest.mark.parametrize("f", tuple(_GOLDEN_POINTS), ids=("zeros", "plateaus", "bump", "wavy"))
 def test_golden_blocks_walk_the_sequential_search(f, lo, hi):
     probes, blocks = [], []
 
@@ -250,10 +260,10 @@ def test_golden_blocks_walk_the_sequential_search(f, lo, hi):
         blocks.append(points)
         return [f(x) for x in points]
 
-    tol = rates_finite._P01_TOL
-    assert rates_finite._golden_max(block, lo, hi, tol) == golden_max_reference(scalar, lo, hi, tol)
+    assert rates_finite._golden_max(block, lo, hi) == golden_max_reference(scalar, lo, hi, rates_finite._P01_TOL)
     evaluated = [x for points in blocks for x in points]
     assert set(probes) <= set(evaluated) and len(set(evaluated)) == len(evaluated)
+    assert len(evaluated) == _GOLDEN_POINTS[f][_INTERVALS.index((lo, hi))]
     iterations = len(probes) - 4
     assert len(blocks) == max(1, math.ceil(iterations / rates_finite._GOLDEN_DEPTH))
 

@@ -9,6 +9,7 @@ from quditkd.errors import NonPrimeDimension, OutOfRange
 from quditkd.info_theory import depolarizing_vector, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
 from quditkd.qudit_algebra import Dim
+import quditkd.rates_asymptotic as rates_asymptotic
 from quditkd.rates_asymptotic import critical_q, ie_depolarizing, r_infinity
 
 
@@ -99,7 +100,8 @@ def test_ie_depolarizing_zero_noise_and_domain():
     for family in Family:
         for d in (2, 3, 5):
             spec = ProtocolSpec(family, d)
-            assert ie_depolarizing(spec, (d - 1) / d) == r_infinity(spec, (d - 1) / d).i_e
+            for q in (0.0, 0.001, 0.05, 0.1, 0.15, 0.3, (d - 1) / d):
+                assert ie_depolarizing(spec, q) == r_infinity(spec, q).i_e
             for q in ((d - 1) / d + 1e-6, d / (d + 1)):
                 with pytest.raises(OutOfRange):
                     ie_depolarizing(spec, q)
@@ -127,6 +129,22 @@ def test_q_just_below_zero_is_q_zero_for_both_families(family):
     spec = ProtocolSpec(family, 3)
     below, zero = r_infinity(spec, -1e-13), r_infinity(spec, 0.0)
     assert (below.i_e, below.h_ab, below.r_inf, below.r_inf_raw) == (zero.i_e, zero.h_ab, zero.r_inf, zero.r_inf_raw)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_r_infinity_builds_one_depolarizing_vector_and_calls_the_kernel_once(monkeypatch, family):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("depolarizing_vector", "_holevo_pairs"):
+        monkeypatch.setattr(rates_asymptotic, name, counting(name, getattr(rates_asymptotic, name)))
+    r_infinity(ProtocolSpec(family, 5), 0.05)
+    assert sorted(calls) == ["_holevo_pairs", "depolarizing_vector"]
 
 
 def test_ie_depolarizing_table_thresholds():

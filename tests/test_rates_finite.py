@@ -306,3 +306,34 @@ def test_dplus1_single_mode_can_saturate_reconstruction():
     rep = optimize_r_finite(ProtocolSpec(Family.DPLUS1, 5), 0.05, 10**5, 1e-5, 1e-10,
                             mode=FluxMode.SINGLE)
     assert rep.r_n == 0.0
+
+
+def test_a_family_or_flux_mode_given_as_its_value_is_that_member():
+    budget = FiniteKeyBudget(10**7, 1e-5, 1e-10)
+    params = FreeParams(0.7, 1e-6, 1e-7, 1e-6)
+    for family, mode in itertools.product(Family, FluxMode):
+        by_member, by_value = ProtocolSpec(family, 5), ProtocolSpec(family.value, 5)
+        assert by_value == by_member and by_value.family is family
+        assert repr(r_infinity(by_value, 0.05)) == repr(r_infinity(by_member, 0.05))
+        assert repr(r_finite(by_value, 0.05, budget, params, mode.value)) == repr(
+            r_finite(by_member, 0.05, budget, params, mode)
+        )
+        assert repr(optimize_r_finite(by_value, 0.05, 10**7, 1e-5, 1e-10, mode.value)) == repr(
+            optimize_r_finite(by_member, 0.05, 10**7, 1e-5, 1e-10, mode)
+        )
+        nominal = depolarizing_vector(by_member.dim, 0.05)
+        assert worst_case_vector(nominal, 0.02, mode.value).tolist() == worst_case_vector(nominal, 0.02, mode).tolist()
+    # a two-basis spec keeps two bases at a prime or a composite d
+    assert ProtocolSpec("two-basis", 5).n_bases == ProtocolSpec("two-basis", 4).n_bases == 2
+
+
+def test_an_unknown_family_or_flux_mode_raises():
+    with pytest.raises(ValueError, match="not a valid Family"):
+        ProtocolSpec("bogus", 4)
+    spec = ProtocolSpec(Family.TWO_BASIS, 5)
+    with pytest.raises(ValueError, match="not a valid FluxMode"):
+        r_finite(spec, 0.05, FiniteKeyBudget(10**7, 1e-5, 1e-10), FreeParams(0.7, 1e-6, 1e-7, 1e-6), "nonsense")
+    with pytest.raises(ValueError, match="not a valid FluxMode"):
+        optimize_r_finite(spec, 0.05, 10**7, 1e-5, 1e-10, mode="nonsense")
+    with pytest.raises(ValueError, match="not a valid FluxMode"):
+        worst_case_vector(depolarizing_vector(spec.dim, 0.05), 0.02, "nonsense")

@@ -21,6 +21,17 @@ else 0. The corpus:
 - finite-key budgets at the edges of the accepted range, for two-basis
   d in {2, 6, 32} and dplus1 d in {5, 11, 31}, up to N = the float maximum.
 
+The CLI prints 10 digits, so a last-bit change of a rate cannot show in
+its output. So one more fresh process per tree prints the repr of each
+library result of `print_reprs`, and one line is printed for each result
+that differs:
+
+- `critical_q` at every supported (family, d);
+- `r_infinity` at each Q of the `asymptotic` sweeps above;
+- `optimize_r_finite` for both families at d in {2, 3, 11} and 32
+  (two-basis) or 31 (dplus1), x Q in {0, 0.01, 0.05, 0.12} x N in
+  {1e3, 1e6, 1e9, 1e12} x every flux mode, at eps = 1e-5, eps_EC = 1e-10.
+
 The two trees are compared under one BLAS thread, since the last digit of a
 `verify` max_err can depend on the thread count.
 """
@@ -41,6 +52,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+DIMS = [("two-basis", d) for d in range(2, 33)] + [("dplus1", d) for d in PRIMES]  # every supported (family, d)
+TABLES = [("two-basis", d) for d in (2, 3, 11, 32)] + [("dplus1", d) for d in (2, 3, 11, 31)]
 FLOAT_MAX = "1.7976931348623157e308"
 JOBS = 2  # commands run at once
 BUDGETS = (
@@ -78,14 +91,12 @@ def bench_commands() -> list[list[str]]:
 
 def corpus() -> list[list[str]]:
     commands = readme_commands() + bench_commands()
-    tables = [("two-basis", d) for d in (2, 3, 11, 32)] + [("dplus1", d) for d in (2, 3, 11, 31)]
-    for (family, d), mode, q in itertools.product(tables, ("equal", "single", "brute"), ("0", "0.05", "0.12")):
+    for (family, d), mode, q in itertools.product(TABLES, ("equal", "single", "brute"), ("0", "0.05", "0.12")):
         commands.append(["finite-key", "--dim", str(d), "--family", family, "--flux-mode", mode, "--q", q,
                          "--n-min", "1e3", "--n-max", "1e12", "--n-points", "4", "--format", "json"])
-    dims = [("two-basis", d) for d in range(2, 33)] + [("dplus1", d) for d in PRIMES]
     commands.append(["critical-q", "--dims", "2..32"])
     commands.append(["critical-q", "--dims", ",".join(map(str, PRIMES)), "--family", "dplus1"])
-    for family, d in dims:
+    for family, d in DIMS:
         commands.append(["asymptotic", "--dim", str(d), "--family", family,
                          "--q-min", "0", "--q-max", "0.99", "--q-step", "0.001"])
     edges = [("two-basis", d) for d in (2, 6, 32)] + [("dplus1", d) for d in (5, 11, 31)]
@@ -95,10 +106,43 @@ def corpus() -> list[list[str]]:
     return commands
 
 
+def print_reprs() -> None:
+    """Print one `name args: repr` line per library result of the module
+    docstring, in a process whose `quditkd` is the tree under test."""
+    from quditkd import Family, FluxMode, ProtocolSpec, critical_q, optimize_r_finite, r_infinity
+
+    # enum members, since an older tree may read a family's string value as
+    # another family
+    for family, d in DIMS:
+        print(f"critical_q {family} {d}: {critical_q(ProtocolSpec(Family(family), d))!r}")
+    for family, d in DIMS:
+        spec = ProtocolSpec(Family(family), d)
+        # the `asymptotic --q-min 0 --q-max 0.99 --q-step 0.001` values
+        for q in (0.0 + i * 0.001 for i in range(991)):
+            if q <= (d - 1) / d + 1e-12:
+                print(f"r_infinity {family} {d} {q!r}: {r_infinity(spec, q)!r}")
+    for (family, d), q, n, mode in itertools.product(TABLES, (0.0, 0.01, 0.05, 0.12), (10**3, 10**6, 10**9, 10**12),
+                                                     FluxMode):
+        report = optimize_r_finite(ProtocolSpec(Family(family), d), q, n, 1e-5, 1e-10, mode)
+        print(f"optimize_r_finite {family} {d} {q!r} {n} {mode.value}: {report!r}")
+
+
+def _env(src: Path) -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+
+
 def run(src: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-m", "quditkd", *argv], cwd=ROOT, env=env, capture_output=True)
+    done = subprocess.run([sys.executable, "-m", "quditkd", *argv], cwd=ROOT, env=_env(src), capture_output=True)
     return done.returncode, done.stdout, done.stderr
+
+
+def reprs(src: Path) -> list[str]:
+    """The lines of `print_reprs` in a fresh process against `src`."""
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import compare_outputs; compare_outputs.print_reprs()"
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=_env(src), capture_output=True, text=True)
+    if done.returncode != 0:
+        return [f"print_reprs exits {done.returncode}: {done.stderr.strip().splitlines()[-1:]}"]
+    return done.stdout.splitlines()
 
 
 def export_src(rev: str, into: Path) -> Path:
@@ -126,11 +170,16 @@ def main() -> int:
             return f"{', '.join(parts)}: quditkd {shlex.join(argv)}"
 
         with ThreadPoolExecutor(JOBS) as pool:
+            base_reprs, head_reprs = pool.map(reprs, (base_src, ROOT / "src"))
             diffs = [line for line in pool.map(compare, commands) if line]
-    for line in diffs:
+    changed = [f"repr {base} -> {head}" for base, head in zip(base_reprs, head_reprs) if base != head]
+    if len(base_reprs) != len(head_reprs):
+        changed.append(f"repr lines {len(base_reprs)} -> {len(head_reprs)}")
+    for line in diffs + changed:
         print(line)
-    print(f"{len(diffs)} of {len(commands)} commands differ from {args.base_rev}", file=sys.stderr)
-    return 1 if diffs else 0
+    print(f"{len(diffs)} of {len(commands)} commands and {len(changed)} of {len(head_reprs)} repr lines "
+          f"differ from {args.base_rev}", file=sys.stderr)
+    return 1 if diffs or changed else 0
 
 
 if __name__ == "__main__":
