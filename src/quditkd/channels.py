@@ -34,8 +34,7 @@ from .errors import (
     OutOfRange,
 )
 from .info_theory import ENTRY_SLACK, SUM_SLACK, as_prob_vector
-from .protocol import ProtocolSpec
-from .qudit_algebra import Dim
+from .protocol import Dim, ProtocolSpec
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ Subcommands compute critical-noise tables, asymptotic and finite-key rate
 sweeps, Monte Carlo validation runs, and the algebraic self-check suite.
 Each `cmd_*` returns its output text and exit code, and `main` writes the
 text once, to stdout or to the `--out` file that every subcommand takes.
+This module imports only the standard library, `errors` and `protocol`;
+each `cmd_*` imports the modules it runs, so `--help` and a usage error
+load no numpy and each command loads only what it computes with.
 Table output is CSV (default) or JSON, its columns the keys of the rows;
 numbers are emitted at 10 significant digits so files round-trip exactly.
 All commands are deterministic for fixed inputs and seed.
@@ -25,17 +28,13 @@ import os
 import re
 import sys
 from dataclasses import asdict
-from typing import Any, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
-import numpy as np
-
-from . import verification
-from .channels import depolarizing_spectrum
 from .errors import QkdError
-from .protocol import Family, ProtocolSpec
-from .rates_asymptotic import critical_q, r_infinity
-from .rates_finite import TERMS, FluxMode, optimize_r_finite
-from .simulator import SimConfig, SimResult, run_simulation, sifting_fraction
+from .protocol import Family, FluxMode, ProtocolSpec
+
+if TYPE_CHECKING:
+    from .simulator import SimConfig, SimResult
 
 MAX_DIM = 32  # verify's largest arrays are O(d^3): one shift's window of Bell vectors (under 1 MB at the cap)
 MAX_SWEEP = 10_000  # Q values in one asymptotic sweep
@@ -138,6 +137,8 @@ def _table(command: str, params: dict[str, Any], rows: list[dict[str, Any]], fmt
 
 
 def cmd_critical_q(args: argparse.Namespace) -> tuple[str, int]:
+    from .rates_asymptotic import critical_q
+
     rows = [
         {"d": d, "family": args.family, "q_crit_percent": 100.0 * critical_q(ProtocolSpec(args.family, d))}
         for d in args.dims
@@ -168,6 +169,8 @@ def _q_sweep(args: argparse.Namespace, d: int) -> list[float]:
 
 
 def cmd_asymptotic(args: argparse.Namespace) -> tuple[str, int]:
+    from .rates_asymptotic import r_infinity
+
     spec = ProtocolSpec(args.family, args.dim)
     rows = [
         {"d": args.dim, "family": spec.family.value, **asdict(r_infinity(spec, q))}
@@ -181,6 +184,8 @@ def _n_grid(n_min: int, n_max: int, n_points: int) -> list[int]:
         raise QkdError(f"bad N grid: min={n_min} max={n_max} points={n_points} (at most {MAX_N_POINTS})")
     if n_points == 1:
         return [n_min]
+    import numpy as np
+
     lo, hi = np.log10(float(n_min)), np.log10(float(n_max))  # np.logspace's arithmetic, not its code
     with np.errstate(over="ignore"):  # near the float maximum a point can round up to inf
         inner = 10.0 ** (np.arange(1.0, n_points - 1) * ((hi - lo) / (n_points - 1)) + lo)
@@ -193,6 +198,8 @@ def _n_grid(n_min: int, n_max: int, n_points: int) -> list[int]:
 
 
 def cmd_finite_key(args: argparse.Namespace) -> tuple[str, int]:
+    from .rates_finite import TERMS, optimize_r_finite
+
     spec = ProtocolSpec(args.family, args.dim)
     rows = []
     for n_signals in _n_grid(args.n_min, args.n_max, args.n_points):
@@ -245,6 +252,9 @@ _SIM_PARSERS = {
 
 
 def _sim_config_from(args: argparse.Namespace) -> tuple[SimConfig, dict[str, Any]]:
+    from .channels import depolarizing_spectrum
+    from .simulator import SimConfig
+
     values: dict[str, Any] = {}
     if args.config is not None:
         pairs = _load_sim_config(args.config)
@@ -281,6 +291,8 @@ def _sim_config_from(args: argparse.Namespace) -> tuple[SimConfig, dict[str, Any
 
 
 def _sim_result_json(result: SimResult, echo: dict[str, Any]) -> str:
+    from .simulator import sifting_fraction
+
     per_basis = []
     for st in result.per_basis:
         per_basis.append(
@@ -309,13 +321,17 @@ def _sim_result_json(result: SimResult, echo: dict[str, Any]) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
+    from .simulator import run_simulation
+
     cfg, echo = _sim_config_from(args)
     result = run_simulation(cfg)
     return _sim_result_json(result, echo), 0 if result.all_passed else 3
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    results = verification.run_suite(args.dims)
+    from .verification import run_suite
+
+    results = run_suite(args.dims)
     failures = sum(not r.passed for r in results)
     lines = [r.line() for r in results] + [f"{len(results)} checks, {failures} failures"]
     return "\n".join(lines) + "\n", 0 if failures == 0 else 3

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidDistribution, OutOfRange
-from .qudit_algebra import Dim
+from .protocol import Dim
 
 ENTRY_SLACK = 1e-12
 SUM_SLACK = 1e-9

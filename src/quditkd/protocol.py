@@ -1,27 +1,73 @@
-"""Protocol families and their basis sets.
+"""Qudit dimensions, protocol families and their basis sets.
 
 Two families are supported: the two-basis protocol measuring in the
 eigenbases of U_01 and U_10, and the (d+1)-basis protocol additionally
 measuring the whole U_1k family. The latter relies on the complete set of
 mutually unbiased bases and is therefore restricted to prime d. The key is
 always drawn from the U_01 (computational) basis.
+
+This module imports no numpy: the CLI parses its arguments and builds a
+`ProtocolSpec` before any array code is loaded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NonPrimeDimension
-from .qudit_algebra import Dim, WeylIndex, basis_for
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def is_prime(n: int) -> bool:
+    """Trial-division primality test; dimensions here are small."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+@dataclass(frozen=True)
+class Dim:
+    """Qudit dimension with cached primality."""
+
+    d: int
+    prime: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.d, int) or self.d < 2:
+            raise ValueError(f"qudit dimension must be an integer >= 2, got {self.d!r}")
+        object.__setattr__(self, "prime", is_prime(self.d))
+
+
+class WeylIndex(NamedTuple):
+    """Displacement index (j, k) of a Weyl operator: j shifts, k phases."""
+
+    j: int | np.ndarray
+    k: int | np.ndarray
 
 
 class Family(str, Enum):
     TWO_BASIS = "two-basis"
     DPLUS1 = "dplus1"
+
+
+class FluxMode(str, Enum):
+    """Where the finite-key worst case puts the fluctuation budget xi."""
+
+    EQUAL = "equal"
+    SINGLE = "single"
+    BRUTE = "brute"
 
 
 KEY_BASIS = WeylIndex(0, 1)
@@ -57,4 +103,6 @@ class ProtocolSpec:
 
 def protocol_bases(spec: ProtocolSpec) -> list[np.ndarray]:
     """Sender-side measurement bases as `basis_for` arrays, key basis first."""
+    from .qudit_algebra import basis_for
+
     return [basis_for(spec.dim, idx) for idx in spec.basis_indices]

@@ -19,44 +19,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
-
 import numpy as np
 
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; dimensions here are small."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-@dataclass(frozen=True)
-class Dim:
-    """Qudit dimension with cached primality."""
-
-    d: int
-    prime: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 2:
-            raise ValueError(f"qudit dimension must be an integer >= 2, got {self.d!r}")
-        object.__setattr__(self, "prime", is_prime(self.d))
-
-
-class WeylIndex(NamedTuple):
-    """Displacement index (j, k) of a Weyl operator: j shifts, k phases."""
-
-    j: int | np.ndarray
-    k: int | np.ndarray
+from .protocol import Dim, WeylIndex
 
 
 def _check_index(dim: Dim, idx: WeylIndex) -> WeylIndex:

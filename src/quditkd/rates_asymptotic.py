@@ -12,7 +12,7 @@ H(lam) - H(q_01); for the two-basis family the spectrum is only partially
 constrained and maximizing over the compatible set gives I_E = H(q_10)
 (rows proportional to q_10 are feasible and Jensen's inequality makes them
 optimal, see the grid oracle in the tests). Both are computed one way, by
-`rates_finite._holevo_pairs`: `r_infinity` reads it on the nominal pair of
+`adversary._holevo_pairs`: `r_infinity` reads it on the nominal pair of
 one depolarizing vector, whose entropy is H(q_key), and the finite-key worst
 case on the shifted pair. The kernel on arbitrary error statistics is the
 tests' oracle, `adversary_information_rows` in `tests/oracles.py`.
@@ -31,10 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .adversary import _holevo_pairs
 from .errors import NoRoot
 from .info_theory import depolarizing_vector, entropy_unchecked
 from .protocol import ProtocolSpec
-from .rates_finite import _holevo_pairs
 
 BISECTION_TOL = 1e-9  # interval width; spec'd accuracy is 1e-6
 BISECTION_MAX_ITER = 200

@@ -49,8 +49,8 @@ import numpy as np
 from .channels import BellSpectrum, check_spectrum_dim, q_from_lambda
 from .errors import DimensionTooLarge, InvalidDistribution, OutOfRange
 from .info_theory import as_prob_vector
-from .protocol import ProtocolSpec, protocol_bases
-from .qudit_algebra import Dim, WeylIndex, bell_matrix
+from .protocol import Dim, ProtocolSpec, WeylIndex, protocol_bases
+from .qudit_algebra import bell_matrix
 
 EXACT_DIM_CAP = 11
 CHI2_CONFIDENCE = 0.999

@@ -24,14 +24,8 @@ from typing import Iterable
 import numpy as np
 
 from .channels import lambda_entries_from_q, q_entries_from_lambda
-from .protocol import Family, ProtocolSpec, protocol_bases
-from .qudit_algebra import (
-    Dim,
-    WeylIndex,
-    bell_matrix,
-    commutator_phase,
-    weyl_operator,
-)
+from .protocol import Dim, Family, ProtocolSpec, WeylIndex, protocol_bases
+from .qudit_algebra import bell_matrix, commutator_phase, weyl_operator
 
 FULL_ENUM_CAP = 7
 SAMPLE_COUNT = 200

@@ -9,9 +9,11 @@ from quditkd.channels import BellSpectrum, lambda_entries_from_q, lambda_from_q,
 from quditkd.info_theory import depolarizing_vector, entropy_rows, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec, protocol_bases
 from quditkd.qudit_algebra import Dim, WeylIndex, basis_for, bell_matrix
+import quditkd.adversary as adversary
 import quditkd.rates_finite as rates_finite
 import quditkd.simulator as simulator
-from quditkd.rates_finite import CLAMP_MASS_TOL, FiniteKeyBudget, FiniteRateReport, FluxMode, FreeParams, r_finite
+from quditkd.adversary import CLAMP_MASS_TOL
+from quditkd.rates_finite import FiniteKeyBudget, FiniteRateReport, FluxMode, FreeParams, r_finite
 from quditkd.verification import SAMPLE_SEED
 
 
@@ -49,9 +51,9 @@ def adversary_information_rows(spec: ProtocolSpec, stats: np.ndarray) -> tuple[n
 
 
 def shift_one(q, xi_val: float, mode: FluxMode = FluxMode.EQUAL) -> np.ndarray | None:
-    """`rates_finite._shift_rows` on the one row q at radius xi_val: the
+    """`adversary._shift_rows` on the one row q at radius xi_val: the
     shifted row, or None when it saturates."""
-    bumped, saturated = rates_finite._shift_rows(np.asarray(q, dtype=float), np.array([xi_val]), mode)
+    bumped, saturated = adversary._shift_rows(np.asarray(q, dtype=float), np.array([xi_val]), mode)
     return None if saturated[0] else bumped[0]
 
 

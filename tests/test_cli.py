@@ -15,6 +15,9 @@ import pytest
 
 from oracles import n_grid_reference
 import quditkd.cli
+import quditkd.rates_asymptotic
+import quditkd.rates_finite
+import quditkd.simulator
 import quditkd.verification
 from quditkd.cli import (
     _SIM_PARSERS, MAX_CONFIG_BYTES, MAX_DIM, MAX_N_POINTS, MAX_ROUNDS, _n_grid, build_parser, main, parse_count,
@@ -258,9 +261,15 @@ def test_unwritable_out_exits_2_with_one_line(capsys, monkeypatch, tmp_path, tar
     def refuse(*args, **kwargs):
         raise AssertionError("the command ran before its --out path was checked")
 
-    for name in ("critical_q", "r_infinity", "optimize_r_finite", "run_simulation"):
-        monkeypatch.setattr(quditkd.cli, name, refuse)
-    monkeypatch.setattr(quditkd.verification, "run_suite", refuse)
+    # each command imports its computation from the home module when it runs
+    for module, name in (
+        (quditkd.rates_asymptotic, "critical_q"),
+        (quditkd.rates_asymptotic, "r_infinity"),
+        (quditkd.rates_finite, "optimize_r_finite"),
+        (quditkd.simulator, "run_simulation"),
+        (quditkd.verification, "run_suite"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
     path = str(tmp_path / target)
     for argv in (
         ["critical-q", "--dims", "2"],

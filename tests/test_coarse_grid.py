@@ -26,12 +26,13 @@ from oracles import (
     xi_reference,
 )
 
+import quditkd.adversary as adversary
 import quditkd.rates_finite as rates_finite
+from quditkd.adversary import CLAMP_MASS_TOL
 from quditkd.channels import lambda_entries_from_q
 from quditkd.info_theory import depolarizing_vector
 from quditkd.protocol import Family, ProtocolSpec
 from quditkd.rates_finite import (
-    CLAMP_MASS_TOL,
     FiniteKeyBudget,
     FiniteRateReport,
     FluxMode,
@@ -112,7 +113,7 @@ def test_saturated_rows_are_masked_not_raised():
     nominal = depolarizing_vector(spec.dim, 0.05)
     xi_key = np.array([1e-3, 0.2, 1e-3, 1.7e308])
     xi_check = np.array([1e-3, 1e-3, 2.0, 1e-3])
-    info, saturated = rates_finite._worst_case_holevo_rows(spec, nominal, xi_key, xi_check, EQUAL)
+    info, saturated = adversary._worst_case_holevo_rows(spec, nominal, xi_key, xi_check, EQUAL)
     assert saturated.tolist() == [False, True, True, True]
     for row in range(4):
         check = shift_one(nominal, xi_check[row])

@@ -5,11 +5,12 @@ must be read in its own module: a name imported for another module's sake
 is imported there instead. Every module-level constant must be read in its
 own module, or be named in another module of the package or in a file
 under `tests/`. Every module-level function and class must be read
-somewhere under `src/`: called or referenced in the package's code, or
-imported by another of its modules. Tests do not count, since a helper
-only tests use belongs in `tests/oracles.py`; the one exception is a
-function that `bench/tracing.py` lists in `TARGETS`, whose metrics read it
-by name. A name that nothing reads is deleted rather than kept "for later".
+somewhere under `src/`: called or referenced in the package's code,
+imported by another of its modules, or named in `__init__`'s lazy table
+`_HOMES`, which reads it as an import did. Tests do not count, since a
+helper only tests use belongs in `tests/oracles.py`; the one exception is
+a function that `bench/tracing.py` lists in `TARGETS`, whose metrics read
+it by name. A name that nothing reads is deleted rather than kept "for later".
 """
 
 import ast
@@ -36,13 +37,26 @@ def _module_level_names(tree: ast.Module):
             yield from (("constant", target.id) for target in targets if isinstance(target, ast.Name))
 
 
+def _served(tree: ast.Module) -> set[str]:
+    """The names in the tuples of the module-level `_HOMES` table, which
+    `__init__` imports by name on first use."""
+    return {
+        element.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "_HOMES" for target in node.targets)
+        for names in node.value.values
+        for element in names.elts
+    }
+
+
 def _reads(path: Path, own: bool) -> set[str]:
-    """The names the module at `path` reads in code: attributes and the
-    names it imports, which is how another module reaches a function, and
-    with `own` also its bare loaded names. Docstrings and comments do not
-    count."""
-    reads = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    """The names the module at `path` reads in code: attributes, the names
+    it imports and those its `_HOMES` table serves, which is how another
+    module reaches a function, and with `own` also its bare loaded names.
+    Docstrings and comments do not count."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = _served(tree)
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             reads.add(node.attr)
         elif isinstance(node, ast.ImportFrom):

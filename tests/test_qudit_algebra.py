@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from quditkd.protocol import Family, ProtocolSpec, protocol_bases
+from quditkd.protocol import Family, ProtocolSpec, is_prime, protocol_bases
 from quditkd.qudit_algebra import (
     Dim,
     WeylIndex,
     basis_for,
     bell_matrix,
     commutator_phase,
-    is_prime,
     weyl_operator,
 )
 

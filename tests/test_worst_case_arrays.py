@@ -16,11 +16,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import adversary_information_rows, r_finite_reference, shift_one
 
-import quditkd.rates_finite as rates_finite
+import quditkd.adversary as adversary
+from quditkd.adversary import CLAMP_MASS_TOL
 from quditkd.channels import lambda_entries_from_q
 from quditkd.info_theory import depolarizing_vector
 from quditkd.protocol import Family, ProtocolSpec
-from quditkd.rates_finite import CLAMP_MASS_TOL, FiniteKeyBudget, FluxMode, FreeParams, r_finite, xi
+from quditkd.rates_finite import FiniteKeyBudget, FluxMode, FreeParams, r_finite, xi
 
 TWO_BASIS, DPLUS1 = Family.TWO_BASIS, Family.DPLUS1
 EQUAL, SINGLE, BRUTE = FluxMode.EQUAL, FluxMode.SINGLE, FluxMode.BRUTE
@@ -183,7 +184,7 @@ def test_shared_check_kernel_equals_the_spectrum_reconstruction(pairs):
     # kernel in its own order, which leaves H(r_0) and P_0 unchanged
     keys, checks = pairs
     d = keys.shape[1]
-    info, saturated = rates_finite._holevo_pairs(ProtocolSpec(DPLUS1, d), keys, checks)
+    info, saturated = adversary._holevo_pairs(ProtocolSpec(DPLUS1, d), keys, checks)
     stats = np.concatenate([keys[:, None], np.repeat(checks[:, None], d, axis=1)], axis=1)
     expected, expected_saturated = adversary_information_rows(ProtocolSpec(DPLUS1, d), stats)
     assert saturated.tolist() == expected_saturated.tolist()
@@ -197,14 +198,14 @@ def test_shared_check_kernel_equals_the_spectrum_reconstruction(pairs):
 def test_r_finite_shifts_at_most_two_vectors(monkeypatch, family, d, n_signals, calls):
     # one shifted check vector serves every check basis; a degenerate
     # sample short-circuits before the adversary bound
-    shift_rows = rates_finite._shift_rows
+    shift_rows = adversary._shift_rows
     seen = []
 
     def counting(q, xi_vals, *args, **kwargs):
         seen.append(len(xi_vals))
         return shift_rows(q, xi_vals, *args, **kwargs)
 
-    monkeypatch.setattr(rates_finite, "_shift_rows", counting)
+    monkeypatch.setattr(adversary, "_shift_rows", counting)
     spec = ProtocolSpec(family, d)
     r_finite(spec, 0.05, FiniteKeyBudget(n_signals, 1e-5, 1e-10), PARAMS)
     assert sum(seen) == calls
@@ -246,7 +247,7 @@ def test_worst_case_information_rises_toward_saturation(family, d, q):
     spec = ProtocolSpec(family, d)
     nominal = depolarizing_vector(spec.dim, q)
     radii = np.array([xi(int(m), d, 1e-7) for m in np.logspace(8, 1, 60).astype(int)])
-    info, saturated = rates_finite._worst_case_holevo_rows(spec, nominal, radii, radii, EQUAL)
+    info, saturated = adversary._worst_case_holevo_rows(spec, nominal, radii, radii, EQUAL)
     previous = 0.0
     for i_e, sat in zip(info, saturated):
         if sat:
@@ -264,7 +265,7 @@ def test_two_basis_worst_case_never_reads_the_key_radius(d, mode):
     nominal = depolarizing_vector(spec.dim, 0.05)
     xi_check = np.full(4, 1e-3)
     results = [
-        rates_finite._worst_case_holevo_rows(spec, nominal, np.full(4, xi_key), xi_check, mode)
+        adversary._worst_case_holevo_rows(spec, nominal, np.full(4, xi_key), xi_check, mode)
         for xi_key in (0.0, 1e-3, 3.0, 1.7e308)
     ]
     info, saturated = results[0]

@@ -19,7 +19,10 @@ else 0. The corpus:
 - `critical-q` over every supported d of both families, and an `asymptotic`
   sweep of Q from 0 to 0.99 in steps of 0.001 at each of those d;
 - finite-key budgets at the edges of the accepted range, for two-basis
-  d in {2, 6, 32} and dplus1 d in {5, 11, 31}, up to N = the float maximum.
+  d in {2, 6, 32} and dplus1 d in {5, 11, 31}, up to N = the float maximum;
+- `quditkd --help`, each subcommand's `--help`, and the usage and domain
+  errors of `ERRORS`, whose exit code and `error:` line must not change
+  with what the CLI loads before it parses its arguments.
 
 The CLI prints 10 digits, so a last-bit change of a rate cannot show in
 its output. So one more fresh process per tree prints the repr of each
@@ -68,6 +71,20 @@ BUDGETS = (
     ("2.2250738585072014e-308", "5e-324"),  # eps - eps_EC one float below the least normal float
     ("1e-320", "5e-324"),
 )
+SUBCOMMANDS = ("critical-q", "asymptotic", "finite-key", "simulate", "verify")
+ERRORS = (
+    [],  # no subcommand
+    ["bogus"],
+    ["finite-key", "--dim", "3", "--flux-mode", "x"],
+    ["critical-q", "--dims", "2", "--family", "bogus"],
+    ["simulate", "--dim", "3", "--family", "bogus"],
+    ["critical-q", "--dims", "4", "--family", "dplus1"],
+    ["asymptotic", "--family", "dplus1"],
+    ["finite-key", "--q", "0.05"],
+    ["asymptotic", "--dim", "6", "--family", "dplus1", "--q", "0.05"],
+    ["verify", "--dims", "40"],
+    ["finite-key", "--dim", "2", "--q", "0.9"],
+)
 
 
 def readme_commands() -> list[list[str]]:
@@ -90,7 +107,8 @@ def bench_commands() -> list[list[str]]:
 
 
 def corpus() -> list[list[str]]:
-    commands = readme_commands() + bench_commands()
+    commands = readme_commands() + bench_commands() + [["--help"]] + [[sub, "--help"] for sub in SUBCOMMANDS]
+    commands += [list(argv) for argv in ERRORS]
     for (family, d), mode, q in itertools.product(TABLES, ("equal", "single", "brute"), ("0", "0.05", "0.12")):
         commands.append(["finite-key", "--dim", str(d), "--family", family, "--flux-mode", mode, "--q", q,
                          "--n-min", "1e3", "--n-max", "1e12", "--n-points", "4", "--format", "json"])
