@@ -144,12 +144,12 @@ def depolarizing_spectrum(dim: Dim, q: float) -> BellSpectrum:
     """Bell spectrum of the depolarizing channel at error rate Q.
 
     lam[0,0] = 1 - (d+1)Q/d and every other weight is Q/(d(d-1)); lam[0,0]
-    stays nonnegative for Q up to d/(d+1).
+    stays nonnegative for Q up to d/(d+1). Q is read as a Python float.
     """
     d = dim.d
     if not (-ENTRY_SLACK <= q <= d / (d + 1) + ENTRY_SLACK):
         raise OutOfRange(f"Q={q!r} outside [0, {d / (d + 1)}] for d={d}")
-    q = min(max(q, 0.0), d / (d + 1))
+    q = min(max(float(q), 0.0), d / (d + 1))
     lam = np.full((d, d), q / (d * (d - 1)))
     lam[0, 0] = 1.0 - (d + 1) * q / d
     return BellSpectrum(lam)

@@ -32,10 +32,6 @@ class NegativeSpectrum(QkdError):
     i.e. the supplied statistics are mutually inconsistent."""
 
 
-class NoRoot(QkdError):
-    """A bracketing root search found no sign change."""
-
-
 class DegenerateSample(QkdError):
     """A statistical bound was requested for an empty sample."""
 

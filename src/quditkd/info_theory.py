@@ -44,26 +44,22 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
     return -(p * terms).sum(axis=1) + 0.0  # avoid -0.0
 
 
-def entropy_unchecked(p: np.ndarray) -> float:
-    """H(p) = -sum_i p_i log2 p_i of a 1-d array already on the simplex."""
-    return float(entropy_rows(p[None])[0])
-
-
 def shannon_entropy(p) -> float:
     """H(p) of a probability vector, validated with `as_prob_vector` first."""
-    return entropy_unchecked(as_prob_vector(p))
+    return float(entropy_rows(as_prob_vector(p)[None])[0])
 
 
 def depolarizing_vector(dim: Dim, q: float) -> np.ndarray:
     """Error vector (1-Q, Q/(d-1), ..., Q/(d-1)) of a depolarizing channel.
 
     Q above (d-1)/d would put more weight on each wrong outcome than the
-    right one, which is outside the regime treated here.
+    right one, which is outside the regime treated here. A numpy float Q
+    is read as a Python float, so the vector is float64 whatever its type.
     """
     d = dim.d
     if not (-ENTRY_SLACK <= q <= (d - 1) / d + ENTRY_SLACK):
         raise OutOfRange(f"Q={q!r} outside [0, {(d - 1) / d}] for d={d}")
-    q = min(max(q, 0.0), (d - 1) / d)
+    q = min(max(float(q), 0.0), (d - 1) / d)
     vec = np.full(d, q / (d - 1))
     vec[0] = 1.0 - q
     return vec

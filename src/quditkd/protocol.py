@@ -12,6 +12,7 @@ This module imports no numpy: the CLI parses its arguments and builds a
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -39,15 +40,17 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Dim:
-    """Qudit dimension with cached primality."""
+    """Qudit dimension with cached primality; any integer type (a numpy
+    integer too) is stored as a plain int."""
 
     d: int
     prime: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 2:
+        d = operator.index(self.d) if hasattr(self.d, "__index__") else 0
+        if d < 2:
             raise ValueError(f"qudit dimension must be an integer >= 2, got {self.d!r}")
-        object.__setattr__(self, "prime", is_prime(self.d))
+        self.__dict__.update(d=d, prime=is_prime(d))  # frozen: past the dataclass __setattr__
 
 
 class WeylIndex(NamedTuple):

@@ -32,12 +32,10 @@ import math
 from dataclasses import dataclass
 
 from .adversary import _holevo_pairs
-from .errors import NoRoot
-from .info_theory import depolarizing_vector, entropy_unchecked
+from .info_theory import depolarizing_vector, entropy_rows
 from .protocol import ProtocolSpec
 
 BISECTION_TOL = 1e-9  # interval width; spec'd accuracy is 1e-6
-BISECTION_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -55,9 +53,9 @@ def r_infinity(spec: ProtocolSpec, q: float) -> RateReport:
     at zero radius, and H(q_key) the entropy of the same vector."""
     vec = depolarizing_vector(spec.dim, q)
     i_e = float(_holevo_pairs(spec, vec[None], vec[None])[0][0])
-    h_ab = entropy_unchecked(vec)
+    h_ab = float(entropy_rows(vec[None])[0])
     raw = math.log2(spec.dim.d) - h_ab - i_e
-    return RateReport(q=q, i_e=i_e, h_ab=h_ab, r_inf=max(raw, 0.0), r_inf_raw=raw)
+    return RateReport(q=float(q), i_e=i_e, h_ab=h_ab, r_inf=max(raw, 0.0), r_inf_raw=raw)
 
 
 def ie_depolarizing(spec: ProtocolSpec, q: float) -> float:
@@ -68,21 +66,19 @@ def ie_depolarizing(spec: ProtocolSpec, q: float) -> float:
 def critical_q(spec: ProtocolSpec) -> float:
     """Largest depolarizing error rate with positive asymptotic rate.
 
-    Plain bisection on the raw rate over (0, (d-1)/d); the rate is strictly
-    decreasing in Q so the bracket is sound.
+    Plain bisection on the raw rate over [1e-6, (d-1)/d - 1e-6], evaluated
+    at midpoints only. The rate is strictly decreasing in Q, and the bracket
+    always changes sign: near Q = 0 the rate is close to log2(d) > 0, and
+    near (d-1)/d the statistics are almost uniform, so H(q_key) and I_E are
+    both close to log2(d) and the rate to -log2(d), in either family (the
+    tests check both end points at every supported d and beyond).
     """
     d = spec.dim.d
     lo, hi = 1e-6, (d - 1) / d - 1e-6
-    f_lo = r_infinity(spec, lo).r_inf_raw
-    f_hi = r_infinity(spec, hi).r_inf_raw
-    if f_lo <= 0.0 or f_hi >= 0.0:
-        raise NoRoot(f"no sign change on [{lo}, {hi}] for {spec.family.value}, d={d}")
-    for _ in range(BISECTION_MAX_ITER):
+    while hi - lo >= BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if r_infinity(spec, mid).r_inf_raw > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo < BISECTION_TOL:
-            break
     return 0.5 * (lo + hi)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .adversary import _shift_rows, _worst_case_holevo_rows
 from .errors import DegenerateSample, InfeasibleParams, OutOfRange
-from .info_theory import as_prob_vector, depolarizing_vector, entropy_unchecked
+from .info_theory import as_prob_vector, depolarizing_vector, entropy_rows
 from .protocol import Family, FluxMode, ProtocolSpec
 
 TERMS = ("holevo_worst", "h_ab", "ec_term", "pa_term", "smooth_term", "smooth_coefficient")
@@ -173,13 +173,10 @@ def _rates(
     d = spec.dim.d
     sizes = [_sample_sizes(spec, budget.n_signals, p01) for p01 in p01s]
     # m_per_basis starts with n, so this also catches an empty key basis
-    empty = [min(ms) == 0 for _, ms in sizes]
-    degenerate = np.array(empty)
-    if all(empty):  # the optimizer's refine phases hit this at small N
-        raw = np.zeros((len(split), len(p01s)))
-        return raw, dict.fromkeys(TERMS, raw), sizes, degenerate, np.zeros(raw.shape, dtype=bool)
+    degenerate = np.array([min(ms) == 0 for _, ms in sizes])
     # a degenerate column is evaluated as if each basis kept one sample,
-    # which keeps its arithmetic finite; its cells are masked at the end
+    # which keeps its arithmetic finite, and its cells are masked at the
+    # end, also in a block with no other column
     key = [max(n, 1) for n, _ in sizes]
     check = [max(ms[1], 1) for _, ms in sizes]
 
@@ -192,7 +189,7 @@ def _rates(
     info, sat = _worst_case_holevo_rows(spec, nominal, xi_key, xi_check, mode)
     n = np.array([float(k) for k in key])
     holevo_worst = info.reshape(len(eps_pe), -1)[eps_of]
-    h_ab = entropy_unchecked(nominal)
+    h_ab = float(entropy_rows(nominal[None])[0])
     ec_term = (1.0 - math.log2(budget.eps_ec)) / n
     pa_term = -2.0 * np.array([[math.log2(e)] for e in eps_pa]) / n
     smooth_coefficient = 2.0 * math.log2(d) + 3.0

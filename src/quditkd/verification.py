@@ -53,10 +53,6 @@ class CheckResult:
         return f"{self.name:20s} d={self.d:<3d} {verdict}  max_err={self.max_err:.3e}"
 
 
-def _all_indices(d: int) -> WeylIndex:
-    return WeylIndex(*np.divmod(np.arange(d * d), d))
-
-
 def _index_pairs(d: int) -> tuple[WeylIndex, WeylIndex]:
     if d <= FULL_ENUM_CAP:
         a, b = np.divmod(np.arange(d**4), d * d)
@@ -81,7 +77,7 @@ def check_unitarity(dim: Dim) -> CheckResult:
         u = weyl_operator(dim, idx)
         return np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(dim.d)).max()
 
-    worst = _batched_max(err, dim.d, _all_indices(dim.d))
+    worst = _batched_max(err, dim.d, WeylIndex(*np.divmod(np.arange(dim.d**2), dim.d)))
     return CheckResult("unitarity", dim.d, worst <= UNITARITY_TOL, worst)
 
 

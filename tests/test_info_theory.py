@@ -49,6 +49,12 @@ def test_as_prob_vector_rejects_bad_input():
         shannon_entropy([float("nan"), 1.0])
 
 
+@pytest.mark.parametrize("values", [[[0.5, 0.5]], []])
+def test_shannon_entropy_refuses_anything_but_a_nonempty_vector(values):
+    with pytest.raises(InvalidDistribution, match="expected a nonempty 1-d vector"):
+        shannon_entropy(values)
+
+
 def test_depolarizing_vector_values():
     assert np.allclose(depolarizing_vector(Dim(3), 0.12), [0.88, 0.06, 0.06])
     assert np.allclose(depolarizing_vector(Dim(2), 0.0), [1.0, 0.0])

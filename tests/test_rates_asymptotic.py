@@ -183,6 +183,40 @@ def test_critical_q_orderings():
         prev_two, prev_dp = two, dp
 
 
+# every supported d and a few beyond; dplus1 needs a prime
+BRACKET_DIMS = {
+    Family.TWO_BASIS: (*range(2, 33), 64, 100, 257),
+    Family.DPLUS1: (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 101, 257),
+}
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_the_critical_q_bracket_always_changes_sign(family):
+    # `critical_q` bisects without evaluating its end points: this is the
+    # fact it rests on
+    for d in BRACKET_DIMS[family]:
+        spec = ProtocolSpec(family, d)
+        assert r_infinity(spec, 1e-6).r_inf_raw > 0.0, d
+        assert r_infinity(spec, (d - 1) / d - 1e-6).r_inf_raw < 0.0, d
+
+
+@pytest.mark.parametrize(
+    "family, d, calls", [(Family.TWO_BASIS, 2, 29), (Family.TWO_BASIS, 32, 30), (Family.DPLUS1, 31, 30)]
+)
+def test_critical_q_evaluates_only_midpoints(monkeypatch, family, d, calls):
+    seen = []
+    rate = rates_asymptotic.r_infinity
+
+    def counting(spec, q):
+        seen.append(q)
+        return rate(spec, q)
+
+    monkeypatch.setattr(rates_asymptotic, "r_infinity", counting)
+    critical_q(ProtocolSpec(family, d))
+    assert len(seen) == calls
+    assert all(1e-6 < q < (d - 1) / d - 1e-6 for q in seen)
+
+
 def test_r_inf_strictly_decreasing_up_to_threshold():
     spec = ProtocolSpec(Family.DPLUS1, 3)
     qc = critical_q(spec)

@@ -101,6 +101,11 @@ def test_exact_path_dimension_cap():
         joint_outcome_distribution(dim, lam, basis_for(dim, (0, 1)))
 
 
+def test_joint_table_refuses_a_basis_of_another_dimension():
+    with pytest.raises(InvalidDistribution, match="dimension mismatch"):
+        joint_outcome_distribution(Dim(2), depolarizing_spectrum(Dim(2), 0.1), basis_for(Dim(3), (0, 1)))
+
+
 def test_config_validation():
     spec = ProtocolSpec(Family.TWO_BASIS, 2)
     # rounds is an integer of at least 1; a float would reach the Philox advance
@@ -520,3 +525,9 @@ def test_chi_square_pools_classes_with_few_expected_counts():
     stat, dof, threshold, passed = _chi_square_check(counts_t, 977, q)
     assert stat == pytest.approx(51.4, abs=0.05)
     assert (dof, threshold, passed) == (1, CHI2_THRESHOLDS[0], False)
+
+
+def test_chi_square_fails_a_count_in_an_impossible_class():
+    # a noiseless source never errs: one error count is an infinite misfit
+    q = np.array([1.0, 0.0, 0.0])
+    assert _chi_square_check(np.array([9, 1, 0]), 10, q) == (float("inf"), 0, 0.0, False)

@@ -37,11 +37,17 @@ that differs:
 
 The two trees are compared under one BLAS thread, since the last digit of a
 `verify` max_err can depend on the thread count.
+
+After its summary line the tool writes the two size measures of the code,
+base -> tree, to stderr: the lines of the `.py` files under `src/` and the
+names in `__all__`, read with `ast` from `__init__`'s `_HOMES` table (or
+from a literal `__all__`, as older trees define it) without importing it.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import itertools
 import os
@@ -163,6 +169,19 @@ def reprs(src: Path) -> list[str]:
     return done.stdout.splitlines()
 
 
+def measures(src: Path) -> tuple[int, int]:
+    """Lines of the `.py` files under `src` and the number of `__all__` names."""
+    lines = sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
+    tree = ast.parse((src / "quditkd" / "__init__.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        target = getattr(node.targets[0], "id", None) if isinstance(node, ast.Assign) else None
+        if target == "_HOMES":
+            return lines, len({element.value for names in node.value.values for element in names.elts})
+        if target == "__all__" and isinstance(node.value, ast.List):
+            return lines, len(node.value.elts)
+    raise ValueError(f"no _HOMES table or literal __all__ in {src}")
+
+
 def export_src(rev: str, into: Path) -> Path:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
                              capture_output=True, check=True).stdout
@@ -190,6 +209,7 @@ def main() -> int:
         with ThreadPoolExecutor(JOBS) as pool:
             base_reprs, head_reprs = pool.map(reprs, (base_src, ROOT / "src"))
             diffs = [line for line in pool.map(compare, commands) if line]
+        (base_lines, base_names), (head_lines, head_names) = measures(base_src), measures(ROOT / "src")
     changed = [f"repr {base} -> {head}" for base, head in zip(base_reprs, head_reprs) if base != head]
     if len(base_reprs) != len(head_reprs):
         changed.append(f"repr lines {len(base_reprs)} -> {len(head_reprs)}")
@@ -197,6 +217,7 @@ def main() -> int:
         print(line)
     print(f"{len(diffs)} of {len(commands)} commands and {len(changed)} of {len(head_reprs)} repr lines "
           f"differ from {args.base_rev}", file=sys.stderr)
+    print(f"src/ lines {base_lines:,} -> {head_lines:,}, __all__ names {base_names} -> {head_names}", file=sys.stderr)
     return 1 if diffs or changed else 0
 
 
