@@ -1,7 +1,7 @@
 """The adversary's information I_E at the worst case of the fluctuation set.
 
 `rates_finite` charges I_E at worst-case statistics, and `rates_asymptotic`
-reads the same kernel at the nominal ones. Worst-case statistics place the
+copies the formulas at the nominal ones. Worst-case statistics place the
 fluctuation budget xi on the error coordinates; three splits are supported.
 "equal" (the default, and the more conservative of the two extremes)
 spreads xi/2 evenly, "single" puts xi/2 on error coordinate 1, and "brute"
@@ -9,7 +9,8 @@ puts xi/2 on every coordinate at once, which overshoots the total-variation
 budget and is known to be overly pessimistic.
 
 One kernel, `_holevo_pairs`, gives I_E on plain arrays checked once at the
-boundary, for the shifted pair of r_N and the nominal one of r_inf. The
+boundary, for the shifted pair of r_N; `r_infinity` copies it on Python
+floats for the nominal pair, and the tests compare the two. The
 two-basis bound is the entropy of the check row. In the (d+1)-basis
 family every check basis has the sample size m_1k and the depolarizing
 nominal vector, the only inputs of the shift, so all d read one shifted row

@@ -31,10 +31,9 @@ from .errors import (
     InvalidDistribution,
     NegativeSpectrum,
     NonPrimeDimension,
-    OutOfRange,
 )
-from .info_theory import ENTRY_SLACK, SUM_SLACK, as_prob_vector
-from .protocol import Dim, ProtocolSpec
+from .info_theory import SUM_SLACK, as_prob_vector
+from .protocol import ENTRY_SLACK, Dim, ProtocolSpec, checked_q
 
 
 @dataclass(frozen=True)
@@ -147,9 +146,7 @@ def depolarizing_spectrum(dim: Dim, q: float) -> BellSpectrum:
     stays nonnegative for Q up to d/(d+1). Q is read as a Python float.
     """
     d = dim.d
-    if not (-ENTRY_SLACK <= q <= d / (d + 1) + ENTRY_SLACK):
-        raise OutOfRange(f"Q={q!r} outside [0, {d / (d + 1)}] for d={d}")
-    q = min(max(float(q), 0.0), d / (d + 1))
+    q = checked_q(q, d, d / (d + 1))
     lam = np.full((d, d), q / (d * (d - 1)))
     lam[0, 0] = 1.0 - (d + 1) * q / d
     return BellSpectrum(lam)

@@ -31,7 +31,7 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
 from .errors import QkdError
-from .protocol import Family, FluxMode, ProtocolSpec
+from .protocol import ENTRY_SLACK, Family, FluxMode, ProtocolSpec
 
 if TYPE_CHECKING:
     from .simulator import SimConfig, SimResult
@@ -160,7 +160,7 @@ def _q_sweep(args: argparse.Namespace, d: int) -> list[float]:
         # the last value may not pass q_max; 1e-9 absorbs the rounding of steps
         values = [args.q_min + i * args.q_step for i in range(math.floor(steps + 1e-9) + 1)]
     limit = (d - 1) / d
-    kept = [q for q in values if q <= limit + 1e-12]
+    kept = [q for q in values if q <= limit + ENTRY_SLACK]
     if not kept:
         raise QkdError(f"no Q values left inside [0, (d-1)/d = {limit:.6g}]")
     if len(kept) < len(values):

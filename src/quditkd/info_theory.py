@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidDistribution, OutOfRange
-from .protocol import Dim
+from .errors import InvalidDistribution
+from .protocol import ENTRY_SLACK, Dim, checked_q
 
-ENTRY_SLACK = 1e-12
 SUM_SLACK = 1e-9
 
 
@@ -57,9 +56,7 @@ def depolarizing_vector(dim: Dim, q: float) -> np.ndarray:
     is read as a Python float, so the vector is float64 whatever its type.
     """
     d = dim.d
-    if not (-ENTRY_SLACK <= q <= (d - 1) / d + ENTRY_SLACK):
-        raise OutOfRange(f"Q={q!r} outside [0, {(d - 1) / d}] for d={d}")
-    q = min(max(float(q), 0.0), (d - 1) / d)
+    q = checked_q(q, d, (d - 1) / d)
     vec = np.full(d, q / (d - 1))
     vec[0] = 1.0 - q
     return vec

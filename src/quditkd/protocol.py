@@ -18,10 +18,12 @@ from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import NonPrimeDimension
+from .errors import NonPrimeDimension, OutOfRange
 
 if TYPE_CHECKING:
     import numpy as np
+
+ENTRY_SLACK = 1e-12  # rounding noise a probability or a Q may carry past its range
 
 
 def is_prime(n: int) -> bool:
@@ -36,6 +38,15 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def checked_q(q: float, d: int, top: float) -> float:
+    """Error rate Q as a Python float in [0, top], the domain at dimension
+    d; a Q outside it by at most ENTRY_SLACK is clamped, one farther out
+    raises OutOfRange."""
+    if not (-ENTRY_SLACK <= q <= top + ENTRY_SLACK):
+        raise OutOfRange(f"Q={q!r} outside [0, {top}] for d={d}")
+    return min(max(float(q), 0.0), top)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 `import quditkd` loads none of the package's modules, and the CLI loads
 `errors` and `protocol` to parse its arguments, so `--help` and a usage
 error load no numpy. Each command then loads the modules it computes with
-and no others. Every check runs in a fresh interpreter, since the test
-process has loaded every module long before.
+and no others; `critical-q` and `asymptotic` compute on Python floats and
+load no numpy either. Every check runs in a fresh interpreter, since the
+test process has loaded every module long before.
 """
 
 import importlib
@@ -19,7 +20,7 @@ import pytest
 import quditkd
 
 START_UP = {"cli", "errors", "protocol"}
-ASYMPTOTIC = START_UP | {"rates_asymptotic", "adversary", "info_theory"}
+ASYMPTOTIC = START_UP | {"rates_asymptotic"}
 FINITE_KEY = START_UP | {"rates_finite", "adversary", "info_theory"}
 ALGEBRA = START_UP | {"channels", "info_theory", "qudit_algebra"}
 
@@ -65,20 +66,32 @@ def test_start_up_loads_no_numpy(statement, exit_code, expected):
 
 
 @pytest.mark.parametrize(
-    "argv, expected",
+    "argv, expected, numpy",
     [
-        (("critical-q", "--dims", "2,3", "--family", "dplus1"), ASYMPTOTIC),
-        (("asymptotic", "--dim", "3", "--q", "0.05"), ASYMPTOTIC),
-        (("finite-key", "--dim", "3", "--family", "dplus1", "--n-min", "1e4", "--n-max", "1e4"), FINITE_KEY),
-        (("simulate", "--dim", "3", "--q", "0.05", "--rounds", "1000", "--seed", "1"), ALGEBRA | {"simulator"}),
-        (("verify", "--dims", "2"), ALGEBRA | {"verification"}),
+        (("critical-q", "--dims", "2,3", "--family", "dplus1"), ASYMPTOTIC, False),
+        (("asymptotic", "--dim", "3", "--q", "0.05"), ASYMPTOTIC, False),
+        (("finite-key", "--dim", "3", "--family", "dplus1", "--n-min", "1e4", "--n-max", "1e4"), FINITE_KEY, True),
+        (("simulate", "--dim", "3", "--q", "0.05", "--rounds", "1000", "--seed", "1"), ALGEBRA | {"simulator"}, True),
+        (("verify", "--dims", "2"), ALGEBRA | {"verification"}, True),
     ],
     ids=["critical-q", "asymptotic", "finite-key", "simulate", "verify"],
 )
-def test_each_command_loads_only_the_modules_it_runs(argv, expected):
+def test_each_command_loads_only_the_modules_it_runs(argv, expected, numpy):
     # the rate commands load neither the algebra nor the other rate module,
     # simulate and verify load neither rate module nor each other
-    assert _loaded(_cli(*argv)) == (0, expected, True)
+    assert _loaded(_cli(*argv)) == (0, expected, numpy)
+
+
+def test_the_asymptotic_rates_run_where_numpy_cannot_be_imported():
+    # a None entry in sys.modules makes every `import numpy` raise
+    # ImportError; d = 257 sums rows above 128 terms
+    statement = (
+        'sys.modules["numpy"] = None; from quditkd import Family, ProtocolSpec, critical_q, r_infinity; '
+        "[(critical_q(ProtocolSpec(f, d)), r_infinity(ProtocolSpec(f, d), (d - 1) / d)) "
+        "for f in Family for d in (2, 5, 257)]"
+    )
+    code, own, _ = _loaded(statement)
+    assert (code, own) == (0, {"errors", "protocol", "rates_asymptotic"})
 
 
 def test_every_exported_name_is_its_home_modules_object():

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +11,8 @@ from oracles import adversary_information_rows, two_basis_adversary_grid_max
 
 from quditkd.channels import BellSpectrum, depolarizing_spectrum, q_from_lambda
 from quditkd.errors import NonPrimeDimension, OutOfRange
-from quditkd.info_theory import depolarizing_vector, shannon_entropy
+from quditkd.adversary import _holevo_pairs
+from quditkd.info_theory import depolarizing_vector, entropy_rows, shannon_entropy
 from quditkd.protocol import Family, ProtocolSpec
 from quditkd.qudit_algebra import Dim
 import quditkd.rates_asymptotic as rates_asymptotic
@@ -131,20 +137,81 @@ def test_q_just_below_zero_is_q_zero_for_both_families(family):
     assert (below.i_e, below.h_ab, below.r_inf, below.r_inf_raw) == (zero.i_e, zero.h_ab, zero.r_inf, zero.r_inf_raw)
 
 
-@pytest.mark.parametrize("family", list(Family))
-def test_r_infinity_builds_one_depolarizing_vector_and_calls_the_kernel_once(monkeypatch, family):
-    calls = []
+# every supported (family, d), and rows of more than 128 terms, where
+# numpy's pairwise sum splits a row in two
+TIED = (
+    [(Family.TWO_BASIS, d) for d in range(2, 33)]
+    + [(Family.DPLUS1, d) for d in PRIMES_TO_31]
+    + [(Family.TWO_BASIS, 64), (Family.TWO_BASIS, 257), (Family.DPLUS1, 257)]
+)
+TIED_Q = 501  # even grid on [0, (d-1)/d], both ends included
+# numpy's baseline dispatch, whose log2 is the C library's, as math.log2 is
+BASELINE = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
-    def counting(name, fn):
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
-        return wrapper
 
-    for name in ("depolarizing_vector", "_holevo_pairs"):
-        monkeypatch.setattr(rates_asymptotic, name, counting(name, getattr(rates_asymptotic, name)))
-    r_infinity(ProtocolSpec(family, 5), 0.05)
-    assert sorted(calls) == ["_holevo_pairs", "depolarizing_vector"]
+def kernel_gaps() -> dict:
+    """`r_infinity` against `_holevo_pairs` and `entropy_rows` on the same
+    depolarizing vector, over TIED x TIED_Q: per field, how many values
+    differ in any bit and the largest distance in ulp of max(|x|, 1), and
+    how many kernel pairs saturate."""
+    unequal = dict.fromkeys(("i_e", "h_ab", "r_inf_raw"), 0)
+    worst = dict.fromkeys(unequal, 0.0)
+    reports = saturated = 0
+    for family, d in TIED:
+        spec = ProtocolSpec(family, d)
+        for q in np.linspace(0.0, (d - 1) / d, TIED_Q).tolist():
+            vec = depolarizing_vector(spec.dim, q)[None]
+            info, sat = _holevo_pairs(spec, vec, vec)
+            kernel = {"i_e": float(info[0]), "h_ab": float(entropy_rows(vec)[0])}
+            kernel["r_inf_raw"] = math.log2(d) - kernel["h_ab"] - kernel["i_e"]
+            report = r_infinity(spec, q)
+            for name, want in kernel.items():
+                got = getattr(report, name)
+                unequal[name] += got.hex() != want.hex()
+                worst[name] = max(worst[name], abs(got - want) / math.ulp(max(abs(want), 1.0)))
+            reports += 1
+            saturated += bool(sat[0])
+    return {"reports": reports, "saturated": saturated, "unequal": unequal, "worst_ulp": worst}
+
+
+def pairwise_mismatches() -> int:
+    """Random rows of every length 1..600, 20 of each, on which
+    `_pairwise_sum` and numpy's `.sum(axis=1)` differ in any bit."""
+    rng = np.random.default_rng(45)
+    mismatches = 0
+    for n in range(1, 601):
+        rows = rng.standard_normal((20, n)) * 10.0 ** rng.integers(-6, 7, size=(20, n))
+        for row, want in zip(rows.tolist(), rows.sum(axis=1).tolist()):
+            mismatches += rates_asymptotic._pairwise_sum(row).hex() != want.hex()
+    return mismatches
+
+
+def _in_baseline_child(call: str):
+    """The JSON value of `call`, a function of this module, run in a fresh
+    interpreter under numpy's baseline dispatch."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(Path(rates_asymptotic.__file__).resolve().parents[1]), str(here)])
+    code = f"import json, {Path(__file__).stem} as tests; print(json.dumps(tests.{call}()))"
+    env = dict(os.environ, **BASELINE, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(done.stdout)
+
+
+def test_r_infinity_equals_the_kernel_bit_for_bit_where_log2_is_the_c_librarys():
+    gaps = _in_baseline_child("kernel_gaps")
+    assert gaps["reports"] == TIED_Q * len(TIED) and gaps["saturated"] == 0
+    assert gaps["unequal"] == dict.fromkeys(gaps["unequal"], 0), gaps
+
+
+def test_r_infinity_is_within_8_ulp_of_the_kernel_under_default_dispatch():
+    # numpy's AVX-512 log2 differs from math.log2 on about 0.05% of inputs
+    gaps = kernel_gaps()
+    assert gaps["saturated"] == 0 and max(gaps["worst_ulp"].values()) <= 8.0, gaps
+
+
+@pytest.mark.parametrize("baseline", [False, True], ids=["default-dispatch", "baseline-dispatch"])
+def test_the_pairwise_sum_adds_in_numpys_order(baseline):
+    assert (_in_baseline_child("pairwise_mismatches") if baseline else pairwise_mismatches()) == 0
 
 
 def test_ie_depolarizing_table_thresholds():

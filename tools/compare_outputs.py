@@ -35,6 +35,12 @@ that differs:
   (two-basis) or 31 (dplus1), x Q in {0, 0.01, 0.05, 0.12} x N in
   {1e3, 1e6, 1e9, 1e12} x every flux mode, at eps = 1e-5, eps_EC = 1e-10.
 
+Each differing repr line ends with the largest distance, in units in the
+last place (the count of floats between them), between the float fields
+the two lines hold in the same place, or with "fields differ" when their
+float fields do not pair up; the largest such distance over all lines
+follows the summary line.
+
 The two trees are compared under one BLAS thread, since the last digit of a
 `verify` max_err can depend on the thread count.
 
@@ -50,8 +56,11 @@ import argparse
 import ast
 import io
 import itertools
+import math
 import os
+import re
 import shlex
+import struct
 import subprocess
 import sys
 import tarfile
@@ -77,6 +86,8 @@ BUDGETS = (
     ("2.2250738585072014e-308", "5e-324"),  # eps - eps_EC one float below the least normal float
     ("1e-320", "5e-324"),
 )
+# a float's repr: digits with a point or an exponent, inf or nan
+FLOAT = re.compile(r"(?<![\w.])-?(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+|inf|nan)(?![\w.])")
 SUBCOMMANDS = ("critical-q", "asymptotic", "finite-key", "simulate", "verify")
 ERRORS = (
     [],  # no subcommand
@@ -151,6 +162,22 @@ def print_reprs() -> None:
         print(f"optimize_r_finite {family} {d} {q!r} {n} {mode.value}: {report!r}")
 
 
+def _ordinal(x: float) -> int:
+    """Position of `x` among the floats in order, with -0.0 and 0.0 both at 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & (2**63 - 1))
+
+
+def ulp_distance(base: str, head: str) -> int | None:
+    """Largest ulp distance between the float fields of two repr lines,
+    paired in order, or None when the lines hold different numbers of floats
+    or a NaN."""
+    pairs = list(itertools.zip_longest(map(float, FLOAT.findall(base)), map(float, FLOAT.findall(head))))
+    if any(a is None or b is None or math.isnan(a) or math.isnan(b) for a, b in pairs):
+        return None
+    return max((abs(_ordinal(a) - _ordinal(b)) for a, b in pairs), default=0)
+
+
 def _env(src: Path) -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
 
@@ -210,13 +237,20 @@ def main() -> int:
             base_reprs, head_reprs = pool.map(reprs, (base_src, ROOT / "src"))
             diffs = [line for line in pool.map(compare, commands) if line]
         (base_lines, base_names), (head_lines, head_names) = measures(base_src), measures(ROOT / "src")
-    changed = [f"repr {base} -> {head}" for base, head in zip(base_reprs, head_reprs) if base != head]
+    changed, distances = [], []
+    for base, head in zip(base_reprs, head_reprs):
+        if base != head:
+            distances.append(ulp_distance(base, head))
+            far = "fields differ" if distances[-1] is None else f"{distances[-1]} ulp"
+            changed.append(f"repr {base} -> {head}: {far}")
     if len(base_reprs) != len(head_reprs):
         changed.append(f"repr lines {len(base_reprs)} -> {len(head_reprs)}")
     for line in diffs + changed:
         print(line)
     print(f"{len(diffs)} of {len(commands)} commands and {len(changed)} of {len(head_reprs)} repr lines "
           f"differ from {args.base_rev}", file=sys.stderr)
+    largest = max((distance for distance in distances if distance is not None), default=0)
+    print(f"largest repr distance {largest} ulp", file=sys.stderr)
     print(f"src/ lines {base_lines:,} -> {head_lines:,}, __all__ names {base_names} -> {head_names}", file=sys.stderr)
     return 1 if diffs or changed else 0
 
