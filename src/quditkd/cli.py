@@ -52,7 +52,7 @@ def parse_dim(text: str) -> int:
 
 
 def parse_dims(text: str) -> list[int]:
-    """Comma-separated dimensions in [2, MAX_DIM]; 'a..b' expands to the inclusive range."""
+    """Comma-separated dimensions in [2, MAX_DIM], each named once; 'a..b' expands to the inclusive range."""
     dims: list[int] = []
     for token in text.split(","):
         token = token.strip()
@@ -61,6 +61,8 @@ def parse_dims(text: str) -> list[int]:
         ends = [parse_dim(end) for end in token.split("..", 1)]  # one dimension, or a range's two ends
         if ends[-1] < ends[0]:
             raise argparse.ArgumentTypeError(f"empty range {token!r}")
+        if repeated := set(dims).intersection(range(ends[0], ends[-1] + 1)):  # at most 31 dimensions
+            raise argparse.ArgumentTypeError(f"dimension {min(repeated)} named twice in {text!r}")
         dims.extend(range(ends[0], ends[-1] + 1))
     if not dims:
         raise argparse.ArgumentTypeError(f"need one or more dimensions in [2, {MAX_DIM}], got {text!r}")

@@ -49,17 +49,20 @@ def checked_q(q: float, d: int, top: float) -> float:
     return min(max(float(q), 0.0), top)
 
 
+def plain_int(value: object) -> int | None:
+    """`value` as a plain int (a numpy integer too), or None if its type is bool or has no `__index__`."""
+    return None if isinstance(value, bool) or not hasattr(value, "__index__") else operator.index(value)
+
+
 @dataclass(frozen=True)
 class Dim:
-    """Qudit dimension with cached primality; any integer type (a numpy
-    integer too) is stored as a plain int."""
+    """Qudit dimension with cached primality, read by `plain_int`."""
 
     d: int
     prime: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        d = operator.index(self.d) if hasattr(self.d, "__index__") else 0
-        if d < 2:
+        if (d := plain_int(self.d)) is None or d < 2:
             raise ValueError(f"qudit dimension must be an integer >= 2, got {self.d!r}")
         self.__dict__.update(d=d, prime=is_prime(d))  # frozen: past the dataclass __setattr__
 

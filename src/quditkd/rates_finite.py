@@ -50,18 +50,18 @@ import numpy as np
 from .adversary import _shift_rows, _worst_case_holevo_rows
 from .errors import DegenerateSample, InfeasibleParams, OutOfRange
 from .info_theory import as_prob_vector, depolarizing_vector, entropy_rows
-from .protocol import Family, FluxMode, ProtocolSpec
+from .protocol import Family, FluxMode, ProtocolSpec, plain_int
 
 TERMS = ("holevo_worst", "h_ab", "ec_term", "pa_term", "smooth_term", "smooth_coefficient")
 
 
 def xi(m: int, spec_dim_d: int, eps_pe: float) -> float:
     """Fluctuation radius of an error vector from m samples: `_xi_table` at one cell."""
-    if m < 1:
+    if m < 1 or (count := plain_int(m)) is None:  # compared first: a string raises TypeError
         raise DegenerateSample(f"fluctuation bound needs m >= 1, got {m}")
     if not (0.0 < eps_pe < 1.0):
         raise OutOfRange(f"eps_PE={eps_pe!r} outside (0, 1)")
-    return float(_xi_table(spec_dim_d, [eps_pe], [m])[0, 0])
+    return float(_xi_table(spec_dim_d, [float(eps_pe)], [count])[0, 0])
 
 
 def _xi_table(d: int, eps_pe: list[float], ms: list[int]) -> np.ndarray:
@@ -97,14 +97,15 @@ class FiniteKeyBudget:
     eps_ec: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_signals, (int, np.integer)):
+        if (n := plain_int(self.n_signals)) is None:
             raise OutOfRange(f"n_signals must be an integer, got {self.n_signals!r}")
-        if not 1 <= self.n_signals <= sys.float_info.max:  # the sample sizes are computed in floats
+        if not 1 <= n <= sys.float_info.max:  # the sample sizes are computed in floats
             raise OutOfRange(f"need between 1 and {sys.float_info.max:.6g} signals, got {self.n_signals}")
         if not (0.0 < self.eps < 1.0):
             raise OutOfRange(f"eps={self.eps!r} outside (0, 1)")
         if not (0.0 < self.eps_ec < self.eps):
             raise OutOfRange(f"eps_EC={self.eps_ec!r} must lie in (0, eps)")
+        self.__dict__.update(n_signals=n, eps=float(self.eps), eps_ec=float(self.eps_ec))  # frozen
         # a subnormal eps - eps_EC leaves the optimizer's smallest shares few
         # bits, and below about 1.6e-318 none: a zero share has no log2
         if not self.eps - self.eps_ec >= sys.float_info.min:
@@ -126,6 +127,7 @@ class FreeParams:
         for name in ("eps_pa", "eps_pe", "eps_bar"):
             if not getattr(self, name) > 0.0:
                 raise OutOfRange(f"{name} must be positive")
+        self.__dict__.update({name: float(value) for name, value in vars(self).items()})  # frozen
 
 
 @dataclass(frozen=True)
@@ -269,6 +271,11 @@ def _share_split(spec: ProtocolSpec, budget: FiniteKeyBudget, shares_list) -> np
     return split
 
 
+def _floored_rates(spec, nominal, budget, mode, shares_list, p01s) -> np.ndarray:
+    """`_rates` floored at 0 on every (share triple, p01) cell, split by `_share_split`."""
+    return np.maximum(_rates(spec, nominal, budget, _share_split(spec, budget, shares_list), p01s, mode)[0], 0.0)
+
+
 def _golden_step(bracket: tuple, left: bool) -> tuple:
     """One golden-section iteration on bracket (a, b, c, d), c < d; `left` keeps [a, d]."""
     a, b, c, d_pt = bracket
@@ -321,8 +328,7 @@ def _coarse_winner(
     r_N, then the smallest p01, then the smallest (eps_PA, eps_PE, eps_bar):
     the first maximum in p01-major order, since both grids are sorted."""
     shares_grid = _share_grid()
-    split = _share_split(spec, budget, shares_grid)
-    grid = np.maximum(_rates(spec, nominal, budget, split, _P01_GRID, mode)[0], 0.0)
+    grid = _floored_rates(spec, nominal, budget, mode, shares_grid, _P01_GRID)
     j, i = divmod(int(np.argmax(grid.T)), len(shares_grid))
     return shares_grid[i], _P01_GRID[j], float(grid[i, j])
 
@@ -360,10 +366,7 @@ def optimize_r_finite(
     nominal = depolarizing_vector(spec.dim, q)
     mode = FluxMode(mode)
 
-    def block(candidates: list[tuple[float, float, float]], p01s: list[float]) -> np.ndarray:
-        """Floored r_N of every (shares, p01) cell. Every p01 probe lies in
-        [1e-4, 1 - 1e-4], and the final `r_finite` validates the winner's."""
-        return np.maximum(_rates(spec, nominal, budget, _share_split(spec, budget, candidates), p01s, mode)[0], 0.0)
+    block = functools.partial(_floored_rates, spec, nominal, budget, mode)  # probes p01 in [1e-4, 1 - 1e-4]
 
     def refine_p01(shares: tuple[float, float, float], center: float) -> tuple[float, float]:
         lo = max(center - 0.01, 1e-4)

@@ -49,7 +49,7 @@ import numpy as np
 from .channels import BellSpectrum, check_spectrum_dim, q_from_lambda
 from .errors import DimensionTooLarge, InvalidDistribution, OutOfRange
 from .info_theory import as_prob_vector
-from .protocol import Dim, ProtocolSpec, WeylIndex, protocol_bases
+from .protocol import Dim, ProtocolSpec, WeylIndex, plain_int, protocol_bases
 from .qudit_algebra import bell_matrix
 
 EXACT_DIM_CAP = 11
@@ -120,11 +120,11 @@ class SimConfig:
     basis_probs: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rounds, (int, np.integer)):
+        if (rounds := plain_int(self.rounds)) is None:
             raise InvalidDistribution(f"rounds must be an integer, got {self.rounds!r}")
-        if self.rounds < 1:
+        if rounds < 1:
             raise InvalidDistribution(f"rounds must be >= 1, got {self.rounds}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**128:
+        if (seed := plain_int(self.seed)) is None or not 0 <= seed < 2**128:
             raise OutOfRange(f"need seed in [0, 2**128), got seed={self.seed}")
         check_spectrum_dim(self.spec, self.spectrum)
         d = self.spec.dim.d
@@ -139,7 +139,7 @@ class SimConfig:
         probs = tuple(float(p) for p in as_prob_vector(np.asarray(probs)))
         if len(probs) != nb:
             raise InvalidDistribution(f"need {nb} basis probabilities, got {len(probs)}")
-        object.__setattr__(self, "basis_probs", probs)
+        self.__dict__.update(rounds=rounds, seed=seed, basis_probs=probs)  # frozen: past __setattr__
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,7 @@ def _chi_square_check(counts_t: np.ndarray, matched: int, q: np.ndarray) -> tupl
     return stat, dof, threshold, stat <= threshold
 
 
-def _label_chunks(
-    rng: np.random.Generator, probs: np.ndarray, n: int, scratch: np.ndarray | None = None
-) -> Iterator[np.ndarray]:
+def _label_chunks(rng: np.random.Generator, probs: np.ndarray, n: int, scratch: np.ndarray) -> Iterator[np.ndarray]:
     """Yield the `uint8` labels of `n` categorical draws, `_CHUNK` at a
     time: basis labels, exact outcome cells or fast-path differences.
     `scratch`, `uint64` and at least min(n, `_CHUNK`) long, takes each
@@ -220,10 +218,6 @@ def _label_chunks(
     high = cuts.searchsorted(first + (2.0**-_GUIDE_BITS - 2.0**-53), side="right")
     guide = np.where(low == high, low, _AMBIGUOUS).astype(np.uint8)
     draw = rng.bit_generator.random_raw
-    # every chunk's buckets go to one buffer: a fresh array per chunk made
-    # the heap shrink and grow again, and its pages fault anew
-    if scratch is None:
-        scratch = np.empty(min(n, _CHUNK), dtype=np.uint64)
     for start in range(0, n, _CHUNK):
         words = draw(min(_CHUNK, n - start))
         bucket = np.right_shift(words, np.uint64(64 - _GUIDE_BITS), out=scratch[: words.size])
@@ -260,7 +254,7 @@ def _skipped(rng: np.random.Generator, n: int) -> np.random.Generator:
     return out
 
 
-def _matched_counts(rng: np.random.Generator, probs: np.ndarray, rounds: int) -> tuple[np.ndarray, np.random.Generator]:
+def _matched_counts(rng, probs: np.ndarray, rounds: int, scratch: np.ndarray) -> tuple[np.ndarray, np.random.Generator]:
     """Rounds in which sender and receiver both drew basis b, for every b,
     and the generator that continues the stream after both parties' labels.
 
@@ -278,7 +272,6 @@ def _matched_counts(rng: np.random.Generator, probs: np.ndarray, rounds: int) ->
     k = probs.size
     matched = np.zeros(k, dtype=np.int64)
     diagonal = range(0, k * k, k + 1)
-    scratch = np.empty(min(rounds, _CHUNK), dtype=np.uint64)  # the two samplers alternate
     sender_labels = _label_chunks(rng, probs, rounds, scratch)
     for s, r in zip(sender_labels, _label_chunks(receiver, probs, rounds, scratch)):
         if k <= _COMPARE_MAX_K:
@@ -309,7 +302,10 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     d = spec.dim.d
     fast = d > EXACT_DIM_CAP
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    matched, rng = _matched_counts(rng, np.asarray(cfg.basis_probs), cfg.rounds)
+    # every sampler's buckets go to one buffer: a fresh array per chunk made
+    # the heap shrink and grow again, and its pages fault anew
+    scratch = np.empty(_CHUNK, dtype=np.uint64)
+    matched, rng = _matched_counts(rng, np.asarray(cfg.basis_probs), cfg.rounds, scratch)
 
     analytic = q_from_lambda(spec, cfg.spectrum)
     bases = None if fast else protocol_bases(spec)
@@ -321,7 +317,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         counts = np.zeros(d * d, dtype=np.int64)
         if fast:
             a_rng = _skipped(rng, m)
-            for t in _label_chunks(rng, analytic[i], m):
+            for t in _label_chunks(rng, analytic[i], m, scratch):
                 a = a_rng.integers(0, d, size=t.size)
                 counts += np.bincount(a * d + (a - t) % d, minlength=d * d)
             rng = a_rng
@@ -329,7 +325,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
             table = joint_outcome_distribution(spec.dim, cfg.spectrum, bases[i])
             flat = table.reshape(-1)
             flat = flat / flat.sum()
-            for labels in _label_chunks(rng, flat, m):
+            for labels in _label_chunks(rng, flat, m, scratch):
                 counts += np.bincount(labels, minlength=d * d)
         counts = counts.reshape(d, d)
         counts_t = difference_marginal(counts)

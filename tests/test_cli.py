@@ -520,6 +520,17 @@ def test_a_negative_dimension_range_is_refused_as_a_dimension(capsys, command, d
         assert captured.err == f"error: quditkd {command}: argument --dims: dimension must be in [2, {MAX_DIM}], got {low}\n"
 
 
+@pytest.mark.parametrize("command, dims, twice", (("critical-q", "2,3,2", 2), ("verify", "3..5,4", 4)))
+def test_a_dimension_named_twice_is_refused(capsys, command, dims, twice):
+    # --dims names each dimension once, so it holds at most MAX_DIM - 1 of them
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--dims", dims])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    message = f"argument --dims: dimension {twice} named twice in {dims!r}"
+    assert captured.err == f"error: quditkd {command}: {message}\n"
+
+
 def test_config_file_is_read_up_to_its_cap(capsys, tmp_path):
     body = "dim=2\nq=0.1\nrounds=100\nseed=1\n"
     at_cap = tmp_path / "at_cap.cfg"

@@ -32,9 +32,21 @@ out_of_range = st.integers(-10**6, 1) | st.integers(MAX_DIM + 1, 10**6)
 
 
 @FUZZ
-@given(st.lists(in_range, min_size=1, max_size=8), st.sampled_from([",", " , ", ",,"]))
-def test_parse_dims_reads_any_in_range_list(dims, sep):
+@given(st.lists(in_range, min_size=1, max_size=8, unique=True), st.sampled_from([",", " , ", ",,"]))
+def test_parse_dims_reads_any_list_of_distinct_in_range_dims(dims, sep):
     assert parse_dims(sep.join(map(str, dims))) == dims
+
+
+@FUZZ
+@given(st.lists(in_range, min_size=1, max_size=8), st.data(), st.sampled_from([",", " , ", ",,"]))
+def test_parse_dims_refuses_any_list_that_repeats_a_dim(dims, data, sep):
+    # a dimension named a second time, alone or inside a range, anywhere in the list
+    twice = data.draw(st.sampled_from(dims))
+    repeat = data.draw(st.sampled_from([str(twice), f"{twice}..{MAX_DIM}", f"2..{twice}"]))
+    tokens = list(map(str, dims))
+    tokens.insert(data.draw(st.integers(0, len(tokens))), repeat)
+    with pytest.raises(argparse.ArgumentTypeError, match="named twice"):
+        parse_dims(sep.join(tokens))
 
 
 @FUZZ

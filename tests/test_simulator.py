@@ -159,7 +159,7 @@ def test_label_chunks_equal_one_generator_choice(n, probs):
     p = np.asarray(probs)
     streamed = np.random.Generator(np.random.Philox(key=2024))
     reference = np.random.Generator(np.random.Philox(key=2024))
-    chunks = list(_label_chunks(streamed, p, n))
+    chunks = list(_label_chunks(streamed, p, n, np.empty(_CHUNK, dtype=np.uint64)))
     assert [lab.size for lab in chunks] == [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
     labels = np.concatenate(chunks)
     assert labels.dtype == np.uint8
@@ -238,13 +238,13 @@ def test_label_chunks_equal_choice_at_the_guide_table_edges(case):
     for start in range(0, words.size, 4):
         group = words[start : start + 4]
         streamed, reference = _with_words(group), _with_words(group)
-        labels, = _label_chunks(streamed, p, group.size)
+        labels, = _label_chunks(streamed, p, group.size, np.empty(group.size, dtype=np.uint64))
         assert np.array_equal(labels, reference.choice(p.size, size=group.size, p=p))
         assert streamed.bit_generator.random_raw(5).tolist() == reference.bit_generator.random_raw(5).tolist()
     streamed = np.random.Generator(np.random.Philox(key=2025))
     reference = np.random.Generator(np.random.Philox(key=2025))
     n = 2 * _CHUNK + 3
-    labels = np.concatenate(list(_label_chunks(streamed, p, n)))
+    labels = np.concatenate(list(_label_chunks(streamed, p, n, np.empty(_CHUNK, dtype=np.uint64))))
     assert np.array_equal(labels, reference.choice(p.size, size=n, p=p))
     assert streamed.random() == reference.random()
 
@@ -417,7 +417,8 @@ def test_matched_counts_on_both_sides_of_the_compare_limit(k):
     # receiver's generator continues after both
     probs = np.arange(1.0, k + 1.0) / (k * (k + 1) / 2)
     rounds = 3 * _CHUNK + 5
-    matched, receiver = _matched_counts(np.random.Generator(np.random.Philox(key=k)), probs, rounds)
+    scratch = np.empty(_CHUNK, dtype=np.uint64)
+    matched, receiver = _matched_counts(np.random.Generator(np.random.Philox(key=k)), probs, rounds, scratch)
     reference = np.random.Generator(np.random.Philox(key=k))
     sender = reference.choice(k, size=rounds, p=probs)
     received = reference.choice(k, size=rounds, p=probs)

@@ -47,7 +47,8 @@ The two trees are compared under one BLAS thread, since the last digit of a
 After its summary line the tool writes the two size measures of the code,
 base -> tree, to stderr: the lines of the `.py` files under `src/` and the
 names in `__all__`, read with `ast` from `__init__`'s `_HOMES` table (or
-from a literal `__all__`, as older trees define it) without importing it.
+from a literal `__all__`, as older trees define it) without importing it;
+then the lines of each module, base -> tree, "-" where a tree has none.
 """
 
 from __future__ import annotations
@@ -196,9 +197,10 @@ def reprs(src: Path) -> list[str]:
     return done.stdout.splitlines()
 
 
-def measures(src: Path) -> tuple[int, int]:
-    """Lines of the `.py` files under `src` and the number of `__all__` names."""
-    lines = sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
+def measures(src: Path) -> tuple[dict[str, int], int]:
+    """Lines of each `.py` file under `src`, by its path relative to `src`,
+    and the number of `__all__` names."""
+    lines = {path.relative_to(src).as_posix(): path.read_bytes().count(b"\n") for path in src.rglob("*.py")}
     tree = ast.parse((src / "quditkd" / "__init__.py").read_text(encoding="utf-8"))
     for node in tree.body:
         target = getattr(node.targets[0], "id", None) if isinstance(node, ast.Assign) else None
@@ -251,7 +253,10 @@ def main() -> int:
           f"differ from {args.base_rev}", file=sys.stderr)
     largest = max((distance for distance in distances if distance is not None), default=0)
     print(f"largest repr distance {largest} ulp", file=sys.stderr)
-    print(f"src/ lines {base_lines:,} -> {head_lines:,}, __all__ names {base_names} -> {head_names}", file=sys.stderr)
+    print(f"src/ lines {sum(base_lines.values()):,} -> {sum(head_lines.values()):,}, "
+          f"__all__ names {base_names} -> {head_names}", file=sys.stderr)
+    for module in sorted(base_lines.keys() | head_lines.keys()):
+        print(f"  {module} {base_lines.get(module, '-')} -> {head_lines.get(module, '-')}", file=sys.stderr)
     return 1 if diffs or changed else 0
 
 
