@@ -4,9 +4,10 @@ Subcommands compute critical-noise tables, asymptotic and finite-key rate
 sweeps, Monte Carlo validation runs, and the algebraic self-check suite.
 Each `cmd_*` returns its output text and exit code, and `main` writes the
 text once, to stdout or to the `--out` file that every subcommand takes.
-This module imports only the standard library, `errors` and `protocol`;
-each `cmd_*` imports the modules it runs, so `--help` and a usage error
-load no numpy and each command loads only what it computes with.
+This module imports `errors`, `protocol` and light standard modules only;
+each `cmd_*` imports the modules it runs, and `json` and `csv` load only
+to write their format, so `--help` and a usage error load no numpy and
+each command loads only what it computes with and writes.
 Table output is CSV (default) or JSON, its columns the keys of the rows;
 numbers are emitted at 10 significant digits so files round-trip exactly.
 All commands are deterministic for fixed inputs and seed.
@@ -20,14 +21,12 @@ below, before any work, and so is an `--out` path that cannot be opened.
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import io
-import json
 import math
 import os
 import re
 import sys
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
 from .errors import QkdError
@@ -108,6 +107,8 @@ def _jnum(value: Any) -> Any:
 
 
 def _json(command: str, **fields: Any) -> str:
+    import json
+
     return json.dumps({"schema_version": 1, "command": command, **fields}, indent=2) + "\n"
 
 
@@ -131,6 +132,8 @@ def _table(command: str, params: dict[str, Any], rows: list[dict[str, Any]], fmt
             params={k: _jnum(v) for k, v in params.items()},
             rows=[{c: _jnum(row[c]) for c in columns} for row in rows],
         )
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -175,7 +178,7 @@ def cmd_asymptotic(args: argparse.Namespace) -> tuple[str, int]:
 
     spec = ProtocolSpec(args.family, args.dim)
     rows = [
-        {"d": args.dim, "family": spec.family.value, **asdict(r_infinity(spec, q))}
+        {"d": args.dim, "family": spec.family.value, **r_infinity(spec, q)._asdict()}
         for q in _q_sweep(args, args.dim)
     ]
     return _table("asymptotic", {"dim": args.dim, "family": spec.family.value}, rows, args.format), 0
@@ -200,6 +203,8 @@ def _n_grid(n_min: int, n_max: int, n_points: int) -> list[int]:
 
 
 def cmd_finite_key(args: argparse.Namespace) -> tuple[str, int]:
+    from dataclasses import asdict
+
     from .rates_finite import TERMS, optimize_r_finite
 
     spec = ProtocolSpec(args.family, args.dim)
@@ -436,5 +441,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> NoReturn:
+    """`main` as its own process (`python -m quditkd`, the `quditkd` script): exit's collections skip what it froze."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()

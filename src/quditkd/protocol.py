@@ -13,7 +13,6 @@ This module imports no numpy: the CLI parses its arguments and builds a
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -54,17 +53,18 @@ def plain_int(value: object) -> int | None:
     return None if isinstance(value, bool) or not hasattr(value, "__index__") else operator.index(value)
 
 
-@dataclass(frozen=True)
-class Dim:
+class Dim(NamedTuple("Dim", [("d", int), ("prime", bool)])):
     """Qudit dimension with cached primality, read by `plain_int`."""
 
-    d: int
-    prime: bool = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (d := plain_int(self.d)) is None or d < 2:
-            raise ValueError(f"qudit dimension must be an integer >= 2, got {self.d!r}")
-        self.__dict__.update(d=d, prime=is_prime(d))  # frozen: past the dataclass __setattr__
+    def __new__(cls, d: int) -> Dim:
+        if (plain := plain_int(d)) is None or plain < 2:
+            raise ValueError(f"qudit dimension must be an integer >= 2, got {d!r}")
+        return super().__new__(cls, plain, is_prime(plain))
+
+    def __getnewargs__(self) -> tuple[int]:  # pickle and deepcopy pass d alone to __new__
+        return (self.d,)
 
 
 class WeylIndex(NamedTuple):
@@ -90,22 +90,14 @@ class FluxMode(str, Enum):
 KEY_BASIS = WeylIndex(0, 1)
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(NamedTuple("ProtocolSpec", [("family", Family), ("dim", Dim)])):
     """A protocol family instantiated at a fixed qudit dimension."""
 
-    family: Family
-    dim: Dim
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "family", Family(self.family))
-        if not isinstance(self.dim, Dim):
-            object.__setattr__(self, "dim", Dim(self.dim))
-        if self.family is Family.DPLUS1 and not self.dim.prime:
-            raise NonPrimeDimension(
-                f"the (d+1)-basis protocol needs a complete MUB set; "
-                f"d={self.dim.d} is composite"
-            )
+    def __new__(cls, family: Family | str, dim: Dim | int) -> ProtocolSpec:
+        family, dim = Family(family), dim if isinstance(dim, Dim) else Dim(dim)
+        if family is Family.DPLUS1 and not dim.prime:
+            raise NonPrimeDimension(f"the (d+1)-basis protocol needs a complete MUB set; d={dim.d} is composite")
+        return super().__new__(cls, family, dim)
 
     @cached_property  # the finite-key rate reads n_bases on every evaluation
     def basis_indices(self) -> tuple[WeylIndex, ...]:

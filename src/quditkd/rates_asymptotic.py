@@ -32,15 +32,14 @@ family, the product spectra lam = a (x) b for the two-basis family).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .protocol import Family, ProtocolSpec, checked_q
 
 BISECTION_TOL = 1e-9  # interval width; spec'd accuracy is 1e-6
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     q: float
     i_e: float
     h_ab: float

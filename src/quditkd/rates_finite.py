@@ -59,9 +59,11 @@ def xi(m: int, spec_dim_d: int, eps_pe: float) -> float:
     """Fluctuation radius of an error vector from m samples: `_xi_table` at one cell."""
     if m < 1 or (count := plain_int(m)) is None:  # compared first: a string raises TypeError
         raise DegenerateSample(f"fluctuation bound needs m >= 1, got {m}")
+    if (d := plain_int(spec_dim_d)) is None or d < 2:
+        raise OutOfRange(f"xi needs an integer dimension d >= 2, got {spec_dim_d!r}")
     if not (0.0 < eps_pe < 1.0):
         raise OutOfRange(f"eps_PE={eps_pe!r} outside (0, 1)")
-    return float(_xi_table(spec_dim_d, [float(eps_pe)], [count])[0, 0])
+    return float(_xi_table(d, [float(eps_pe)], [count])[0, 0])
 
 
 def _xi_table(d: int, eps_pe: list[float], ms: list[int]) -> np.ndarray:

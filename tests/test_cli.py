@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import importlib.util
 import io
 import json
@@ -666,3 +667,51 @@ def test_a_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, b"")
+
+
+def _process(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m quditkd argv` in a fresh process on this tree's `src/`."""
+    env = dict(os.environ, PYTHONPATH=str(BENCH.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "quditkd", *argv], env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["critical-q", "--dims", "2,3,5", "--family", "dplus1"], 0),
+        (["asymptotic", "--dim", "6", "--family", "dplus1", "--q", "0.05"], 2),
+        # each of the 32 bases is tested at 0.999 with no correction (ROADMAP item 13): one fails on this seed
+        (["simulate", "--dim", "31", "--family", "dplus1", "--q", "5%", "--rounds", "1e6", "--seed", "3"], 3),
+    ],
+    ids=["success", "domain-error", "failed-verdict"],
+)
+def test_a_process_exits_with_the_code_and_output_of_main(capsys, argv, exit_code):
+    # the entry freezes the objects left before the interpreter exits
+    done = _process(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == _run(capsys, argv)
+    assert done.returncode == exit_code
+
+
+def test_a_process_leaves_the_complete_out_file(capsys, tmp_path):
+    argv = ["asymptotic", "--dim", "3", "--q-min", "0", "--q-max", "0.6", "--q-step", "0.001", "--format", "json"]
+    out = tmp_path / "rates.json"
+    done = _process(*argv, "--out", str(out))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    text = out.read_text(encoding="utf-8")
+    assert text == _run(capsys, argv)[1] and len(json.loads(text)["rows"]) == 601
+
+
+def test_the_process_entry_freezes_before_exit_and_main_does_not(capsys):
+    # an atexit handler runs after `run` has returned control to the interpreter
+    code = (
+        "import atexit, gc, sys; from quditkd.cli import run; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); "
+        "sys.argv[1:] = ['critical-q', '--dims', '2']; run()"
+    )
+    env = dict(os.environ, PYTHONPATH=str(BENCH.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "frozen True\n")
+    assert main(["critical-q", "--dims", "2"]) == 0 and capsys.readouterr().out == done.stdout
+    assert gc.get_freeze_count() == 0

@@ -4,8 +4,12 @@
 `errors` and `protocol` to parse its arguments, so `--help` and a usage
 error load no numpy. Each command then loads the modules it computes with
 and no others; `critical-q` and `asymptotic` compute on Python floats and
-load no numpy either. Every check runs in a fresh interpreter, since the
-test process has loaded every module long before.
+load no numpy either. The standard library's heavier modules load only
+where they are used: `json` and `csv` for the output format a command
+writes, `dataclasses` (and with it `inspect`) for the value types of the
+finite-key, simulation and verification modules. Every check runs in a
+fresh interpreter, since the test process has loaded every module long
+before.
 """
 
 import importlib
@@ -23,26 +27,35 @@ START_UP = {"cli", "errors", "protocol"}
 ASYMPTOTIC = START_UP | {"rates_asymptotic"}
 FINITE_KEY = START_UP | {"rates_finite", "adversary", "info_theory"}
 ALGEBRA = START_UP | {"channels", "info_theory", "qudit_algebra"}
+STANDARD = {"csv", "dataclasses", "inspect", "json"}  # dataclasses imports inspect, ast, dis and tokenize
 
 
-def _loaded(statement: str) -> tuple[object, set[str], bool]:
+def _run(statement: str) -> tuple[object, list[str]]:
     """Run `statement` in a fresh interpreter with its output discarded:
-    its exit code (0 when it does not exit), the package's modules then in
-    `sys.modules` (without the `quditkd.` prefix) and whether numpy is."""
+    its exit code (0 when it does not exit) and the names in `sys.modules`
+    then, taken before the interpreter itself imports `json` to report them."""
     src = str(Path(quditkd.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "code = 0\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "    try:\n"
         f"        {statement}\n"
         "    except SystemExit as exc:\n"
         "        code = exc.code\n"
-        "print(json.dumps([code, sorted(sys.modules)]))\n"
+        "modules = sorted(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([code, modules]))\n"
     )
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    exit_code, modules = json.loads(run.stdout)
+    return tuple(json.loads(run.stdout))
+
+
+def _loaded(statement: str) -> tuple[object, set[str], bool]:
+    """`_run`'s exit code, the package's modules it loaded (without the
+    `quditkd.` prefix) and whether numpy is among them."""
+    exit_code, modules = _run(statement)
     own = {name.removeprefix("quditkd.") for name in modules if name.startswith("quditkd.")}
     return exit_code, own, "numpy" in modules
 
@@ -80,6 +93,29 @@ def test_each_command_loads_only_the_modules_it_runs(argv, expected, numpy):
     # the rate commands load neither the algebra nor the other rate module,
     # simulate and verify load neither rate module nor each other
     assert _loaded(_cli(*argv)) == (0, expected, numpy)
+
+
+@pytest.mark.parametrize(
+    "statement, exit_code, expected",
+    [
+        ("import quditkd.cli", 0, set()),
+        (_cli("--help"), 0, set()),
+        (_cli("finite-key", "--dim", "3", "--flux-mode", "x"), 2, set()),
+        (_cli("critical-q", "--dims", "2,3", "--family", "dplus1"), 0, {"csv"}),
+        (_cli("critical-q", "--dims", "2,3", "--format", "json"), 0, {"json"}),
+        (_cli("asymptotic", "--dim", "3", "--q", "0.05"), 0, {"csv"}),
+        (_cli("finite-key", "--dim", "3", "--n-min", "1e4", "--n-max", "1e4"), 0, {"csv", "dataclasses", "inspect"}),
+        (_cli("simulate", "--dim", "3", "--q", "0.05", "--rounds", "1000", "--seed", "1"), 0,
+         {"dataclasses", "inspect", "json"}),
+        (_cli("verify", "--dims", "2"), 0, {"dataclasses", "inspect"}),
+    ],
+    ids=["import-cli", "help", "usage-error", "critical-q", "critical-q-json", "asymptotic", "finite-key",
+         "simulate", "verify"],
+)
+def test_each_entry_loads_only_the_standard_modules_it_uses(statement, exit_code, expected):
+    # numpy imports inspect as well, so the numpy commands would load it without dataclasses
+    code, modules = _run(statement)
+    assert (code, STANDARD.intersection(modules)) == (exit_code, expected)
 
 
 def test_the_asymptotic_rates_run_where_numpy_cannot_be_imported():

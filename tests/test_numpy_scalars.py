@@ -124,3 +124,9 @@ def test_numpy_inputs_are_stored_as_plain_ints_and_floats():
 def test_a_bool_or_a_non_integer_count_is_refused(call, error, message):
     with pytest.raises(error, match=message + "$"):
         call()
+
+
+@pytest.mark.parametrize("d", [2.5, True, 0, -5], ids=["float", "bool", "zero", "negative"])
+def test_xi_refuses_a_dimension_that_is_no_integer_above_one(d):
+    with pytest.raises(OutOfRange, match=re.escape(f"xi needs an integer dimension d >= 2, got {d!r}") + "$"):
+        xi(1000, d, 1e-5)

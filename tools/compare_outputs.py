@@ -48,7 +48,12 @@ After its summary line the tool writes the two size measures of the code,
 base -> tree, to stderr: the lines of the `.py` files under `src/` and the
 names in `__all__`, read with `ast` from `__init__`'s `_HOMES` table (or
 from a literal `__all__`, as older trees define it) without importing it;
-then the lines of each module, base -> tree, "-" where a tree has none.
+then the lines of each module, base -> tree, "-" where a tree has none;
+then, for `--help` and one command of each subcommand (`LOADS`), the
+number of modules outside `quditkd` that a fresh `python -m quditkd`
+process has loaded when it exits, base -> tree, and the names that only
+one tree loads, so a change of what a command loads shows without the
+benchmark.
 """
 
 from __future__ import annotations
@@ -90,6 +95,14 @@ BUDGETS = (
 # a float's repr: digits with a point or an exponent, inf or nan
 FLOAT = re.compile(r"(?<![\w.])-?(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+|inf|nan)(?![\w.])")
 SUBCOMMANDS = ("critical-q", "asymptotic", "finite-key", "simulate", "verify")
+LOADS = (  # the imports of these processes are compared
+    ["--help"],
+    ["critical-q", "--dims", "2..7"],
+    ["asymptotic", "--dim", "3", "--family", "dplus1", "--q", "5%"],
+    ["finite-key", "--dim", "3", "--n-min", "1e4", "--n-max", "1e4"],
+    ["simulate", "--dim", "3", "--q", "5%", "--rounds", "1e4", "--seed", "1"],
+    ["verify", "--dims", "2..7"],
+)
 ERRORS = (
     [],  # no subcommand
     ["bogus"],
@@ -188,6 +201,19 @@ def run(src: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
     return done.returncode, done.stdout, done.stderr
 
 
+def loaded_modules(src: Path, argv: list[str]) -> set[str]:
+    """The modules outside `quditkd` in `sys.modules` when `quditkd argv`
+    exits, run as `python -m` does (with `runpy`) in a fresh process against
+    `src`; they follow the command's own stderr after a NUL."""
+    code = (
+        f"import runpy, sys; sys.argv[1:] = {argv!r}\n"
+        "try:\n    runpy.run_module('quditkd', run_name='__main__', alter_sys=True)\n"
+        "finally:\n    print('\\0' + ' '.join(sys.modules), file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=_env(src), capture_output=True, text=True)
+    return {name for name in done.stderr.rpartition("\0")[2].split() if name.split(".")[0] != "quditkd"}
+
+
 def reprs(src: Path) -> list[str]:
     """The lines of `print_reprs` in a fresh process against `src`."""
     code = f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import compare_outputs; compare_outputs.print_reprs()"
@@ -238,6 +264,8 @@ def main() -> int:
         with ThreadPoolExecutor(JOBS) as pool:
             base_reprs, head_reprs = pool.map(reprs, (base_src, ROOT / "src"))
             diffs = [line for line in pool.map(compare, commands) if line]
+            loads = list(pool.map(lambda argv: (loaded_modules(base_src, argv), loaded_modules(ROOT / "src", argv)),
+                                  LOADS))
         (base_lines, base_names), (head_lines, head_names) = measures(base_src), measures(ROOT / "src")
     changed, distances = [], []
     for base, head in zip(base_reprs, head_reprs):
@@ -257,6 +285,11 @@ def main() -> int:
           f"__all__ names {base_names} -> {head_names}", file=sys.stderr)
     for module in sorted(base_lines.keys() | head_lines.keys()):
         print(f"  {module} {base_lines.get(module, '-')} -> {head_lines.get(module, '-')}", file=sys.stderr)
+    print("modules outside quditkd that each process loads, base -> tree:", file=sys.stderr)
+    for argv, (base, head) in zip(LOADS, loads):
+        only = [f"only {side}: {' '.join(sorted(names))}" for side, names in (("base", base - head), ("tree", head - base))
+                if names]
+        print(f"  quditkd {shlex.join(argv)}: {len(base)} -> {len(head)}", *only, sep="; ", file=sys.stderr)
     return 1 if diffs or changed else 0
 
 
